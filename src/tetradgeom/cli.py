@@ -201,7 +201,8 @@ def cmd_triplets(args) -> int:
 def cmd_denizen(args) -> int:
     frame = build_frame()
     den = denizens.denizen_by_id(frame, f"{args.plane}:{args.shift}")
-    kind, cert = denizens.classify(frame, den)
+    kind = den.kind
+    cert = denizens.structural_certificate(frame, den)
     out = {
         "ident": den.ident,
         "kind": kind,

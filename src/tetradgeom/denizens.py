@@ -72,16 +72,11 @@ def triplet_from_plane(frame: Frame, plane: gf3.Plane) -> tuple:
     """The three denizens of a plane, shifts ordered deterministically:
     the subspace itself first, then the two cosets of the smallest
     vector outside the plane."""
-    step = min(v for v in gf3.ALL81 if v not in plane.vectors)
     kind = PLANE_KIND_TO_DENIZEN[gf3.plane_kind(plane)]
-    dens = []
-    for j in range(3):
-        s = gf3.t_scale(j, step)
-        pts = frozenset(
-            frame.point_from_trits(gf3.t_add(v, s)) for v in plane.vectors
-        )
-        dens.append(Denizen(plane, s, j, pts, kind))
-    return tuple(dens)
+    return tuple(
+        Denizen(plane, s, j, frame.coset_points(plane.vectors, s), kind)
+        for j, s in enumerate(gf3.coset_shifts(gf3.ALL81, plane.vectors))
+    )
 
 
 def all_triplets(frame: Frame) -> tuple:
@@ -131,12 +126,6 @@ def structural_certificate(frame: Frame, den: Denizen) -> dict:
         "span_rank": rank,
         "structural_kind": structural,
     }
-
-
-def classify(frame: Frame, den: Denizen) -> tuple:
-    """(kind by plane, structural certificate); the certificate's tag is
-    computed without looking at the plane."""
-    return den.kind, structural_certificate(frame, den)
 
 
 # ── C2 denizens: perps of weight-2 lines ─────────────────────────────────
@@ -226,12 +215,6 @@ def c2_census(frame: Frame, triplets) -> dict:
 # ── sections of a Segre denizen ──────────────────────────────────────────
 
 
-def section_points(frame: Frame, den: Denizen, sub: gf3.Line) -> frozenset:
-    return frozenset(
-        frame.point_from_trits(gf3.t_add(v, den.shift)) for v in sub.vectors
-    )
-
-
 def _ruling_split(inner) -> tuple:
     """Split 6 coplanar-grid lines into two rulings of 3 pairwise
     disjoint lines; raises if the structure is not a grid."""
@@ -264,7 +247,7 @@ def classify_section(frame: Frame, den: Denizen, sub: gf3.Line) -> dict:
         raise ValueError(
             f"subspace of kind {kind} cannot occur inside a vertex-free plane"
         )
-    pts = section_points(frame, den, sub)
+    pts = frame.coset_points(sub.vectors, den.shift)
     inner = lines_inside(pts)
     detail = {}
 
@@ -305,13 +288,9 @@ def _transversal_check(frame, den, sub, gens) -> int:
     if len(grids) != 1:
         raise ValueError("expected exactly one transversal grid family")
     w = grids[0]
-    step = min(v for v in den.plane.vectors if v not in w.vectors)
     checked = 0
-    for j in range(3):
-        s = gf3.t_add(den.shift, gf3.t_scale(j, step))
-        grid_pts = frozenset(
-            frame.point_from_trits(gf3.t_add(v, s)) for v in w.vectors
-        )
+    for s in gf3.coset_shifts(den.plane.vectors, w.vectors, den.shift):
+        grid_pts = frame.coset_points(w.vectors, s)
         hits = []
         for g in gens:
             meet = g & grid_pts
@@ -399,22 +378,12 @@ def fan_triplets(frame: Frame, den: Denizen) -> tuple:
             for v in sub.vectors
             if v != gf3.ZERO and gf3.wt_std(v) == 3
         )
-        step = min(v for v in den.plane.vectors if v not in sub.vectors)
-        fans = []
-        centres = []
-        for j in range(3):
-            s = gf3.t_add(den.shift, gf3.t_scale(j, step))
-            fan = frozenset(
-                frame.point_from_trits(gf3.t_add(v, s)) for v in sub.vectors
-            )
-            _, centre = fan_decompose(frame, fan)
-            fans.append(fan)
-            centres.append(centre)
-        out.append(
-            FanTriplet(
-                sub, w3[0], tuple(fans), tuple(centres), frozenset(centres)
-            )
+        fans = tuple(
+            frame.coset_points(sub.vectors, s)
+            for s in gf3.coset_shifts(den.plane.vectors, sub.vectors, den.shift)
         )
+        centres = tuple(fan_decompose(frame, fan)[1] for fan in fans)
+        out.append(FanTriplet(sub, w3[0], fans, centres, frozenset(centres)))
     if len(out) != 4:
         raise ValueError(f"expected 4 fan triplets, found {len(out)}")
     return tuple(sorted(out, key=lambda ft: ft.weight3_pair))

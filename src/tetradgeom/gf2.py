@@ -32,21 +32,10 @@ LinMap = tuple  # tuple[Mask, ...] of length 8
 E = tuple(1 << i for i in range(8))  # E[i] is the mask of e_{i+1}
 IDENTITY: LinMap = E
 UNIT: Mask = 0xFF  # u = e_1 + ... + e_8
-ALL_POINTS = tuple(range(1, 256))
 
 #: the four coordinate pairs {i, 9-i} as masks; these are the frame lines'
 #: underlying 2-dim subspaces and the quadratic form's degree-2 support
 PAIR_MASKS = (0x81, 0x42, 0x24, 0x18)
-
-
-def mask_of(*indices: int) -> Mask:
-    """Mask of e_{i1} + e_{i2} + ..., with 1-based coordinate indices."""
-    m = 0
-    for i in indices:
-        if not 1 <= i <= 8:
-            raise ValueError(f"coordinate index {i} out of range 1..8")
-        m |= 1 << (i - 1)
-    return m
 
 
 def bits_of(x: Mask) -> tuple:
@@ -146,37 +135,52 @@ def inverse(m: LinMap) -> LinMap:
     return tuple(ech[j][1] for j in range(8))
 
 
-def is_invertible(m: LinMap) -> bool:
-    return len(reduced_basis(m)) == 8
+def closure(seeds, moves, maxsize: int | None = None) -> frozenset:
+    """Everything reachable from `seeds` under repeated application of the
+    functions in `moves`, by breadth-first search.
 
-
-def mulclose(gens, maxsize: int | None = None):
-    """BFS closure of a generating set of linear maps under composition.
-
-    Returns the set of all products.  If `maxsize` is given and the closure
-    exceeds it, raises ValueError: callers that may feed a broken generating
-    set (the perturbation hook) use the cap to fail cleanly instead of
-    walking a large chunk of GL(8,2).
+    If `maxsize` is given and the closure exceeds it, raises ValueError:
+    callers that may feed a broken generating set (the perturbation hook)
+    use the cap to fail cleanly instead of walking a large chunk of
+    GL(8,2).
     """
-    gens = [tuple(g) for g in gens]
-    tables = [perm_table(g) for g in gens]
-    els = {IDENTITY}
-    els.update(gens)
-    bdy = list(els)
+    found = set(seeds)
+    bdy = list(found)
     while bdy:
         new = []
-        for t in tables:
-            for b in bdy:
-                c = tuple(t[col] for col in b)
-                if c not in els:
-                    els.add(c)
+        for b in bdy:
+            for move in moves:
+                c = move(b)
+                if c not in found:
+                    found.add(c)
                     new.append(c)
-                    if maxsize is not None and len(els) > maxsize:
-                        raise ValueError(
-                            f"closure exceeded {maxsize} elements"
-                        )
+                    if maxsize is not None and len(found) > maxsize:
+                        raise ValueError(f"closure exceeded {maxsize} elements")
         bdy = new
-    return els
+    return frozenset(found)
+
+
+def orbits(items, moves) -> list:
+    """Partition of `items` into closures under `moves`, in the order of
+    each part's first item."""
+    seen = set()
+    parts = []
+    for x in items:
+        if x not in seen:
+            orb = closure((x,), moves)
+            seen |= orb
+            parts.append(orb)
+    return parts
+
+
+def mulclose(gens, maxsize: int | None = None) -> frozenset:
+    """Closure of a generating set of linear maps under composition: the
+    set of all products, capped as in `closure`."""
+    gens = [tuple(g) for g in gens]
+    moves = [
+        lambda m, t=perm_table(g): tuple(map(t.__getitem__, m)) for g in gens
+    ]
+    return closure([IDENTITY, *gens], moves, maxsize)
 
 
 # ── flats (projective subspaces) ─────────────────────────────────────────

@@ -113,11 +113,6 @@ FAMILY_ODD = ((2, 2, 2, 1), (2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1))
 DIRECTIONS = FAMILY_EVEN + FAMILY_ODD
 
 
-def is_line_direction(v: Trit) -> bool:
-    """True when +-v is one of the eight spread directions."""
-    return wt_std(v) == 4
-
-
 def direction_family(v: Trit) -> int:
     """0 for the even family, 1 for the odd, judged on the canonical
     representative (negation preserves the parity of the 2-count)."""
@@ -129,18 +124,12 @@ def direction_family(v: Trit) -> int:
 # ── subspace machinery ───────────────────────────────────────────────────
 
 
-def gf3_rank(vectors) -> int:
-    rows = []
-    for v in vectors:
-        v = list(v)
-        for r in rows:
-            lead = next(i for i in range(4) if r[i])
-            if v[lead]:
-                c = v[lead] * r[lead] % 3  # r[lead] == its own inverse mod 3
-                v = [(x - c * y) % 3 for x, y in zip(v, r)]
-        if any(v):
-            rows.append(v)
-    return len(rows)
+def coset_shifts(outer, inner, base: Trit = ZERO) -> tuple:
+    """The shifts base + j * step (j = 0, 1, 2) of the three cosets of an
+    index-3 subspace `inner` inside base + `outer`, where step is the
+    smallest vector of `outer` outside `inner`."""
+    step = min(v for v in outer if v not in inner)
+    return tuple(t_add(base, t_scale(j, step)) for j in range(3))
 
 
 def subspace_vectors(gens) -> frozenset:
@@ -189,11 +178,12 @@ def all_points() -> tuple:
 
 @lru_cache(maxsize=1)
 def all_lines() -> tuple:
-    seen = {}
+    line_of = {}  # point pair -> the line through it
     for a, b in combinations(all_points(), 2):
-        ln = line_through(a, b)
-        seen.setdefault(ln.vectors, ln)
-    return tuple(sorted(seen.values(), key=lambda l: l.points))
+        if (a, b) not in line_of:
+            ln = line_through(a, b)
+            line_of.update(dict.fromkeys(combinations(ln.points, 2), ln))
+    return tuple(sorted(set(line_of.values()), key=lambda l: l.points))
 
 
 @lru_cache(maxsize=1)
@@ -206,16 +196,6 @@ def all_planes() -> tuple:
         pts = tuple(sorted({canon(v) for v in vecs if v != ZERO}))
         planes.append(Plane(c, pts, vecs))
     return tuple(sorted(planes, key=lambda p: p.functional))
-
-
-@lru_cache(maxsize=1)
-def line_by_vectors() -> dict:
-    return {ln.vectors: ln for ln in all_lines()}
-
-
-@lru_cache(maxsize=1)
-def plane_by_vectors() -> dict:
-    return {pl.vectors: pl for pl in all_planes()}
 
 
 def plane_from_functional(c: Trit) -> Plane:
@@ -265,11 +245,7 @@ def plane_kind(plane: Plane) -> int:
 
 def plane_subspaces(plane: Plane) -> tuple:
     """The 13 2-subspaces of a plane, as Line objects."""
-    seen = {}
-    for a, b in combinations(plane.points, 2):
-        ln = line_through(a, b)
-        seen.setdefault(ln.vectors, ln)
-    subs = tuple(sorted(seen.values(), key=lambda l: l.points))
+    subs = tuple(ln for ln in all_lines() if ln.vectors <= plane.vectors)
     if len(subs) != 13:
         raise ValueError(f"expected 13 subspaces, found {len(subs)}")
     return subs

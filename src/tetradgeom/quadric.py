@@ -118,21 +118,11 @@ def nine_cap(frame: Frame, line: gf3.Line) -> tuple:
                 f"subspace contains {gf3.trit_str(v)} of weight "
                 f"{gf3.wt_std(v)}; need all nonzero vectors of weight 3"
             )
-    return tuple(sorted(frame.point_from_trits(v) for v in line.vectors))
+    return tuple(sorted(frame.coset_points(line.vectors)))
 
 
 def cap_translates(frame: Frame, line: gf3.Line) -> tuple:
     """The nine cosets of the direction plane, as point 9-sets; these
     partition the line-weight-4 orbit into nine disjoint caps."""
-    cosets = []
-    seen = set()
-    for sigma in gf3.ALL81:
-        coset = frozenset(gf3.t_add(v, sigma) for v in line.vectors)
-        if coset not in seen:
-            seen.add(coset)
-            cosets.append(coset)
-    caps = [
-        frozenset(frame.point_from_trits(v) for v in coset)
-        for coset in cosets
-    ]
+    caps = {frame.coset_points(line.vectors, s) for s in gf3.ALL81}
     return tuple(sorted(caps, key=min))

@@ -43,6 +43,11 @@ class Spread:
         return f"Spread({''.join(map(str, self.ijk))}, {len(self.lines)} lines)"
 
 
+def _line(t: bytes, p: Mask) -> frozenset:
+    """The spread line {p, A p, A^2 p}, for A given by its table t."""
+    return frozenset((p, t[p], t[t[p]]))
+
+
 def build_spread(g81: Group81, ijk) -> Spread:
     ijk = tuple(ijk)
     if len(ijk) != 3 or any(d not in (1, 2) for d in ijk):
@@ -52,7 +57,7 @@ def build_spread(g81: Group81, ijk) -> Spread:
     line_of = {}
     for p in range(1, 256):
         if p not in line_of:
-            ln = frozenset((p, t[p], t[t[p]]))
+            ln = _line(t, p)
             for q in ln:
                 line_of[q] = ln
     lines = tuple(sorted({ln for ln in line_of.values()}, key=min))
@@ -64,9 +69,7 @@ def all_spreads(g81: Group81) -> dict:
 
 
 def line_through(g81: Group81, ijk, p: Mask) -> frozenset:
-    gen = g81.maps[tuple(ijk) + (1,)]
-    t = perm_table(gen)
-    return frozenset((p, t[p], t[t[p]]))
+    return _line(perm_table(g81.maps[tuple(ijk) + (1,)]), p)
 
 
 def distinct_line_count(g81: Group81, p: Mask) -> int:
@@ -108,6 +111,6 @@ def parallel_classes(frame: Frame, g81: Group81) -> dict:
     out = {}
     for ijk in ALL_IJK:
         t = perm_table(g81.maps[tuple(ijk) + (1,)])
-        lines = {frozenset((p, t[p], t[t[p]])) for p in omega4}
+        lines = {_line(t, p) for p in omega4}
         out[ijk] = tuple(sorted(lines, key=min))
     return out

@@ -28,6 +28,7 @@ A_sigma(u) = U_sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from . import gf3
@@ -44,6 +45,7 @@ from .gf2 import (
     linmap,
     linmap_power,
     mulclose,
+    orbits,
     perm_table,
 )
 
@@ -120,12 +122,9 @@ class Frame:
     def orbit(self, r: int) -> frozenset:
         return frozenset(p for p in range(1, 256) if self.line_weight(p) == r)
 
-    def orbits(self) -> tuple:
-        return tuple(self.orbit(r) for r in (1, 2, 3, 4))
-
-    def point_from_trits(self, sigma) -> Mask:
-        """theta(sigma) = U_sigma for an all-digit index vector."""
-        return self.label(tuple(sigma))
+    def coset_points(self, vectors, shift=gf3.ZERO) -> frozenset:
+        """The labelled points U_(v + shift) of a coset of (F_3)^4."""
+        return frozenset(self.label(gf3.t_add(v, shift)) for v in vectors)
 
     def trits_from_point(self, p: Mask):
         t = self.unlabel(p)
@@ -240,50 +239,18 @@ def mat3_apply(m, v):
 def point_orbits(gens) -> list:
     """Orbit partition of the 255 projective points under the generated
     group (closure on points, not on group elements)."""
-    tables = [perm_table(g) for g in gens]
-    seen = set()
-    orbits = []
-    for p in range(1, 256):
-        if p in seen:
-            continue
-        orb = {p}
-        bdy = [p]
-        while bdy:
-            nxt = []
-            for q in bdy:
-                for t in tables:
-                    r = t[q]
-                    if r not in orb:
-                        orb.add(r)
-                        nxt.append(r)
-            bdy = nxt
-        seen |= orb
-        orbits.append(frozenset(orb))
-    return orbits
+    return orbits(range(1, 256), [perm_table(g).__getitem__ for g in gens])
 
 
 def subspace_orbit_partition(mats, spaces) -> list:
     """Orbit partition of GF(3) subspaces (given as frozensets of vectors)
     under a list of 4x4 matrices over F_3."""
-    index = {s: i for i, s in enumerate(spaces)}
-    seen = set()
-    parts = []
-    for s in spaces:
-        if s in seen:
-            continue
-        orb = {s}
-        bdy = [s]
-        while bdy:
-            nxt = []
-            for t in bdy:
-                for m in mats:
-                    img = frozenset(mat3_apply(m, v) for v in t)
-                    if img not in index:
-                        raise ValueError("matrix does not permute the spaces")
-                    if img not in orb:
-                        orb.add(img)
-                        nxt.append(img)
-            bdy = nxt
-        seen |= orb
-        parts.append(frozenset(orb))
-    return parts
+    index = set(spaces)
+
+    def image(m, space):
+        img = frozenset(mat3_apply(m, v) for v in space)
+        if img not in index:
+            raise ValueError("matrix does not permute the spaces")
+        return img
+
+    return orbits(spaces, [partial(image, m) for m in mats])

@@ -125,7 +125,7 @@ def test_11_caps(ctx, capsys):
 
 
 def test_12_weight_lemmas(ctx, capsys):
-    # orthogonality = even alternative-basis distance over all 81 x 81;
+    # orthogonality = even standard-basis Hamming distance over all 81 x 81;
     # the exact two-basis weight census; the weight-4 line criterion over
     # all 40 direction pairs
     with criterion(capsys, 12, "weight-lemmas"):

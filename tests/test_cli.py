@@ -3,12 +3,23 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from tetradgeom.certificates import run_certificates
 from tetradgeom.cli import main
 
 REPORT_KEYS = {"name", "claim", "status", "witness", "elapsed_ms"}
+GOLDEN_REPORT = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify-report.json"
+)
+
+
+def without_timings(report) -> str:
+    """The report minus every elapsed_ms, serialised as the CLI writes it."""
+    stripped = [{k: v for k, v in e.items() if k != "elapsed_ms"} for e in report]
+    return json.dumps(stripped, indent=2, sort_keys=True) + "\n"
 
 
 def run_cli(*args):
@@ -41,6 +52,18 @@ def test_verify_all_process(tmp_path):
     # the report round-trips byte-for-byte through a parse/re-serialize
     text = report_file.read_text()
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == text
+    # apart from the timings, the threaded report is the golden one
+    assert without_timings(report) == GOLDEN_REPORT.read_text()
+
+
+def test_witnesses_are_json_safe(ctx):
+    certs = run_certificates(ctx)
+    for c in certs:
+        assert json.loads(json.dumps(c.witness)) == c.witness, c.name
+    # the sequential in-process report matches the golden one too
+    assert without_timings([c.to_json() for c in certs]) == (
+        GOLDEN_REPORT.read_text()
+    )
 
 
 def test_verify_all_perturbed_process():

@@ -64,8 +64,8 @@ def test_denizen_by_id_rejects_malformed(frame):
 
 def test_classify_canonical_segre(frame):
     den = denizens.denizen_by_id(frame, "1111:0")
-    kind, cert = denizens.classify(frame, den)
-    assert kind == "segre"
+    cert = denizens.structural_certificate(frame, den)
+    assert den.kind == "segre"
     assert cert == {
         "lines": 27,
         "per_point": [3],
@@ -78,8 +78,8 @@ def test_classification_routes_agree_everywhere(ctx):
     # the plane-kind route and the purely structural route always match
     for t in ctx.triplets:
         for d in t:
-            kind, cert = denizens.classify(ctx.frame, d)
-            assert cert["structural_kind"] == kind, d.ident
+            cert = denizens.structural_certificate(ctx.frame, d)
+            assert cert["structural_kind"] == d.kind, d.ident
 
 
 def test_segre_slab_decomposition(frame):
@@ -89,9 +89,7 @@ def test_segre_slab_decomposition(frame):
     for j in range(3):
         s = gf3.t_scale(j, SLAB_STEP)
         slabs.append(
-            frozenset(
-                frame.point_from_trits(gf3.t_add(v, s)) for v in sub.vectors
-            )
+            frozenset(frame.label(gf3.t_add(v, s)) for v in sub.vectors)
         )
     assert slabs[0] == FIRST_SLAB
     assert frozenset().union(*slabs) == den.points
@@ -102,7 +100,7 @@ def test_c2_line_of_canonical_c2(frame):
     den = denizens.denizen_by_id(frame, "0011:0")
     assert den.kind == "C2"
     assert denizens.c2_line(frame, den) == {0x0C, 0x30, 0x3C}
-    kind, cert = denizens.classify(frame, den)
+    cert = denizens.structural_certificate(frame, den)
     assert cert == {
         "lines": 36,
         "per_point": [4],
@@ -120,7 +118,7 @@ def test_c2_line_rejects_other_kinds(frame):
 def test_c3_spans_perp_of_weight1_point(frame):
     den = denizens.denizen_by_id(frame, "0001:0")
     assert den.kind == "C3"
-    kind, cert = denizens.classify(frame, den)
+    cert = denizens.structural_certificate(frame, den)
     assert cert == {
         "lines": 0,
         "per_point": [0],
@@ -136,7 +134,7 @@ def test_c3_spans_perp_of_weight1_point(frame):
 def test_c1_observed_profile(frame):
     den = denizens.denizen_by_id(frame, "1220:0")
     assert den.kind == "C1"
-    kind, cert = denizens.classify(frame, den)
+    cert = denizens.structural_certificate(frame, den)
     assert cert == {
         "lines": 18,
         "per_point": [2],

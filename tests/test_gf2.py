@@ -14,11 +14,9 @@ from tetradgeom.gf2 import (
     apply,
     compose,
     inverse,
-    is_invertible,
     linmap,
     linmap_power,
     lines_inside,
-    mask_of,
     mulclose,
     perm_table,
     perp,
@@ -30,10 +28,7 @@ from tetradgeom.gf2 import (
 )
 
 
-def test_mask_of_and_point_str():
-    assert mask_of(1) == 0x01
-    assert mask_of(1, 8) == 0x81
-    assert mask_of(1, 3, 5, 7) == 0x55
+def test_point_str():
     assert point_str(0x81) == "18"
     assert point_str(0x55) == "1357"
     assert UNIT == 0xFF and point_str(UNIT) == "12345678"
@@ -101,17 +96,18 @@ def test_inverse_and_invertibility():
     zi = inverse(z)
     assert compose(z, zi) == IDENTITY
     assert compose(zi, z) == IDENTITY
-    assert is_invertible(z)
-    assert not is_invertible(linmap({1: E[1], 2: E[1]}))
     with pytest.raises(ValueError):
         inverse(linmap({1: E[1], 2: E[1]}))
     # random invertible maps round-trip
     found = 0
     while found < 20:
         m = tuple(rng.randrange(256) for _ in range(8))
-        if is_invertible(m):
-            assert compose(m, inverse(m)) == IDENTITY
-            found += 1
+        try:
+            mi = inverse(m)
+        except ValueError:  # singular
+            continue
+        assert compose(m, mi) == IDENTITY
+        found += 1
 
 
 def test_perm_table_matches_apply():

@@ -81,7 +81,6 @@ def test_direction_families():
     for d in gf3.DIRECTIONS:
         assert d[3] == 1  # normalized to last digit 1
         assert gf3.wt_std(d) == 4
-        assert gf3.is_line_direction(d)
     for d in gf3.FAMILY_EVEN:
         assert gf3.direction_family(d) == 0
         assert gf3.direction_family(gf3.t_neg(d)) == 0
@@ -92,7 +91,6 @@ def test_direction_families():
         assert gf3.wt_alt(d) == 4
     with pytest.raises(ValueError):
         gf3.direction_family((1, 1, 0, 1))
-    assert not gf3.is_line_direction((1, 1, 0, 1))
 
 
 def test_pg33_counts():
@@ -160,14 +158,3 @@ def test_plane_from_functional():
     with pytest.raises(ValueError):
         gf3.plane_from_functional(gf3.ZERO)
 
-
-def test_gf3_rank():
-    assert gf3.gf3_rank([(1, 0, 0, 0), (0, 1, 0, 0)]) == 2
-    assert gf3.gf3_rank([(1, 0, 0, 0), (2, 0, 0, 0)]) == 1
-    assert gf3.gf3_rank([]) == 0
-    assert (
-        gf3.gf3_rank(
-            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-        )
-        == 4
-    )

@@ -83,12 +83,14 @@ def test_line_weight_and_orbits(frame):
     assert frame.line_weight(0xFF) == 4
     sizes = [len(frame.orbit(r)) for r in (1, 2, 3, 4)]
     assert sizes == [12, 54, 108, 81]
-    assert set().union(*frame.orbits()) == set(range(1, 256))
+    assert set().union(*(frame.orbit(r) for r in (1, 2, 3, 4))) == set(
+        range(1, 256)
+    )
 
 
 def test_trit_point_round_trip(frame):
     for sigma in gf3.ALL81:
-        p = frame.point_from_trits(sigma)
+        p = frame.label(sigma)
         assert frame.line_weight(p) == 4
         assert frame.trits_from_point(p) == sigma
     with pytest.raises(ValueError):
@@ -103,9 +105,7 @@ def test_group81_shift_action(frame):
     for sigma in gf3.ALL81:
         m = g81.maps[sigma]
         for tau in gf3.ALL81[::7]:
-            assert apply(m, frame.point_from_trits(tau)) == frame.point_from_trits(
-                gf3.t_add(tau, sigma)
-            )
+            assert apply(m, frame.label(tau)) == frame.label(gf3.t_add(tau, sigma))
     # the group is elementary abelian of exponent 3
     for sigma in gf3.ALL81[::5]:
         m = g81.maps[sigma]

@@ -5,7 +5,8 @@ with structured data when a property fails.  The runner turns the
 registered checks into Certificate records (name, claim, status, witness,
 elapsed_ms) in a fixed order, independent of how many worker threads
 execute them.  The Context carries the shared artifacts (frame, groups,
-quadric, solids, denizens) and builds each lazily exactly once.
+quadric, solids, denizens, and the fan triplets of every Segre denizen
+with their troikas) and builds each lazily exactly once.
 
 Witness values are JSON-safe throughout: ints, strings, bools, lists and
 string-keyed dicts only.
@@ -30,18 +31,19 @@ from .gf2 import (
     compose,
     inverse,
     linmap_power,
+    perp,
     point_str,
     quadric_value,
     span,
     symplectic_product,
 )
+from .gf3 import mat3_apply
 from .tetrad import (
     Frame,
     build_frame,
     build_group81,
     build_stabilizer,
     induced_matrix,
-    mat3_apply,
     point_orbits,
     stabilizer_generators,
     subspace_orbit_partition,
@@ -116,9 +118,30 @@ class Context:
             ),
         )
 
+    @property
+    def fan_triplets(self):
+        """The fan triplets of each Segre denizen, aligned with `segres`."""
+        return self._get(
+            "fan_triplets",
+            lambda: tuple(
+                denizens.fan_triplets(self.frame, d) for d in self.segres
+            ),
+        )
+
 
 def point_json(frame: Frame, p: int) -> dict:
     return {"mask": p, "bits": point_str(p), "label": frame.label_str(p)}
+
+
+def _induced(g81, name: str, g) -> tuple:
+    """induced_matrix, failing with the generator's name when conjugation
+    by it leaves the diagonal group."""
+    try:
+        return induced_matrix(g, g81)
+    except KeyError:
+        raise CheckFailed(
+            "generator does not normalize the diagonal group", generator=name
+        ) from None
 
 
 CHECKS = []
@@ -316,15 +339,15 @@ def check_invariants(ctx):
         inv.q_lw4 == anf.explicit_lw4_sextic(),
         "flat-indicator sextic differs from the symmetric-sum expansion",
     )
-    pair6 = anf.symmetric_parts()["pair6"]
+    parts = anf.symmetric_parts()
     require(
-        inv.q6.homogeneous_part(6) == pair6,
+        inv.q6.homogeneous_part(6) == parts["pair6"],
         "degree-6 part of q6 is not the four complement monomials",
     )
     wedge = frozenset(((1, 8), (2, 7), (3, 6), (4, 5)))
     require(anf.polarize6(inv.q6) == wedge, "polarization of q6 wrong")
     require(anf.polarize6(inv.q_lw4) == wedge, "polarization of sextic wrong")
-    for name, part in anf.symmetric_parts().items():
+    for name, part in parts.items():
         if part.degree() <= 5:
             require(
                 anf.polarize6(part) == frozenset(),
@@ -354,7 +377,7 @@ def check_stabilizer(ctx):
         require(m in st.elements, "diagonal map missing from stabilizer")
     for name, g in st.generators.items():
         ginv = inverse(g)
-        mat = induced_matrix(g, g81)  # KeyError -> normality fails
+        mat = _induced(g81, name, g)
         for sigma, a in g81.maps.items():
             conj = compose(compose(g, a), ginv)
             require(
@@ -451,28 +474,28 @@ def check_gf3(ctx):
     require(fam_count == Counter({0: 4, 1: 4}), "family split of Segre planes wrong")
 
     # conjugation orbits
-    mats = [induced_matrix(g, ctx.g81) for g in stabilizer_generators(ctx.frame).values()]
-    pl_orbits = subspace_orbit_partition(mats, [pl.vectors for pl in pls])
-    by_kind = {}
-    for pl in pls:
-        by_kind.setdefault(gf3.plane_kind(pl), set()).add(pl.vectors)
-    require(
-        {frozenset(v) for v in by_kind.values()} == set(pl_orbits),
-        "plane conjugation orbits differ from vertex-count classes",
-    )
-    ln_orbits = subspace_orbit_partition(mats, [ln.vectors for ln in lns])
-    lby_kind = {}
-    for ln in lns:
-        lby_kind.setdefault(gf3.line_kind(ln), set()).add(ln.vectors)
-    require(
-        {frozenset(v) for v in lby_kind.values()} == set(ln_orbits),
-        "line conjugation orbits differ from weight-pattern classes",
-    )
+    mats = [
+        _induced(ctx.g81, name, g)
+        for name, g in stabilizer_generators(ctx.frame).items()
+    ]
+    orbit_sizes = {}
+    for what, spaces, kind_of, classes in (
+        ("plane", pls, gf3.plane_kind, "vertex-count"),
+        ("line", lns, gf3.line_kind, "weight-pattern"),
+    ):
+        orbs = subspace_orbit_partition(mats, [s.vectors for s in spaces])
+        by_kind = {}
+        for s in spaces:
+            by_kind.setdefault(kind_of(s), set()).add(s.vectors)
+        require(
+            {frozenset(v) for v in by_kind.values()} == set(orbs),
+            f"{what} conjugation orbits differ from {classes} classes",
+        )
+        orbit_sizes[f"{what}_orbit_sizes"] = sorted(len(o) for o in orbs)
     return {
         "plane_kinds": {str(k): v for k, v in sorted(pkinds.items())},
         "line_kinds": {str(k): v for k, v in sorted(lkinds.items())},
-        "plane_orbit_sizes": sorted(len(o) for o in pl_orbits),
-        "line_orbit_sizes": sorted(len(o) for o in ln_orbits),
+        **orbit_sizes,
     }
 
 
@@ -664,19 +687,11 @@ def check_solids(ctx):
         "system sizes wrong",
         sizes=sorted(sizes.values()),
     )
-    import numpy as np
-
-    n = len(solids)
-    rel = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        rel[i, i] = True
-        for j in range(i + 1, n):
-            rel[i, j] = rel[j, i] = quadric.same_system(solids[i], solids[j])
-    t = np.array(tags)
-    require(
-        bool((rel == (t[:, None] == t[None, :])).all()),
-        "parity relation is not the two-class equivalence",
-    )
+    for (a, ta), (b, tb) in combinations(zip(solids, tags), 2):
+        require(
+            quadric.same_system(a, b) == (ta == tb),
+            "parity relation is not the two-class equivalence",
+        )
     tag_of = {s: tg for s, tg in zip(solids, tags)}
     for p in sorted(f.orbit(4)):
         even, odd = spreads.solid_pair(f, ctx.g81, p)
@@ -740,10 +755,7 @@ def check_denizens(ctx):
             if kind == "C3":
                 pp = span(d.points)
                 require(pp.rank == 7, "C3 span is not a 6-flat", ident=d.ident)
-                axis = [
-                    q for q in range(1, 256)
-                    if all(symplectic_product(q, b) == 0 for b in pp.basis)
-                ]
+                axis = sorted(perp(pp.basis).points())
                 require(
                     len(axis) == 1 and f.line_weight(axis[0]) == 1,
                     "C3 perp is not a single weight-1 point",
@@ -818,11 +830,9 @@ def check_fans(ctx):
     f = ctx.frame
     tetrad_points = f.orbit(1)
     fans_seen = 0
-    for den in ctx.segres:
-        for ft in denizens.fan_triplets(f, den):
-            for fan, centre in zip(ft.fans, ft.centres):
-                troikas, c2 = denizens.fan_decompose(f, fan)
-                require(c2 == centre, "fan centre not reproducible")
+    for den, fts in zip(ctx.segres, ctx.fan_triplets):
+        for ft in fts:
+            for troikas, centre in zip(ft.troikas, ft.centres):
                 require(
                     centre in tetrad_points,
                     "fan centre is not a tetrad point",
@@ -852,11 +862,11 @@ def check_fans(ctx):
 def check_recovery(ctx):
     f = ctx.frame
     want = frozenset(f.lines)
-    for den in ctx.segres:
-        got = denizens.recover_tetrad(f, den)
+    for den, fts in zip(ctx.segres, ctx.fan_triplets):
+        got = denizens.recover_tetrad(fts)
         require(got == want, "recovered lines differ from the tetrad",
                 ident=den.ident)
-        per = denizens.fans_per_point(f, den)
+        per = denizens.fans_per_point(fts)
         require(
             set(per.values()) == {4} and len(per) == 27,
             "points are not in exactly four fans each",

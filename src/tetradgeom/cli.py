@@ -140,11 +140,8 @@ def cmd_spreads(args) -> int:
     g81 = build_group81(frame)
     sp = spreads_mod.build_spread(g81, ijk)
     family = "even" if ijk in spreads_mod.FAMILY_EVEN else "odd"
-    inside4 = [
-        ln
-        for ln in sp.lines
-        if all(frame.line_weight(p) == 4 for p in ln)
-    ]
+    omega4 = frame.orbit(4)
+    inside4 = [ln for ln in sp.lines if ln <= omega4]
     if args.json:
         out = {
             "ijk": s,
@@ -210,12 +207,12 @@ def cmd_denizen(args) -> int:
         "points": [point_json(frame, p) for p in sorted(den.points)],
     }
     if kind == "C2":
-        out["perp_line"] = _line_json(frame, denizens.c2_line(frame, den))
+        line = denizens.c2_line(frame, den)
+        out["perp_line"] = _line_json(frame, line)
     if kind == "segre":
-        out["recovered_tetrad"] = [
-            _line_json(frame, ln)
-            for ln in sorted(denizens.recover_tetrad(frame, den), key=min)
-        ]
+        fts = denizens.fan_triplets(frame, den)
+        tetrad = sorted(denizens.recover_tetrad(fts), key=min)
+        out["recovered_tetrad"] = [_line_json(frame, ln) for ln in tetrad]
     if args.json:
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
@@ -227,11 +224,10 @@ def cmd_denizen(args) -> int:
     for p in sorted(den.points):
         print(f"    {_fmt_point(frame, p)}")
     if kind == "C2":
-        line = denizens.c2_line(frame, den)
         print("perp line: " + ", ".join(_fmt_point(frame, p) for p in sorted(line)))
     if kind == "segre":
         print("recovered tetrad lines:")
-        for ln in sorted(denizens.recover_tetrad(frame, den), key=min):
+        for ln in tetrad:
             print("    " + ", ".join(_fmt_point(frame, p) for p in sorted(ln)))
     return 0
 

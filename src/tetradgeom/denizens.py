@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import gf3
-from .gf2 import Mask, lines_inside, perp, span, symplectic_product
+from .gf2 import lines_inside, perp, span
 from .tetrad import Frame
 
 PLANE_KIND_TO_DENIZEN = {0: "segre", 1: "C1", 2: "C2", 3: "C3"}
@@ -143,12 +143,7 @@ def c2_line(frame: Frame, den: Denizen) -> frozenset:
     line = frozenset(f.points())
     if any(frame.line_weight(p) != 2 for p in line):
         raise ValueError(f"perp line of {den.ident} leaves the weight-2 orbit")
-    recovered = frozenset(
-        p
-        for p in frame.orbit(4)
-        if all(symplectic_product(p, b) == 0 for b in f.basis)
-    )
-    if recovered != den.points:
+    if perp(line).points() & frame.orbit(4) != den.points:
         raise ValueError(f"perp does not recover denizen {den.ident}")
     return line
 
@@ -167,14 +162,11 @@ def c2_census(frame: Frame, triplets) -> dict:
     for h, k in combinations(range(4), 2):
         fl = span(frame.lines[h] | frame.lines[k])
         pair_flats[(h, k)] = fl
+    pair_of = {fl: pair for pair, fl in pair_flats.items()}
 
     groups = {}
     for t, tri_lines in zip(c2_triplets, lines_by_triplet):
-        fl = span(set().union(*tri_lines))
-        home = None
-        for pair, pf in pair_flats.items():
-            if pf == fl:
-                home = pair
+        home = pair_of.get(span(set().union(*tri_lines)))
         if home is None:
             raise ValueError(
                 f"C2 lines of plane {gf3.trit_str(t[0].plane.functional)} "
@@ -298,10 +290,8 @@ def _transversal_check(frame, den, sub, gens) -> int:
                 raise ValueError("generator does not meet grid exactly once")
             hits.append(next(iter(meet)))
         for a, b in combinations(hits, 2):
-            d = gf3.t_sub(
-                frame.trits_from_point(a), frame.trits_from_point(b)
-            )
-            if gf3.wt_std(d) == 4:
+            ta, tb = frame.trits_from_point(a), frame.trits_from_point(b)
+            if gf3.hd_std(ta, tb) == 4:
                 raise ValueError("transversal points share a grid generator")
         checked += 1
     return checked
@@ -360,6 +350,7 @@ class FanTriplet:
     subspace: gf3.Line
     weight3_pair: tuple  # canonical representative of the +-lambda pair
     fans: tuple  # three frozensets of 9 points
+    troikas: tuple  # the three troikas of each fan
     centres: tuple  # centre of each fan
     centre_line: frozenset
 
@@ -373,32 +364,30 @@ def fan_triplets(frame: Frame, den: Denizen) -> tuple:
     for sub in gf3.plane_subspaces(den.plane):
         if gf3.line_kind(sub) != 3:
             continue
-        w3 = sorted(
-            gf3.canon(v)
-            for v in sub.vectors
-            if v != gf3.ZERO and gf3.wt_std(v) == 3
-        )
+        w3 = min(gf3.canon(v) for v in sub.vectors if gf3.wt_std(v) == 3)
         fans = tuple(
             frame.coset_points(sub.vectors, s)
             for s in gf3.coset_shifts(den.plane.vectors, sub.vectors, den.shift)
         )
-        centres = tuple(fan_decompose(frame, fan)[1] for fan in fans)
-        out.append(FanTriplet(sub, w3[0], fans, centres, frozenset(centres)))
+        troikas, centres = zip(*(fan_decompose(frame, fan) for fan in fans))
+        out.append(
+            FanTriplet(sub, w3, fans, troikas, centres, frozenset(centres))
+        )
     if len(out) != 4:
         raise ValueError(f"expected 4 fan triplets, found {len(out)}")
     return tuple(sorted(out, key=lambda ft: ft.weight3_pair))
 
 
-def recover_tetrad(frame: Frame, den: Denizen) -> frozenset:
-    """The four centre lines of a Segre denizen's fan triplets.  For
-    every Segre denizen these are exactly the four tetrad lines, so the
-    denizen alone determines the tetrad."""
-    return frozenset(ft.centre_line for ft in fan_triplets(frame, den))
+def recover_tetrad(fts) -> frozenset:
+    """The four centre lines of a Segre denizen's fan triplets `fts`.
+    For every Segre denizen these are exactly the four tetrad lines, so
+    the denizen alone determines the tetrad."""
+    return frozenset(ft.centre_line for ft in fts)
 
 
-def fans_per_point(frame: Frame, den: Denizen) -> dict:
+def fans_per_point(fts) -> dict:
     counts = Counter()
-    for ft in fan_triplets(frame, den):
+    for ft in fts:
         for fan in ft.fans:
             for p in fan:
                 counts[p] += 1

@@ -78,12 +78,17 @@ def canon(v: Trit) -> Trit:
 ALT_BASIS = ((1, 2, 2, 1), (2, 1, 2, 1), (2, 2, 1, 1), (1, 1, 1, 1))
 
 
+def mat3_apply(m, v: Trit) -> Trit:
+    """The 4x4 matrix over F_3 with columns m applied to v."""
+    return tuple(
+        sum(m[c][r] * v[c] for c in range(4)) % 3 for r in range(4)
+    )
+
+
 def change_basis(v: Trit) -> Trit:
     """Coordinates of v in the other basis (involutory, same matrix both
     ways since M = M^-1)."""
-    return tuple(
-        sum(ALT_BASIS[c][r] * v[c] for c in range(4)) % 3 for r in range(4)
-    )
+    return mat3_apply(ALT_BASIS, v)
 
 
 def wt_std(v: Trit) -> int:

@@ -21,7 +21,7 @@ partitioning the weight-4 orbit.
 from __future__ import annotations
 
 from . import gf3
-from .gf2 import Mask, PAIR_MASKS, quadric_value, symplectic_product
+from .gf2 import PAIR_MASKS, quadric_value, symplectic_product
 from .tetrad import Frame
 
 

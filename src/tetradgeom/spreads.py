@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gf3
-from .gf2 import Flat, Mask, perm_table, span
+from .gf2 import Mask, perm_table, span
 from .tetrad import Frame, Group81
 
 #: the two spread families as index triples (i, j, k); the fourth digit

@@ -75,6 +75,7 @@ class Frame:
         "unit",
         "perturbed",
         "_tuple_of",
+        "_orbits",
         "label_collisions",
     )
 
@@ -100,6 +101,10 @@ class Frame:
                 self.label_collisions.append((t, p))
             else:
                 self._tuple_of[p] = t
+        self._orbits = tuple(
+            frozenset(p for p in range(1, 256) if self.line_weight(p) == r)
+            for r in range(5)
+        )
 
     def label(self, t) -> Mask:
         """U_t: XOR of u_h(t_h) over the non-empty (non-None) indices."""
@@ -120,7 +125,8 @@ class Frame:
         return sum(1 for pm in PAIR_MASKS if p & pm)
 
     def orbit(self, r: int) -> frozenset:
-        return frozenset(p for p in range(1, 256) if self.line_weight(p) == r)
+        """The points of line weight r, built once with the frame."""
+        return self._orbits[r]
 
     def coset_points(self, vectors, shift=gf3.ZERO) -> frozenset:
         """The labelled points U_(v + shift) of a coset of (F_3)^4."""
@@ -168,9 +174,6 @@ class Group81:
             )
             self.maps[sigma] = m
         self.trit_of = {m: s for s, m in self.maps.items()}
-
-    def element(self, sigma) -> LinMap:
-        return self.maps[tuple(sigma)]
 
 
 def build_group81(frame: Frame) -> Group81:
@@ -227,12 +230,6 @@ def induced_matrix(g: LinMap, g81: Group81) -> tuple:
     return tuple(cols)
 
 
-def mat3_apply(m, v):
-    return tuple(
-        sum(m[c][r] * v[c] for c in range(4)) % 3 for r in range(4)
-    )
-
-
 # ── orbit machinery ──────────────────────────────────────────────────────
 
 
@@ -248,7 +245,7 @@ def subspace_orbit_partition(mats, spaces) -> list:
     index = set(spaces)
 
     def image(m, space):
-        img = frozenset(mat3_apply(m, v) for v in space)
+        img = frozenset(gf3.mat3_apply(m, v) for v in space)
         if img not in index:
             raise ValueError("matrix does not permute the spaces")
         return img

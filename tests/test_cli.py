@@ -1,19 +1,20 @@
 """Tests for the command-line interface and the JSON report format."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from tetradgeom.certificates import run_certificates
+from tetradgeom.certificates import Context, run_certificates
 from tetradgeom.cli import main
+from tetradgeom.tetrad import build_frame
 
 REPORT_KEYS = {"name", "claim", "status", "witness", "elapsed_ms"}
-GOLDEN_REPORT = (
-    Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify-report.json"
-)
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_REPORT = ROOT / "perfbench" / "golden" / "verify-report.json"
 
 
 def without_timings(report) -> str:
@@ -64,6 +65,39 @@ def test_witnesses_are_json_safe(ctx):
     assert without_timings([c.to_json() for c in certs]) == (
         GOLDEN_REPORT.read_text()
     )
+
+
+def test_non_normalizing_generator_is_named():
+    # under --perturb, zeta_a no longer normalizes the diagonal group
+    ctx = Context(build_frame(perturb=True))
+    [cert] = run_certificates(ctx, names={"gf3-taxonomy"})
+    assert cert.status == "fail"
+    assert "error" not in cert.witness
+    assert cert.witness["message"]
+    assert cert.witness["generator"] == "zeta_a"
+
+
+def test_traced_fan_work_is_done_once(tmp_path):
+    # the benchmark's traced child counts calls under their traced names,
+    # so this also fails if one of those names stops resolving
+    result = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, "perfbench/child.py", str(result), "traced",
+         "verify-all", "--only", "fans-troikas", "--only", "tetrad-recovery"],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    data = json.loads(result.read_text())
+    calls, distinct = data["calls"], data["distinct"]
+    assert calls["denizens.fan_triplets"] == 24
+    assert distinct["denizens.fan_triplets"] == 24
+    # each of the 144 distinct fans lies in two Segre denizens
+    assert calls["denizens.fan_decompose"] == 288
+    assert distinct["denizens.fan_decompose"] == 144
 
 
 def test_verify_all_perturbed_process():

@@ -241,7 +241,7 @@ def test_fan_decomposition_troikas(frame):
 
 def test_fans_per_point(frame):
     den = denizens.denizen_by_id(frame, "1111:0")
-    counts = denizens.fans_per_point(frame, den)
+    counts = denizens.fans_per_point(denizens.fan_triplets(frame, den))
     assert set(counts) == set(den.points)
     assert set(counts.values()) == {4}
 
@@ -250,7 +250,8 @@ def test_recover_tetrad(frame):
     for ident in ("1111:0", "1111:1", "1221:2"):
         den = denizens.denizen_by_id(frame, ident)
         assert den.kind == "segre"
-        assert denizens.recover_tetrad(frame, den) == set(frame.lines)
+        fts = denizens.fan_triplets(frame, den)
+        assert denizens.recover_tetrad(fts) == set(frame.lines)
 
 
 def test_fan_decompose_rejects_non_fans(frame):

@@ -6,12 +6,12 @@ import pytest
 
 from tetradgeom import gf3
 from tetradgeom.gf2 import IDENTITY, apply, compose, inverse, linmap_power
+from tetradgeom.gf3 import mat3_apply
 from tetradgeom.tetrad import (
     build_frame,
     build_group81,
     build_stabilizer,
     induced_matrix,
-    mat3_apply,
     point_orbits,
     stabilizer_generators,
 )

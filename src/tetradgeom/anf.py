@@ -69,13 +69,6 @@ class Anf8:
         return cls(1)
 
     @classmethod
-    def variable(cls, i: int) -> "Anf8":
-        """The polynomial x_i, 1 <= i <= 8."""
-        if not 1 <= i <= 8:
-            raise ValueError(f"variable index {i} out of range 1..8")
-        return cls(1 << (1 << (i - 1)))
-
-    @classmethod
     def linear(cls, mask: int) -> "Anf8":
         """sum_{i in mask} x_i for a vector mask (bit i-1 <-> x_i)."""
         c = 0
@@ -85,14 +78,6 @@ class Anf8:
             c |= 1 << low
             m ^= low
         return cls(c)
-
-    @classmethod
-    def monomial(cls, indices) -> "Anf8":
-        """Single monomial prod x_i over the given 1-based indices."""
-        m = 0
-        for i in indices:
-            m |= 1 << (i - 1)
-        return cls(1 << m)
 
     @classmethod
     def from_monomials(cls, monomials) -> "Anf8":

@@ -37,7 +37,6 @@ from .gf2 import (
     span,
     symplectic_product,
 )
-from .gf3 import mat3_apply
 from .tetrad import (
     Frame,
     build_frame,
@@ -196,7 +195,7 @@ def check_frame(ctx):
         "labels are not bijective",
         collisions=len(f.label_collisions),
     )
-    require(f.label((0, 0, 0, 0)) == UNIT, "U_0000 is not the unit point")
+    require(f.point_from_trits(gf3.ZERO) == UNIT, "U_0000 is not the unit point")
     return {
         "lines": [[point_str(p) for p in sorted(ln)] for ln in f.lines],
         "labelled_points": len(f.label_table()),
@@ -381,9 +380,9 @@ def check_stabilizer(ctx):
         for sigma, a in g81.maps.items():
             conj = compose(compose(g, a), ginv)
             require(
-                conj == g81.maps[mat3_apply(mat, sigma)],
+                conj == g81.maps[gf3.mat3_apply(mat, sigma)],
                 f"conjugation by {name} is not the induced linear map",
-                sigma=list(sigma),
+                sigma=gf3.trit_str(sigma),
             )
     import numpy as np
 
@@ -545,9 +544,9 @@ def check_weights(ctx):
     even = {v for d in gf3.FAMILY_EVEN for v in (d, gf3.t_neg(d))}
     require(alt1 == even, "alt-weight-1 vectors are not the even family")
     for rho in gf3.ALL81:
-        p = f.label(rho)
+        p = f.point_from_trits(rho)
         for sigma in gf3.ALL81:
-            q = f.label(sigma)
+            q = f.point_from_trits(sigma)
             require(
                 symplectic_product(p, q) == gf3.hd_std(rho, sigma) % 2,
                 "orthogonality differs from Hamming parity",
@@ -574,8 +573,8 @@ def check_weights(ctx):
 def check_spreads(ctx):
     f = ctx.frame
     g81 = ctx.g81
-    for ijk, sp in sorted(ctx.spreads.items()):
-        require(len(sp.lines) == 85, "spread size wrong", ijk=list(ijk))
+    for d, sp in sorted(ctx.spreads.items()):
+        require(len(sp.lines) == 85, "spread size wrong", direction=gf3.trit_str(d))
         seen = set()
         for ln in sp.lines:
             require(len(ln) == 3, "spread line size wrong")
@@ -593,22 +592,22 @@ def check_spreads(ctx):
             )
     expected = {1: 1, 2: 2, 3: 4, 4: 8}
     for r, want in expected.items():
-        counts = {spreads.distinct_line_count(g81, p) for p in f.orbit(r)}
+        counts = {spreads.distinct_line_count(ctx.spreads, p) for p in f.orbit(r)}
         require(
             counts == {want},
             f"distinct-line count on orbit {r} wrong",
             orbit=r,
             found=sorted(counts),
         )
-    # zero-digit degeneracy: any sigma with a zero digit has fixed points
+    # zero-digit degeneracy: any sigma of weight below 4 has fixed points
     for sigma, m in g81.maps.items():
         fixed = any(apply(m, p) == p for p in range(1, 256))
         require(
-            fixed == (0 in sigma),
+            fixed == (gf3.wt_std(sigma) < 4),
             "fixed-point-freeness does not match all-nonzero digits",
             sigma=gf3.trit_str(sigma),
         )
-    lines_u = {frozenset(spreads.line_through(g81, ijk, f.unit)) for ijk in spreads.ALL_IJK}
+    lines_u = {sp.line_of[f.unit] for sp in ctx.spreads.values()}
     require(len(lines_u) == 8, "unit point does not lie on 8 distinct lines")
     return {
         "spreads": 8,
@@ -647,15 +646,15 @@ def check_orbit4_lines(ctx):
             )
     require(len(seen_pairs) == 40, "direction pair count wrong")
     classes = spreads.parallel_classes(f, g81)
-    for ijk, lines in sorted(classes.items()):
-        require(len(lines) == 27, "parallel class size wrong", ijk=list(ijk))
+    for d, lines in sorted(classes.items()):
+        require(len(lines) == 27, "parallel class size wrong", direction=gf3.trit_str(d))
         covered = set()
         for ln in lines:
             require(ln <= omega4, "parallel line leaves the orbit")
             require(not (covered & ln), "parallel lines overlap")
             covered |= ln
         require(covered == omega4, "parallel class does not cover the orbit")
-        inside = {ln for ln in ctx.spreads[ijk].lines if ln <= omega4}
+        inside = {ln for ln in ctx.spreads[d].lines if ln <= omega4}
         require(set(lines) == inside, "parallel class is not the spread part")
     return {"direction_pairs": 40, "classes": 8, "lines_per_class": 27}
 
@@ -694,7 +693,7 @@ def check_solids(ctx):
         )
     tag_of = {s: tg for s, tg in zip(solids, tags)}
     for p in sorted(f.orbit(4)):
-        even, odd = spreads.solid_pair(f, ctx.g81, p)
+        even, odd = spreads.solid_pair(f, ctx.spreads, p)
         se, so = frozenset(even.points()), frozenset(odd.points())
         require(se in solid_set and so in solid_set, "family span is not a solid")
         require(len(se & so) == 7, "solid pair does not meet in a plane",

@@ -135,11 +135,11 @@ def cmd_spreads(args) -> int:
     if len(s) != 3 or any(ch not in "12" for ch in s):
         print("--ijk must be three digits from {1,2}, e.g. 121", file=sys.stderr)
         return 2
-    ijk = tuple(int(ch) for ch in s)
+    direction = gf3.trit_from_str(s + "1")  # sigma = ijk1
     frame = build_frame()
     g81 = build_group81(frame)
-    sp = spreads_mod.build_spread(g81, ijk)
-    family = "even" if ijk in spreads_mod.FAMILY_EVEN else "odd"
+    sp = spreads_mod.build_spread(g81, direction)
+    family = ("even", "odd")[gf3.direction_family(direction)]
     omega4 = frame.orbit(4)
     inside4 = [ln for ln in sp.lines if ln <= omega4]
     if args.json:

@@ -55,7 +55,7 @@ SECTION_TAGS = {4: "S2(2)", 6: "3-generator", 3: "fan"}
 @dataclass(frozen=True)
 class Denizen:
     plane: gf3.Plane
-    shift: tuple  # coset representative in (F_3)^4
+    shift: int  # coset representative, a vector of (F_3)^4
     shift_index: int  # 0, 1, 2
     points: frozenset
     kind: str
@@ -226,9 +226,10 @@ def _ruling_split(inner) -> tuple:
     return tuple(rulings)
 
 
-def classify_section(frame: Frame, den: Denizen, sub: gf3.Line) -> dict:
+def classify_section(frame: Frame, den: Denizen, sub: gf3.Line, subspaces) -> dict:
     """Classify the section of a Segre denizen by a 2-subspace of its
-    direction plane, and verify the structure the tag promises."""
+    direction plane, and verify the structure the tag promises.
+    `subspaces` are the plane's 13 subspaces, from `gf3.plane_subspaces`."""
     if den.kind != "segre":
         raise ValueError(f"sections are defined on Segre denizens, not {den.kind}")
     if not sub.vectors <= den.plane.vectors:
@@ -256,7 +257,7 @@ def classify_section(frame: Frame, den: Denizen, sub: gf3.Line) -> dict:
         if frozenset().union(*gens) != pts:
             raise ValueError("generators must partition the section")
         detail["generators"] = tuple(gens)
-        detail["transversal_grids"] = _transversal_check(frame, den, sub, gens)
+        detail["transversal_grids"] = _transversal_check(frame, den, sub, gens, subspaces)
     else:  # fan
         if inner:
             raise ValueError("fan contains a full line")
@@ -265,7 +266,7 @@ def classify_section(frame: Frame, den: Denizen, sub: gf3.Line) -> dict:
     return {"tag": tag, "line_kind": kind, "points": pts, **detail}
 
 
-def _transversal_check(frame, den, sub, gens) -> int:
+def _transversal_check(frame, den, sub, gens, subspaces) -> int:
     """Every grid section whose direction plane avoids the generator
     direction meets each of the three generators in one point, and those
     three points are pairwise off the grid's own generators (their trit
@@ -274,7 +275,7 @@ def _transversal_check(frame, den, sub, gens) -> int:
     lam = directions[0]
     grids = [
         w
-        for w in gf3.plane_subspaces(den.plane)
+        for w in subspaces
         if gf3.line_kind(w) == 4 and lam not in w.vectors
     ]
     if len(grids) != 1:
@@ -298,10 +299,8 @@ def _transversal_check(frame, den, sub, gens) -> int:
 
 
 def sections_of(frame: Frame, den: Denizen) -> tuple:
-    return tuple(
-        classify_section(frame, den, sub)
-        for sub in gf3.plane_subspaces(den.plane)
-    )
+    subs = gf3.plane_subspaces(den.plane)
+    return tuple(classify_section(frame, den, sub, subs) for sub in subs)
 
 
 # ── fans, troikas and tetrad recovery ────────────────────────────────────
@@ -348,7 +347,7 @@ def fan_decompose(frame: Frame, points) -> tuple:
 @dataclass(frozen=True)
 class FanTriplet:
     subspace: gf3.Line
-    weight3_pair: tuple  # canonical representative of the +-lambda pair
+    weight3_pair: int  # canonical representative of the +-lambda pair
     fans: tuple  # three frozensets of 9 points
     troikas: tuple  # the three troikas of each fan
     centres: tuple  # centre of each fan

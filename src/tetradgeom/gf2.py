@@ -113,26 +113,13 @@ def linmap_power(m: LinMap, k: int) -> LinMap:
 
 
 def inverse(m: LinMap) -> LinMap:
-    """Inverse map, by Gauss-Jordan on (image, preimage-combination) pairs."""
-    ech = {}
-    for j in range(8):
-        img, src = m[j], 1 << j
-        while img:
-            p = img.bit_length() - 1
-            if p in ech:
-                img ^= ech[p][0]
-                src ^= ech[p][1]
-            else:
-                ech[p] = (img, src)
-                break
-        else:
-            raise ValueError("map is singular")
-    for p in sorted(ech):
-        img, src = ech[p]
-        for q in sorted(ech):
-            if q > p and ech[q][0] >> p & 1:
-                ech[q] = (ech[q][0] ^ img, ech[q][1] ^ src)
-    return tuple(ech[j][1] for j in range(8))
+    """Inverse map, read off the lookup table: column i is the preimage
+    of e_i, which exists for every i exactly when m is invertible."""
+    t = perm_table(m)
+    try:
+        return tuple(t.index(e) for e in E)
+    except ValueError:
+        raise ValueError("map is singular") from None
 
 
 def closure(seeds, moves, maxsize: int | None = None) -> frozenset:
@@ -234,12 +221,6 @@ class Flat:
                 acc += [v ^ b for v in acc]
             self._points = frozenset(acc) - {0}
         return self._points
-
-    def __contains__(self, v: Mask) -> bool:
-        for b in self.basis:
-            if v >> (b.bit_length() - 1) & 1:
-                v ^= b
-        return v == 0
 
     def __eq__(self, other):
         return isinstance(other, Flat) and self.basis == other.basis

@@ -1,9 +1,16 @@
 """Vectors of V(4,3) and the projective space PG(3,3).
 
-A vector is a 4-tuple of ints mod 3, coordinates (xi_1..xi_4) with respect
-to the standard basis.  The canonical representative of a projective point
-scales the first nonzero digit to 1.  The alternative basis consists of
-the four all-nonzero direction vectors
+A vector is an int v in range(81), the base-3 number whose digits are its
+coordinates (xi_1..xi_4) with respect to the standard basis:
+
+    v = 27 xi_1 + 9 xi_2 + 3 xi_3 + xi_4,
+
+so int order is lexicographic digit order.  This module is the only one
+that knows the encoding: everything else adds, negates and scales through
+the functions below, reads digits only through `digits`, and prints a
+vector only through `trit_str`.  The canonical representative of a
+projective point scales the first nonzero digit to 1.  The alternative
+basis consists of the four all-nonzero direction vectors
 
     1221, 2121, 2211, 1111   (in that order),
 
@@ -28,83 +35,109 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
-Trit = tuple  # tuple[int, int, int, int]
+Trit = int  # 27 xi_1 + 9 xi_2 + 3 xi_3 + xi_4
 
-ZERO: Trit = (0, 0, 0, 0)
-BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+ZERO: Trit = 0
+BASIS = (27, 9, 3, 1)
 
-#: all 81 vectors, sorted by base-3 value with xi_1 most significant
-ALL81 = tuple(sorted(product(range(3), repeat=4)))
+#: all 81 vectors, in int order (base-3 value with xi_1 most significant)
+ALL81 = range(81)
+
+# ── lookup tables ────────────────────────────────────────────────────────
+# The 81 x 81 addition table is assembled from the 9 x 9 table of digit
+# pairs (xi_1 xi_2 and xi_3 xi_4 are each a number 0..8), which keeps the
+# import cheap.
+
+_ADD9 = tuple(
+    tuple(3 * ((a // 3 + b // 3) % 3) + (a + b) % 3 for b in range(9))
+    for a in range(9)
+)
+_ADD = tuple(
+    tuple(9 * hi + lo for hi in _ADD9[a // 9] for lo in _ADD9[a % 9])
+    for a in ALL81
+)
+_NEG = tuple(row.index(ZERO) for row in _ADD)
+_SCALE = ((ZERO,) * 81, tuple(ALL81), _NEG)  # _SCALE[c][v] = c * v
+_DIGITS = tuple(product(range(3), repeat=4))  # in int order
+_WT = tuple(4 - d.count(0) for d in _DIGITS)
 
 
 def t_add(a: Trit, b: Trit) -> Trit:
-    return tuple((x + y) % 3 for x, y in zip(a, b))
+    return _ADD[a][b]
 
 
 def t_sub(a: Trit, b: Trit) -> Trit:
-    return tuple((x - y) % 3 for x, y in zip(a, b))
+    return _ADD[a][_NEG[b]]
 
 
 def t_neg(a: Trit) -> Trit:
-    return tuple(-x % 3 for x in a)
+    return _NEG[a]
 
 
 def t_scale(c: int, a: Trit) -> Trit:
-    return tuple(c * x % 3 for x in a)
+    return _SCALE[c % 3][a]
+
+
+def digits(a: Trit) -> tuple:
+    """The coordinates (xi_1, xi_2, xi_3, xi_4) of a vector."""
+    return _DIGITS[a]
 
 
 def trit_str(a: Trit) -> str:
-    return "".join(str(x) for x in a)
+    return "".join(map(str, _DIGITS[a]))
 
 
 def trit_from_str(s: str) -> Trit:
     if len(s) != 4 or any(ch not in "012" for ch in s):
         raise ValueError(f"need 4 digits from 0..2, got {s!r}")
-    return tuple(int(ch) for ch in s)
+    return int(s, 3)
 
 
 def canon(v: Trit) -> Trit:
     """Projective representative: first nonzero digit scaled to 1."""
-    for x in v:
-        if x:
-            return v if x == 1 else t_scale(2, v)
-    raise ValueError("zero vector has no projective representative")
+    if v == ZERO:
+        raise ValueError("zero vector has no projective representative")
+    return min(v, _NEG[v])  # of v and -v, the one whose first digit is 1
 
 
 # ── the two bases ────────────────────────────────────────────────────────
 
 #: columns of the change-of-basis matrix: the alternative basis vectors in
 #: standard coordinates.  M is symmetric and M^2 = I over F_3.
-ALT_BASIS = ((1, 2, 2, 1), (2, 1, 2, 1), (2, 2, 1, 1), (1, 1, 1, 1))
+ALT_BASIS = tuple(map(trit_from_str, ("1221", "2121", "2211", "1111")))
 
 
 def mat3_apply(m, v: Trit) -> Trit:
-    """The 4x4 matrix over F_3 with columns m applied to v."""
-    return tuple(
-        sum(m[c][r] * v[c] for c in range(4)) % 3 for r in range(4)
-    )
+    """The 4x4 matrix over F_3 with columns m (vectors) applied to v."""
+    r = ZERO
+    for col, x in zip(m, _DIGITS[v]):
+        r = _ADD[r][_SCALE[x][col]]
+    return r
+
+
+_CHANGE = tuple(mat3_apply(ALT_BASIS, v) for v in ALL81)
 
 
 def change_basis(v: Trit) -> Trit:
     """Coordinates of v in the other basis (involutory, same matrix both
     ways since M = M^-1)."""
-    return mat3_apply(ALT_BASIS, v)
+    return _CHANGE[v]
 
 
 def wt_std(v: Trit) -> int:
-    return sum(1 for x in v if x)
+    return _WT[v]
 
 
 def wt_alt(v: Trit) -> int:
-    return wt_std(change_basis(v))
+    return _WT[_CHANGE[v]]
 
 
 def hd_std(a: Trit, b: Trit) -> int:
-    return wt_std(t_sub(a, b))
+    return _WT[_ADD[a][_NEG[b]]]
 
 
 def hd_alt(a: Trit, b: Trit) -> int:
-    return wt_alt(t_sub(a, b))
+    return _WT[_CHANGE[_ADD[a][_NEG[b]]]]
 
 
 #: the sixteen weight-4 vectors form eight sign pairs, the spread
@@ -113,8 +146,8 @@ def hd_alt(a: Trit, b: Trit) -> int:
 #: two families by the parity of the number of 2-digits, a sign-invariant
 #: property.  Within one family any three directions span a vertex-free
 #: plane; mixing families does not.
-FAMILY_EVEN = ((1, 1, 1, 1), (1, 2, 2, 1), (2, 1, 2, 1), (2, 2, 1, 1))
-FAMILY_ODD = ((2, 2, 2, 1), (2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1))
+FAMILY_EVEN = tuple(map(trit_from_str, ("1111", "1221", "2121", "2211")))
+FAMILY_ODD = tuple(map(trit_from_str, ("2221", "2111", "1211", "1121")))
 DIRECTIONS = FAMILY_EVEN + FAMILY_ODD
 
 
@@ -123,7 +156,7 @@ def direction_family(v: Trit) -> int:
     representative (negation preserves the parity of the 2-count)."""
     if wt_std(v) != 4:
         raise ValueError(f"{trit_str(v)} is not a weight-4 direction")
-    return sum(1 for x in canon(v) if x == 2) % 2
+    return _DIGITS[canon(v)].count(2) % 2
 
 
 # ── subspace machinery ───────────────────────────────────────────────────
@@ -141,7 +174,7 @@ def subspace_vectors(gens) -> frozenset:
     """All F_3-combinations of the generators, including zero."""
     acc = {ZERO}
     for g in gens:
-        acc = {t_add(v, t_scale(c, g)) for v in acc for c in range(3)}
+        acc = {_ADD[v][_SCALE[c][g]] for v in acc for c in range(3)}
     return frozenset(acc)
 
 
@@ -196,7 +229,8 @@ def all_planes() -> tuple:
     planes = []
     for c in all_points():
         vecs = frozenset(
-            v for v in ALL81 if sum(x * y for x, y in zip(c, v)) % 3 == 0
+            v for v in ALL81
+            if sum(x * y for x, y in zip(_DIGITS[c], _DIGITS[v])) % 3 == 0
         )
         pts = tuple(sorted({canon(v) for v in vecs if v != ZERO}))
         planes.append(Plane(c, pts, vecs))

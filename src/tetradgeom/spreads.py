@@ -11,10 +11,11 @@ sigma) produces fixed points, so no such degenerate choice yields a
 spread; the number of *distinct* spread lines through a point is 8/4/2/1
 according to its line weight 4/3/2/1.
 
-The eight index triples split into two families by the parity of the
-number of 2-digits; the two solids spanned by a weight-4 point's four
-same-family lines are the point's generator-solid pair on the quadric
-(see quadricgeom).
+A spread is keyed by its generating direction sigma = ijk1, one of the
+eight weight-4 vectors `gf3.DIRECTIONS`.  They split into two families
+by the parity of the number of 2-digits; the two solids spanned by a
+weight-4 point's four same-family lines are the point's generator-solid
+pair on the quadric (see quadricgeom).
 """
 
 from __future__ import annotations
@@ -25,22 +26,16 @@ from . import gf3
 from .gf2 import Mask, perm_table, span
 from .tetrad import Frame, Group81
 
-#: the two spread families as index triples (i, j, k); the fourth digit
-#: of the generating sigma is always 1
-FAMILY_EVEN = tuple(d[:3] for d in gf3.FAMILY_EVEN)
-FAMILY_ODD = tuple(d[:3] for d in gf3.FAMILY_ODD)
-ALL_IJK = FAMILY_EVEN + FAMILY_ODD
-
 
 @dataclass(frozen=True)
 class Spread:
-    ijk: tuple
+    direction: int  # the generating sigma = ijk1, one of gf3.DIRECTIONS
     generator: tuple  # LinMap
     lines: tuple  # 85 frozensets, sorted by min point
     line_of: dict  # point -> its line
 
     def __repr__(self):
-        return f"Spread({''.join(map(str, self.ijk))}, {len(self.lines)} lines)"
+        return f"Spread({gf3.trit_str(self.direction)}, {len(self.lines)} lines)"
 
 
 def _line(t: bytes, p: Mask) -> frozenset:
@@ -48,11 +43,10 @@ def _line(t: bytes, p: Mask) -> frozenset:
     return frozenset((p, t[p], t[t[p]]))
 
 
-def build_spread(g81: Group81, ijk) -> Spread:
-    ijk = tuple(ijk)
-    if len(ijk) != 3 or any(d not in (1, 2) for d in ijk):
-        raise ValueError(f"spread index must be in {{1,2}}^3, got {ijk}")
-    gen = g81.maps[ijk + (1,)]
+def build_spread(g81: Group81, direction) -> Spread:
+    if direction not in gf3.DIRECTIONS:
+        raise ValueError(f"not a spread direction ijk1: {direction!r}")
+    gen = g81.maps[direction]
     t = perm_table(gen)
     line_of = {}
     for p in range(1, 256):
@@ -61,32 +55,29 @@ def build_spread(g81: Group81, ijk) -> Spread:
             for q in ln:
                 line_of[q] = ln
     lines = tuple(sorted({ln for ln in line_of.values()}, key=min))
-    return Spread(ijk, gen, lines, line_of)
+    return Spread(direction, gen, lines, line_of)
 
 
 def all_spreads(g81: Group81) -> dict:
-    return {ijk: build_spread(g81, ijk) for ijk in ALL_IJK}
+    """The eight spreads, keyed by direction in `gf3.DIRECTIONS` order."""
+    return {d: build_spread(g81, d) for d in gf3.DIRECTIONS}
 
 
-def line_through(g81: Group81, ijk, p: Mask) -> frozenset:
-    return _line(perm_table(g81.maps[tuple(ijk) + (1,)]), p)
-
-
-def distinct_line_count(g81: Group81, p: Mask) -> int:
+def distinct_line_count(spreads: dict, p: Mask) -> int:
     """Number of distinct spread lines through p over all eight spreads."""
-    return len({line_through(g81, ijk, p) for ijk in ALL_IJK})
+    return len({sp.line_of[p] for sp in spreads.values()})
 
 
-def solid_pair(frame: Frame, g81: Group81, p: Mask) -> tuple:
+def solid_pair(frame: Frame, spreads: dict, p: Mask) -> tuple:
     """The two solids spanned by the four same-family spread lines
     through a weight-4 point; (even-family span, odd-family span)."""
     if frame.line_weight(p) != 4:
         raise ValueError("generator-solid pair needs a line-weight-4 point")
     flats = []
-    for family in (FAMILY_EVEN, FAMILY_ODD):
+    for family in (gf3.FAMILY_EVEN, gf3.FAMILY_ODD):
         pts = set()
-        for ijk in family:
-            pts |= line_through(g81, ijk, p)
+        for d in family:
+            pts |= spreads[d].line_of[p]
         flats.append(span(pts))
     return tuple(flats)
 
@@ -98,19 +89,19 @@ def orbit4_line_test(frame: Frame, g81: Group81, p: Mask, direction) -> bool:
     spread directions)."""
     if frame.line_weight(p) != 4:
         raise ValueError("test point must have line weight 4")
-    t = perm_table(g81.maps[tuple(direction)])
+    t = perm_table(g81.maps[direction])
     q = t[p]
     r = t[q]
     return len({p, q, r}) == 3 and p ^ q ^ r == 0
 
 
 def parallel_classes(frame: Frame, g81: Group81) -> dict:
-    """For each spread index triple, the 27 parallel lines of its
-    direction that lie inside the line-weight-4 orbit."""
+    """For each spread direction, the 27 parallel lines of that direction
+    that lie inside the line-weight-4 orbit."""
     omega4 = frame.orbit(4)
     out = {}
-    for ijk in ALL_IJK:
-        t = perm_table(g81.maps[tuple(ijk) + (1,)])
+    for d in gf3.DIRECTIONS:
+        t = perm_table(g81.maps[d])
         lines = {_line(t, p) for p in omega4}
-        out[ijk] = tuple(sorted(lines, key=min))
+        out[d] = tuple(sorted(lines, key=min))
     return out

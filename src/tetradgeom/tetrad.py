@@ -75,6 +75,8 @@ class Frame:
         "unit",
         "perturbed",
         "_tuple_of",
+        "_point_of",
+        "_vector_of",
         "_orbits",
         "label_collisions",
     )
@@ -101,6 +103,13 @@ class Frame:
                 self.label_collisions.append((t, p))
             else:
                 self._tuple_of[p] = t
+        # U_v for each vector v, and v for each point whose label is a U_v
+        self._point_of = tuple(self.label(gf3.digits(v)) for v in gf3.ALL81)
+        self._vector_of = {
+            p: v
+            for v, p in zip(gf3.ALL81, self._point_of)
+            if self._tuple_of.get(p) == gf3.digits(v)
+        }
         self._orbits = tuple(
             frozenset(p for p in range(1, 256) if self.line_weight(p) == r)
             for r in range(5)
@@ -114,12 +123,6 @@ class Frame:
                 p ^= self.points[h][i]
         return p
 
-    def unlabel(self, p: Mask):
-        t = self._tuple_of.get(p)
-        if t is None:
-            raise ValueError(f"no label for mask {p}")
-        return t
-
     def line_weight(self, p: Mask) -> int:
         """Number of nonzero components of p in V_a + V_b + V_c + V_d."""
         return sum(1 for pm in PAIR_MASKS if p & pm)
@@ -128,15 +131,19 @@ class Frame:
         """The points of line weight r, built once with the frame."""
         return self._orbits[r]
 
+    def point_from_trits(self, v) -> Mask:
+        """U_v for a vector v of (F_3)^4."""
+        return self._point_of[v]
+
     def coset_points(self, vectors, shift=gf3.ZERO) -> frozenset:
         """The labelled points U_(v + shift) of a coset of (F_3)^4."""
-        return frozenset(self.label(gf3.t_add(v, shift)) for v in vectors)
+        return frozenset(self._point_of[gf3.t_add(v, shift)] for v in vectors)
 
     def trits_from_point(self, p: Mask):
-        t = self.unlabel(p)
-        if any(i is None for i in t):
+        v = self._vector_of.get(p)
+        if v is None:
             raise ValueError(f"{p} is not in the line-weight-4 orbit")
-        return t
+        return v
 
     def label_str(self, p: Mask) -> str:
         """Label notation; empty indices print as '.', e.g. 'U_..00'."""
@@ -168,11 +175,10 @@ class Group81:
         ]
         self.maps = {}
         for sigma in gf3.ALL81:
-            m = compose(
-                compose(pows[0][sigma[0]], pows[1][sigma[1]]),
-                compose(pows[2][sigma[2]], pows[3][sigma[3]]),
+            i, j, k, l = gf3.digits(sigma)
+            self.maps[sigma] = compose(
+                compose(pows[0][i], pows[1][j]), compose(pows[2][k], pows[3][l])
             )
-            self.maps[sigma] = m
         self.trit_of = {m: s for s, m in self.maps.items()}
 
 
@@ -244,10 +250,11 @@ def subspace_orbit_partition(mats, spaces) -> list:
     under a list of 4x4 matrices over F_3."""
     index = set(spaces)
 
-    def image(m, space):
-        img = frozenset(gf3.mat3_apply(m, v) for v in space)
+    def image(table, space):
+        img = frozenset(table[v] for v in space)
         if img not in index:
             raise ValueError("matrix does not permute the spaces")
         return img
 
-    return orbits(spaces, [partial(image, m) for m in mats])
+    tables = [tuple(gf3.mat3_apply(m, v) for v in gf3.ALL81) for m in mats]
+    return orbits(spaces, [partial(image, t) for t in tables])

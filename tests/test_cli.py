@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the JSON report format."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from tetradgeom.tetrad import build_frame
 REPORT_KEYS = {"name", "claim", "status", "witness", "elapsed_ms"}
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_REPORT = ROOT / "perfbench" / "golden" / "verify-report.json"
+GOLDEN_QUERIES = ROOT / "perfbench" / "golden" / "queries.json"
 
 
 def without_timings(report) -> str:
@@ -77,13 +79,15 @@ def test_non_normalizing_generator_is_named():
     assert cert.witness["generator"] == "zeta_a"
 
 
-def test_traced_fan_work_is_done_once(tmp_path):
-    # the benchmark's traced child counts calls under their traced names,
-    # so this also fails if one of those names stops resolving
+def traced_counts(tmp_path, *only):
+    """Call counts of a ``verify-all`` run of the named certificates in
+    the benchmark's traced child, which counts calls under their traced
+    names, so this also fails if one of those names stops resolving."""
     result = tmp_path / "result.json"
+    only_args = [arg for name in only for arg in ("--only", name)]
     proc = subprocess.run(
         [sys.executable, "perfbench/child.py", str(result), "traced",
-         "verify-all", "--only", "fans-troikas", "--only", "tetrad-recovery"],
+         "verify-all", *only_args],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": "src"},
         capture_output=True,
@@ -92,12 +96,37 @@ def test_traced_fan_work_is_done_once(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     data = json.loads(result.read_text())
-    calls, distinct = data["calls"], data["distinct"]
+    return data["calls"], data["distinct"]
+
+
+def test_traced_fan_work_is_done_once(tmp_path):
+    calls, distinct = traced_counts(tmp_path, "fans-troikas", "tetrad-recovery")
     assert calls["denizens.fan_triplets"] == 24
     assert distinct["denizens.fan_triplets"] == 24
     # each of the 144 distinct fans lies in two Segre denizens
     assert calls["denizens.fan_decompose"] == 288
     assert distinct["denizens.fan_decompose"] == 144
+
+
+def test_traced_section_subspaces_are_built_once(tmp_path):
+    # one plane_subspaces call per Segre denizen, shared by its 13
+    # sections and the transversal checks of its 3-generator sections;
+    # the 24 Segre denizens lie on 8 planes
+    calls, distinct = traced_counts(tmp_path, "sections")
+    assert calls["gf3.plane_subspaces"] == 24
+    assert distinct["gf3.plane_subspaces"] == 8
+
+
+def test_query_outputs_match_golden(capsys):
+    golden = json.loads(GOLDEN_QUERIES.read_text())
+    checked = 0
+    for argvs in golden.values():
+        for argv, digest in argvs.items():
+            assert main(argv.split()) == 0, argv
+            out = capsys.readouterr().out.encode()
+            assert hashlib.sha256(out).hexdigest() == digest, argv
+            checked += 1
+    assert checked == 156
 
 
 def test_verify_all_perturbed_process():

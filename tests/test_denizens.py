@@ -7,11 +7,12 @@ import pytest
 
 from tetradgeom import denizens, gf3
 from tetradgeom.gf2 import perp, span
+from tetradgeom.gf3 import trit_from_str as T
 
 #: the canonical Segre denizen decomposes into the labelled subspace
-#: <(1,2,2,1), (2,1,2,1)> and its two cosets along (2,2,1,1)
-SLAB_SUBSPACE = ((1, 2, 2, 1), (2, 1, 2, 1))
-SLAB_STEP = (2, 2, 1, 1)
+#: <1221, 2121> and its two cosets along 2211
+SLAB_SUBSPACE = (T("1221"), T("2121"))
+SLAB_STEP = T("2211")
 FIRST_SLAB = {0xFF, 0x33, 0xCC, 0xF0, 0x0F, 0xCF, 0xF3, 0x3F, 0xFC}
 
 #: a regulus / opposite-regulus pair: the weight-2 lines of the two C2
@@ -49,7 +50,7 @@ def test_denizen_by_id(frame):
     den = denizens.denizen_by_id(frame, "1111:0")
     assert den.kind == "segre"
     assert den.shift_index == 0
-    assert den.plane.functional == (1, 1, 1, 1)
+    assert den.plane.functional == T("1111")
     assert den.ident == "1111:0"
     # scaled functionals name the same plane
     same = denizens.denizen_by_id(frame, "2222:0")
@@ -89,7 +90,7 @@ def test_segre_slab_decomposition(frame):
     for j in range(3):
         s = gf3.t_scale(j, SLAB_STEP)
         slabs.append(
-            frozenset(frame.label(gf3.t_add(v, s)) for v in sub.vectors)
+            frozenset(frame.point_from_trits(gf3.t_add(v, s)) for v in sub.vectors)
         )
     assert slabs[0] == FIRST_SLAB
     assert frozenset().union(*slabs) == den.points
@@ -198,23 +199,25 @@ def test_sections_census(frame):
 
 def test_classify_section_rejects_bad_input(frame):
     c2 = denizens.denizen_by_id(frame, "0011:0")
-    sub = gf3.plane_subspaces(c2.plane)[0]
+    subs = gf3.plane_subspaces(c2.plane)
     with pytest.raises(ValueError):
-        denizens.classify_section(frame, c2, sub)
+        denizens.classify_section(frame, c2, subs[0], subs)
     segre = denizens.denizen_by_id(frame, "1111:0")
-    outside = gf3.line_through((1, 0, 0, 0), (0, 1, 0, 0))
+    outside = gf3.line_through(T("1000"), T("0100"))
     with pytest.raises(ValueError):
-        denizens.classify_section(frame, segre, outside)
+        denizens.classify_section(
+            frame, segre, outside, gf3.plane_subspaces(segre.plane)
+        )
 
 
 def test_fan_triplets_of_canonical_segre(frame):
     den = denizens.denizen_by_id(frame, "1111:0")
     fts = denizens.fan_triplets(frame, den)
     assert [ft.weight3_pair for ft in fts] == [
-        (0, 1, 1, 1),
-        (1, 0, 1, 1),
-        (1, 1, 0, 1),
-        (1, 1, 1, 0),
+        T("0111"),
+        T("1011"),
+        T("1101"),
+        T("1110"),
     ]
     # the centre lines are exactly the four tetrad lines; the zero digit
     # of the weight-3 pair names the line
@@ -228,7 +231,7 @@ def test_fan_triplets_of_canonical_segre(frame):
 def test_fan_decomposition_troikas(frame):
     den = denizens.denizen_by_id(frame, "1111:0")
     fts = denizens.fan_triplets(frame, den)
-    ft = next(ft for ft in fts if ft.weight3_pair == (0, 1, 1, 1))
+    ft = next(ft for ft in fts if ft.weight3_pair == T("0111"))
     fan = next(f for f in ft.fans if 0xFF in f)
     troikas, centre = denizens.fan_decompose(frame, fan)
     assert len(troikas) == 3

@@ -137,7 +137,7 @@ def test_reduced_basis_and_span():
     fl = span([0x01, 0x80])
     assert fl.rank == 2
     assert fl.points() == {0x01, 0x80, 0x81}
-    assert 0x81 in fl and 0x02 not in fl
+    assert 0x81 in fl.points() and 0x02 not in fl.points()
     assert span([]).rank == 0 and span([]).points() == set()
 
 

@@ -6,40 +6,50 @@ import pytest
 
 from tetradgeom import gf3
 
+T = gf3.trit_from_str
+
 
 def test_trit_arithmetic():
-    a, b = (1, 2, 0, 1), (2, 2, 1, 0)
-    assert gf3.t_add(a, b) == (0, 1, 1, 1)
-    assert gf3.t_sub(a, b) == (2, 0, 2, 1)
-    assert gf3.t_neg(a) == (2, 1, 0, 2)
-    assert gf3.t_scale(2, a) == (2, 1, 0, 2)
+    a, b = T("1201"), T("2210")
+    assert gf3.t_add(a, b) == T("0111")
+    assert gf3.t_sub(a, b) == T("2021")
+    assert gf3.t_neg(a) == T("2102")
+    assert gf3.t_scale(2, a) == T("2102")
     assert gf3.t_add(a, gf3.t_neg(a)) == gf3.ZERO
     assert len(gf3.ALL81) == 81
 
 
 def test_trit_strings():
-    assert gf3.trit_str((1, 2, 2, 1)) == "1221"
-    assert gf3.trit_from_str("1221") == (1, 2, 2, 1)
+    assert gf3.trit_str(gf3.trit_from_str("1221")) == "1221"
+    assert gf3.trit_from_str("1221") == 27 * 1 + 9 * 2 + 3 * 2 + 1
+    assert gf3.digits(gf3.trit_from_str("1221")) == (1, 2, 2, 1)
     with pytest.raises(ValueError):
         gf3.trit_from_str("123")
     with pytest.raises(ValueError):
         gf3.trit_from_str("1234")
 
 
+def test_trit_string_round_trip_and_order():
+    for v in gf3.ALL81:
+        assert gf3.trit_from_str(gf3.trit_str(v)) == v
+    # int order is the lexicographic order of the digit strings
+    assert sorted(gf3.ALL81, key=gf3.trit_str) == list(gf3.ALL81)
+
+
 def test_canon():
-    assert gf3.canon((2, 1, 2, 1)) == (1, 2, 1, 2)
-    assert gf3.canon((0, 2, 0, 1)) == (0, 1, 0, 2)
-    assert gf3.canon((1, 0, 0, 0)) == (1, 0, 0, 0)
+    assert gf3.canon(T("2121")) == T("1212")
+    assert gf3.canon(T("0201")) == T("0102")
+    assert gf3.canon(T("1000")) == T("1000")
     with pytest.raises(ValueError):
         gf3.canon(gf3.ZERO)
 
 
 def test_change_basis_frozen_values():
     # basis vectors map to coordinate vectors and back
-    assert gf3.change_basis((1, 0, 0, 0)) == (1, 2, 2, 1)
-    assert gf3.change_basis((0, 0, 0, 1)) == (1, 1, 1, 1)
-    assert gf3.change_basis((1, 2, 2, 1)) == (1, 0, 0, 0)
-    assert gf3.change_basis((1, 1, 1, 1)) == (0, 0, 0, 1)
+    assert gf3.change_basis(T("1000")) == T("1221")
+    assert gf3.change_basis(T("0001")) == T("1111")
+    assert gf3.change_basis(T("1221")) == T("1000")
+    assert gf3.change_basis(T("1111")) == T("0001")
     assert gf3.change_basis(gf3.ZERO) == gf3.ZERO
 
 
@@ -63,12 +73,12 @@ def test_weight_pair_census():
 
 
 def test_hamming_distances():
-    a, b = (1, 1, 1, 1), (1, 1, 1, 2)
+    a, b = T("1111"), T("1112")
     assert gf3.hd_std(a, b) == 1
     assert gf3.hd_std(a, a) == 0
     assert gf3.hd_alt(a, b) == gf3.wt_alt(gf3.t_sub(a, b))
     # the troika spacing: 0000, 0111, 0222 are pairwise hd 3 in both bases
-    t = [(0, 0, 0, 0), (0, 1, 1, 1), (0, 2, 2, 2)]
+    t = [T("0000"), T("0111"), T("0222")]
     for i in range(3):
         for j in range(i + 1, 3):
             assert gf3.hd_std(t[i], t[j]) == 3
@@ -79,7 +89,7 @@ def test_direction_families():
     assert len(gf3.DIRECTIONS) == 8
     assert set(gf3.FAMILY_EVEN) | set(gf3.FAMILY_ODD) == set(gf3.DIRECTIONS)
     for d in gf3.DIRECTIONS:
-        assert d[3] == 1  # normalized to last digit 1
+        assert gf3.digits(d)[3] == 1  # normalized to last digit 1
         assert gf3.wt_std(d) == 4
     for d in gf3.FAMILY_EVEN:
         assert gf3.direction_family(d) == 0
@@ -90,7 +100,7 @@ def test_direction_families():
         assert gf3.direction_family(gf3.t_neg(d)) == 1
         assert gf3.wt_alt(d) == 4
     with pytest.raises(ValueError):
-        gf3.direction_family((1, 1, 0, 1))
+        gf3.direction_family(T("1101"))
 
 
 def test_pg33_counts():
@@ -100,10 +110,10 @@ def test_pg33_counts():
 
 
 def test_line_through():
-    ln = gf3.line_through((1, 0, 0, 0), (0, 1, 0, 0))
+    ln = gf3.line_through(T("1000"), T("0100"))
     assert len(ln.points) == 4
     assert len(ln.vectors) == 9
-    assert (1, 1, 0, 0) in ln.vectors and (1, 2, 0, 0) in ln.vectors
+    assert T("1100") in ln.vectors and T("1200") in ln.vectors
 
 
 def test_plane_kind_census():
@@ -111,8 +121,8 @@ def test_plane_kind_census():
     assert census == Counter({0: 8, 1: 16, 2: 12, 3: 4})
     # the two worked examples: sum-zero plane has no vertex, a coordinate
     # plane has three
-    assert gf3.plane_kind(gf3.plane_from_functional((1, 1, 1, 1))) == 0
-    assert gf3.plane_kind(gf3.plane_from_functional((0, 0, 0, 1))) == 3
+    assert gf3.plane_kind(gf3.plane_from_functional(T("1111"))) == 0
+    assert gf3.plane_kind(gf3.plane_from_functional(T("0001"))) == 3
 
 
 def test_line_kind_census():
@@ -122,11 +132,11 @@ def test_line_kind_census():
 
 def test_line_kind_worked_examples():
     # an axis pair: two weight-1 points, two weight-2 -> kind 1
-    ln = gf3.line_through((1, 0, 0, 0), (0, 1, 0, 0))
+    ln = gf3.line_through(T("1000"), T("0100"))
     assert gf3.weight_pattern(ln) == (2, 2, 0, 0)
     assert gf3.line_kind(ln) == 1
     # the all-weight-3 lines are kind 7
-    ln7 = gf3.line_through((0, 1, 1, 1), (1, 0, 1, 2))
+    ln7 = gf3.line_through(T("0111"), T("1012"))
     assert gf3.weight_pattern(ln7) == (0, 0, 4, 0)
     assert gf3.line_kind(ln7) == 7
 
@@ -141,20 +151,21 @@ def test_plane_subspaces():
 
 
 def test_segre_plane_line_split():
-    pl = gf3.plane_from_functional((1, 1, 1, 1))
+    pl = gf3.plane_from_functional(T("1111"))
     kinds = Counter(gf3.line_kind(s) for s in gf3.plane_subspaces(pl))
     assert kinds == Counter({4: 3, 6: 6, 3: 4})
 
 
 def test_plane_from_functional():
-    pl = gf3.plane_from_functional((1, 1, 1, 1))
-    assert pl.functional == (1, 1, 1, 1)
+    pl = gf3.plane_from_functional(T("1111"))
+    assert pl.functional == T("1111")
     assert len(pl.points) == 13 and len(pl.vectors) == 27
     # the functional annihilates the plane
     for v in pl.vectors:
-        assert sum(c * x for c, x in zip(pl.functional, v)) % 3 == 0
+        digits = zip(gf3.digits(pl.functional), gf3.digits(v))
+        assert sum(c * x for c, x in digits) % 3 == 0
     # scaling the functional names the same plane
-    assert gf3.plane_from_functional((2, 2, 2, 2)) is pl
+    assert gf3.plane_from_functional(T("2222")) is pl
     with pytest.raises(ValueError):
         gf3.plane_from_functional(gf3.ZERO)
 

@@ -6,6 +6,7 @@ import pytest
 
 from tetradgeom import gf3, quadric, spreads
 from tetradgeom.gf2 import quadric_value, symplectic_product
+from tetradgeom.gf3 import trit_from_str as T
 
 #: the cap labelled by the first all-weight-3 direction plane
 FIRST_CAP = (0x37, 0x4F, 0x79, 0x9E, 0xAB, 0xD5, 0xEC, 0xF2, 0xFF)
@@ -71,7 +72,7 @@ def test_intersection_sizes_split_by_system(ctx):
 
 
 def test_generator_solid_pair_lies_on_quadric(ctx):
-    pi, pistar = spreads.solid_pair(ctx.frame, ctx.g81, 0xFF)
+    pi, pistar = spreads.solid_pair(ctx.frame, ctx.spreads, 0xFF)
     solid_sets = set(ctx.solids)
     assert pi.points() in solid_sets
     assert pistar.points() in solid_sets
@@ -90,10 +91,10 @@ def test_weight3_lines(frame):
         )
     first = w3[0]
     assert set(first.points) == {
-        (0, 1, 1, 1),
-        (1, 0, 1, 2),
-        (1, 1, 2, 0),
-        (1, 2, 0, 1),
+        T("0111"),
+        T("1012"),
+        T("1120"),
+        T("1201"),
     }
 
 
@@ -111,7 +112,7 @@ def test_nine_cap(frame):
 
 
 def test_nine_cap_rejects_mixed_weight_subspace(frame):
-    bad = gf3.line_through((1, 0, 0, 0), (0, 1, 0, 0))
+    bad = gf3.line_through(T("1000"), T("0100"))
     with pytest.raises(ValueError):
         quadric.nine_cap(frame, bad)
 

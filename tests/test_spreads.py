@@ -2,19 +2,20 @@
 
 import pytest
 
-from tetradgeom import spreads
+from tetradgeom import gf3, spreads
 from tetradgeom.gf3 import ALL81, wt_std
+from tetradgeom.gf3 import trit_from_str as T
 
-#: the eight spread lines through the all-ones point, by index triple
+#: the eight spread lines through the all-ones point, by direction ijk1
 LINES_THROUGH_UNIT = {
-    (1, 1, 1): {0xFF, 0x55, 0xAA},
-    (1, 2, 2): {0xFF, 0x33, 0xCC},
-    (2, 1, 2): {0xFF, 0x0F, 0xF0},
-    (2, 2, 1): {0xFF, 0x69, 0x96},
-    (2, 2, 2): {0xFF, 0x4D, 0xB2},
-    (2, 1, 1): {0xFF, 0x2B, 0xD4},
-    (1, 2, 1): {0xFF, 0x17, 0xE8},
-    (1, 1, 2): {0xFF, 0x71, 0x8E},
+    T("1111"): {0xFF, 0x55, 0xAA},
+    T("1221"): {0xFF, 0x33, 0xCC},
+    T("2121"): {0xFF, 0x0F, 0xF0},
+    T("2211"): {0xFF, 0x69, 0x96},
+    T("2221"): {0xFF, 0x4D, 0xB2},
+    T("2111"): {0xFF, 0x2B, 0xD4},
+    T("1211"): {0xFF, 0x17, 0xE8},
+    T("1121"): {0xFF, 0x71, 0x8E},
 }
 
 #: the plane common to the two generator solids of the all-ones point:
@@ -23,19 +24,19 @@ UNIT_SOLID_MEET = {0xFF, 0xC3, 0xA5, 0x99, 0x3C, 0x5A, 0x66}
 
 
 def test_families():
-    assert len(spreads.ALL_IJK) == 8
-    assert len(spreads.FAMILY_EVEN) == 4
-    assert len(spreads.FAMILY_ODD) == 4
-    assert set(spreads.FAMILY_EVEN) & set(spreads.FAMILY_ODD) == set()
+    assert len(gf3.DIRECTIONS) == 8
+    assert len(gf3.FAMILY_EVEN) == 4
+    assert len(gf3.FAMILY_ODD) == 4
+    assert set(gf3.FAMILY_EVEN) & set(gf3.FAMILY_ODD) == set()
     # family = parity of the number of 2-digits
-    for ijk in spreads.FAMILY_EVEN:
-        assert sum(1 for d in ijk if d == 2) % 2 == 0
-    for ijk in spreads.FAMILY_ODD:
-        assert sum(1 for d in ijk if d == 2) % 2 == 1
+    for d in gf3.FAMILY_EVEN:
+        assert gf3.digits(d).count(2) % 2 == 0
+    for d in gf3.FAMILY_ODD:
+        assert gf3.digits(d).count(2) % 2 == 1
 
 
 def test_build_spread_partitions_points(ctx):
-    sp = spreads.build_spread(ctx.g81, (1, 1, 1))
+    sp = spreads.build_spread(ctx.g81, T("1111"))
     assert len(sp.lines) == 85
     covered = set()
     for ln in sp.lines:
@@ -52,24 +53,25 @@ def test_build_spread_partitions_points(ctx):
 
 def test_every_spread_contains_the_tetrad(ctx):
     tetrad_lines = {frozenset(ln) for ln in ctx.frame.lines}
-    for ijk, sp in ctx.spreads.items():
-        assert tetrad_lines <= set(sp.lines), ijk
+    for d, sp in ctx.spreads.items():
+        assert tetrad_lines <= set(sp.lines), gf3.trit_str(d)
 
 
 def test_build_spread_rejects_bad_index(ctx):
-    for bad in ((0, 1, 1), (1, 3, 1), (1, 1), (1, 1, 1, 1)):
+    # a zero digit, a negated direction, a last digit 0, not a vector
+    for bad in (T("0111"), T("2222"), T("1110"), 81):
         with pytest.raises(ValueError):
             spreads.build_spread(ctx.g81, bad)
 
 
 def test_all_spreads_keys(ctx):
-    assert set(ctx.spreads) == set(spreads.ALL_IJK)
+    assert set(ctx.spreads) == set(gf3.DIRECTIONS)
     assert all(len(sp.lines) == 85 for sp in ctx.spreads.values())
 
 
 def test_lines_through_unit_point(ctx):
-    for ijk, expected in LINES_THROUGH_UNIT.items():
-        assert spreads.line_through(ctx.g81, ijk, 0xFF) == expected
+    for d, expected in LINES_THROUGH_UNIT.items():
+        assert ctx.spreads[d].line_of[0xFF] == expected
 
 
 def test_distinct_line_counts_by_orbit(ctx):
@@ -79,14 +81,14 @@ def test_distinct_line_counts_by_orbit(ctx):
     expected = {1: 1, 2: 2, 3: 4, 4: 8}
     for r, want in expected.items():
         counts = {
-            spreads.distinct_line_count(ctx.g81, p)
+            spreads.distinct_line_count(ctx.spreads, p)
             for p in ctx.frame.orbit(r)
         }
         assert counts == {want}, r
 
 
 def test_solid_pair_of_unit_point(ctx):
-    pi, pistar = spreads.solid_pair(ctx.frame, ctx.g81, 0xFF)
+    pi, pistar = spreads.solid_pair(ctx.frame, ctx.spreads, 0xFF)
     for flat in (pi, pistar):
         assert flat.rank == 4
         assert len(flat.points()) == 15
@@ -99,12 +101,12 @@ def test_solid_pair_of_unit_point(ctx):
 
 
 def test_solid_pair_spans_even_and_odd_families(ctx):
-    pi, pistar = spreads.solid_pair(ctx.frame, ctx.g81, 0xFF)
+    pi, pistar = spreads.solid_pair(ctx.frame, ctx.spreads, 0xFF)
     even_pts = set().union(
-        *(spreads.line_through(ctx.g81, ijk, 0xFF) for ijk in spreads.FAMILY_EVEN)
+        *(ctx.spreads[d].line_of[0xFF] for d in gf3.FAMILY_EVEN)
     )
     odd_pts = set().union(
-        *(spreads.line_through(ctx.g81, ijk, 0xFF) for ijk in spreads.FAMILY_ODD)
+        *(ctx.spreads[d].line_of[0xFF] for d in gf3.FAMILY_ODD)
     )
     assert even_pts <= pi.points()
     assert odd_pts <= pistar.points()
@@ -113,7 +115,7 @@ def test_solid_pair_spans_even_and_odd_families(ctx):
 def test_solid_pair_rejects_low_weight_point(ctx):
     for p in (0x01, 0xC3):  # line weights 1 and 2
         with pytest.raises(ValueError):
-            spreads.solid_pair(ctx.frame, ctx.g81, p)
+            spreads.solid_pair(ctx.frame, ctx.spreads, p)
 
 
 def test_orbit4_line_test_matches_direction_weight(ctx):
@@ -128,14 +130,14 @@ def test_orbit4_line_test_matches_direction_weight(ctx):
 
 def test_orbit4_line_test_rejects_point_off_orbit(ctx):
     with pytest.raises(ValueError):
-        spreads.orbit4_line_test(ctx.frame, ctx.g81, 0x01, (1, 1, 1, 1))
+        spreads.orbit4_line_test(ctx.frame, ctx.g81, 0x01, T("1111"))
 
 
 def test_parallel_classes(ctx):
     classes = spreads.parallel_classes(ctx.frame, ctx.g81)
-    assert set(classes) == set(spreads.ALL_IJK)
+    assert set(classes) == set(gf3.DIRECTIONS)
     omega4 = ctx.frame.orbit(4)
-    for ijk, lines in classes.items():
+    for d, lines in classes.items():
         assert len(lines) == 27
         covered = set()
         for ln in lines:
@@ -143,6 +145,6 @@ def test_parallel_classes(ctx):
             assert ln <= omega4
             covered |= ln
         assert covered == omega4
-        # the class is exactly the lines of the ijk spread inside omega4
-        inside = {ln for ln in ctx.spreads[ijk].lines if ln <= omega4}
+        # the class is exactly the lines of the d spread inside omega4
+        inside = {ln for ln in ctx.spreads[d].lines if ln <= omega4}
         assert set(lines) == inside

@@ -7,6 +7,7 @@ import pytest
 from tetradgeom import gf3
 from tetradgeom.gf2 import IDENTITY, apply, compose, inverse, linmap_power
 from tetradgeom.gf3 import mat3_apply
+from tetradgeom.gf3 import trit_from_str as T
 from tetradgeom.tetrad import (
     build_frame,
     build_group81,
@@ -57,7 +58,7 @@ def test_labels_bijective(frame):
     assert len(frame.label_table()) == 255
     assert not frame.label_collisions
     for p in range(1, 256):
-        assert frame.label(frame.unlabel(p)) == p
+        assert frame.label(frame.label_table()[p]) == p
 
 
 def test_frozen_labels(frame):
@@ -66,7 +67,7 @@ def test_frozen_labels(frame):
     assert frame.label((2, 2, 2, 2)) == 0xAA
     assert frame.label((None, None, None, 0)) == 0x18
     assert frame.label((1, None, None, None)) == 0x01
-    assert frame.unlabel(0x81) == (0, None, None, None)
+    assert frame.label_table()[0x81] == (0, None, None, None)
 
 
 def test_label_str(frame):
@@ -90,8 +91,9 @@ def test_line_weight_and_orbits(frame):
 
 def test_trit_point_round_trip(frame):
     for sigma in gf3.ALL81:
-        p = frame.label(sigma)
+        p = frame.point_from_trits(sigma)
         assert frame.line_weight(p) == 4
+        assert p == frame.label(gf3.digits(sigma))
         assert frame.trits_from_point(p) == sigma
     with pytest.raises(ValueError):
         frame.trits_from_point(0x01)  # not in the weight-4 orbit
@@ -105,7 +107,9 @@ def test_group81_shift_action(frame):
     for sigma in gf3.ALL81:
         m = g81.maps[sigma]
         for tau in gf3.ALL81[::7]:
-            assert apply(m, frame.label(tau)) == frame.label(gf3.t_add(tau, sigma))
+            assert apply(m, frame.point_from_trits(tau)) == frame.point_from_trits(
+                gf3.t_add(tau, sigma)
+            )
     # the group is elementary abelian of exponent 3
     for sigma in gf3.ALL81[::5]:
         m = g81.maps[sigma]
@@ -133,19 +137,19 @@ def test_induced_matrix_examples(frame):
     gens = stabilizer_generators(frame)
     # a rotation lies in the abelian group: conjugation is trivial
     mat = induced_matrix(gens["zeta_a"], g81)
-    assert mat3_apply(mat, (1, 0, 0, 0)) == (1, 0, 0, 0)
-    assert mat3_apply(mat, (0, 1, 2, 1)) == (0, 1, 2, 1)
+    assert mat3_apply(mat, T("1000")) == T("1000")
+    assert mat3_apply(mat, T("0121")) == T("0121")
     # swapping the two marked points of L_a inverts zeta_a only
     mat = induced_matrix(gens["swap_a"], g81)
-    assert mat3_apply(mat, (1, 0, 0, 0)) == (2, 0, 0, 0)
-    assert mat3_apply(mat, (0, 1, 0, 0)) == (0, 1, 0, 0)
+    assert mat3_apply(mat, T("1000")) == T("2000")
+    assert mat3_apply(mat, T("0100")) == T("0100")
     # the 4-cycle of lines: conjugating each rotation gives the square of
     # the next one (the a/b and c/d patterns are mirrored)
     mat = induced_matrix(gens["cycle_abcd"], g81)
-    assert mat3_apply(mat, (1, 0, 0, 0)) == (0, 2, 0, 0)
-    assert mat3_apply(mat, (0, 1, 0, 0)) == (0, 0, 2, 0)
-    assert mat3_apply(mat, (0, 0, 1, 0)) == (0, 0, 0, 2)
-    assert mat3_apply(mat, (0, 0, 0, 1)) == (2, 0, 0, 0)
+    assert mat3_apply(mat, T("1000")) == T("0200")
+    assert mat3_apply(mat, T("0100")) == T("0020")
+    assert mat3_apply(mat, T("0010")) == T("0002")
+    assert mat3_apply(mat, T("0001")) == T("2000")
 
 
 def test_point_orbits_of_rotations(frame):

@@ -19,7 +19,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import anf, denizens, gf3, quadric, spreads
 from .gf2 import (
@@ -384,18 +384,27 @@ def check_stabilizer(ctx):
                 f"conjugation by {name} is not the induced linear map",
                 sigma=gf3.trit_str(sigma),
             )
-    import numpy as np
-
-    elements = sorted(st.elements)
-    cols = np.array(elements, dtype=np.uint8)
-    qt = np.array([quadric_value(v) for v in range(256)], dtype=np.uint8)
+    # every element against every quadric point at once: byte k of cols[i]
+    # is column i of the k-th element, so XOR-ing the columns p selects
+    # packs all images of p, and Q is evaluated bytewise into bit 0
+    flat = bytes(chain.from_iterable(st.elements))
+    cols = [int.from_bytes(flat[i::8], "little") for i in range(8)]
+    ones = int.from_bytes(b"\x01" * st.order, "little")
+    pairs = [
+        ((pm & -pm).bit_length() - 1, pm.bit_length() - 1) for pm in PAIR_MASKS
+    ]
     bad = 0
-    for p in sorted(ctx.quadric_points):
-        img = np.zeros(len(elements), dtype=np.uint8)
+    for p in ctx.quadric_points:
+        img = 0
         for i in range(8):
             if p >> i & 1:
-                img ^= cols[:, i]
-        bad += int(qt[img].sum())
+                img ^= cols[i]
+        q = img ^ img >> 4  # fold each byte's parity into its bit 0
+        q ^= q >> 2
+        q ^= q >> 1
+        for lo, hi in pairs:
+            q ^= img >> lo & img >> hi
+        bad += (q & ones).bit_count()
     require(bad == 0, "some element moves the quadric", violations=bad)
     return {
         "order": st.order,
@@ -426,7 +435,7 @@ def check_gf3(ctx):
         require(on == 4, "line lies on wrong number of planes", planes=on)
     for pl in pls:
         require(len(pl.points) == 13, "plane has wrong point count")
-        require(len(gf3.plane_subspaces(pl)) == 13, "plane has wrong line count")
+        require(len(pl.subspaces) == 13, "plane has wrong line count")
     for p in pts:
         on = sum(1 for ln in lns if p in ln.points)
         require(on == 13, "point lies on wrong number of lines", lines=on)
@@ -465,7 +474,7 @@ def check_gf3(ctx):
             fams = {gf3.direction_family(d) for d in dirs}
             require(len(fams) == 1, "vertex-free plane mixes direction families")
             fam_count[fams.pop()] += 1
-            kinds = Counter(gf3.line_kind(s) for s in gf3.plane_subspaces(pl))
+            kinds = Counter(gf3.line_kind(s) for s in pl.subspaces)
             require(
                 kinds == Counter({4: 3, 6: 6, 3: 4}),
                 "vertex-free plane line-kind split is not 3/6/4",

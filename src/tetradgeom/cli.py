@@ -241,7 +241,7 @@ def cmd_sections(args) -> int:
             file=sys.stderr,
         )
         return 2
-    subs = gf3.plane_subspaces(den.plane)
+    subs = den.plane.subspaces
     secs = denizens.sections_of(frame, den)
     rows = []
     for sub, s in zip(subs, secs):

@@ -226,10 +226,9 @@ def _ruling_split(inner) -> tuple:
     return tuple(rulings)
 
 
-def classify_section(frame: Frame, den: Denizen, sub: gf3.Line, subspaces) -> dict:
+def classify_section(frame: Frame, den: Denizen, sub: gf3.Line) -> dict:
     """Classify the section of a Segre denizen by a 2-subspace of its
-    direction plane, and verify the structure the tag promises.
-    `subspaces` are the plane's 13 subspaces, from `gf3.plane_subspaces`."""
+    direction plane, and verify the structure the tag promises."""
     if den.kind != "segre":
         raise ValueError(f"sections are defined on Segre denizens, not {den.kind}")
     if not sub.vectors <= den.plane.vectors:
@@ -257,7 +256,7 @@ def classify_section(frame: Frame, den: Denizen, sub: gf3.Line, subspaces) -> di
         if frozenset().union(*gens) != pts:
             raise ValueError("generators must partition the section")
         detail["generators"] = tuple(gens)
-        detail["transversal_grids"] = _transversal_check(frame, den, sub, gens, subspaces)
+        detail["transversal_grids"] = _transversal_check(frame, den, sub, gens)
     else:  # fan
         if inner:
             raise ValueError("fan contains a full line")
@@ -266,7 +265,7 @@ def classify_section(frame: Frame, den: Denizen, sub: gf3.Line, subspaces) -> di
     return {"tag": tag, "line_kind": kind, "points": pts, **detail}
 
 
-def _transversal_check(frame, den, sub, gens, subspaces) -> int:
+def _transversal_check(frame, den, sub, gens) -> int:
     """Every grid section whose direction plane avoids the generator
     direction meets each of the three generators in one point, and those
     three points are pairwise off the grid's own generators (their trit
@@ -275,7 +274,7 @@ def _transversal_check(frame, den, sub, gens, subspaces) -> int:
     lam = directions[0]
     grids = [
         w
-        for w in subspaces
+        for w in den.plane.subspaces
         if gf3.line_kind(w) == 4 and lam not in w.vectors
     ]
     if len(grids) != 1:
@@ -299,8 +298,7 @@ def _transversal_check(frame, den, sub, gens, subspaces) -> int:
 
 
 def sections_of(frame: Frame, den: Denizen) -> tuple:
-    subs = gf3.plane_subspaces(den.plane)
-    return tuple(classify_section(frame, den, sub, subs) for sub in subs)
+    return tuple(classify_section(frame, den, sub) for sub in den.plane.subspaces)
 
 
 # ── fans, troikas and tetrad recovery ────────────────────────────────────
@@ -360,7 +358,7 @@ def fan_triplets(frame: Frame, den: Denizen) -> tuple:
     if den.kind != "segre":
         raise ValueError("fan triplets live on Segre denizens")
     out = []
-    for sub in gf3.plane_subspaces(den.plane):
+    for sub in den.plane.subspaces:
         if gf3.line_kind(sub) != 3:
             continue
         w3 = min(gf3.canon(v) for v in sub.vectors if gf3.wt_std(v) == 3)

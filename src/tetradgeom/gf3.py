@@ -31,7 +31,7 @@ points (kinds 1..7, census 6/24/16/12/16/48/8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -64,10 +64,6 @@ _WT = tuple(4 - d.count(0) for d in _DIGITS)
 
 def t_add(a: Trit, b: Trit) -> Trit:
     return _ADD[a][b]
-
-
-def t_sub(a: Trit, b: Trit) -> Trit:
-    return _ADD[a][_NEG[b]]
 
 
 def t_neg(a: Trit) -> Trit:
@@ -191,11 +187,14 @@ class Line:
 
 @dataclass(frozen=True)
 class Plane:
-    """A plane of PG(3,3), the kernel of the canonical functional."""
+    """A plane of PG(3,3), the kernel of the canonical functional, with
+    its 13 2-subspaces (from `plane_subspaces`, built once in
+    `all_planes`)."""
 
     functional: Trit
     points: tuple
     vectors: frozenset
+    subspaces: tuple = field(default=(), compare=False)
 
     def __repr__(self):
         return f"Plane({trit_str(self.functional)})"
@@ -233,7 +232,8 @@ def all_planes() -> tuple:
             if sum(x * y for x, y in zip(_DIGITS[c], _DIGITS[v])) % 3 == 0
         )
         pts = tuple(sorted({canon(v) for v in vecs if v != ZERO}))
-        planes.append(Plane(c, pts, vecs))
+        pl = Plane(c, pts, vecs)
+        planes.append(replace(pl, subspaces=plane_subspaces(pl)))
     return tuple(sorted(planes, key=lambda p: p.functional))
 
 

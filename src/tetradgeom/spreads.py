@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gf3
-from .gf2 import Mask, perm_table, span
+from .gf2 import Mask, orbits, perm_table, span
 from .tetrad import Frame, Group81
 
 
@@ -38,23 +38,12 @@ class Spread:
         return f"Spread({gf3.trit_str(self.direction)}, {len(self.lines)} lines)"
 
 
-def _line(t: bytes, p: Mask) -> frozenset:
-    """The spread line {p, A p, A^2 p}, for A given by its table t."""
-    return frozenset((p, t[p], t[t[p]]))
-
-
 def build_spread(g81: Group81, direction) -> Spread:
     if direction not in gf3.DIRECTIONS:
         raise ValueError(f"not a spread direction ijk1: {direction!r}")
     gen = g81.maps[direction]
-    t = perm_table(gen)
-    line_of = {}
-    for p in range(1, 256):
-        if p not in line_of:
-            ln = _line(t, p)
-            for q in ln:
-                line_of[q] = ln
-    lines = tuple(sorted({ln for ln in line_of.values()}, key=min))
+    lines = tuple(orbits(range(1, 256), [perm_table(gen).__getitem__]))
+    line_of = {p: ln for ln in lines for p in ln}
     return Spread(direction, gen, lines, line_of)
 
 
@@ -98,10 +87,8 @@ def orbit4_line_test(frame: Frame, g81: Group81, p: Mask, direction) -> bool:
 def parallel_classes(frame: Frame, g81: Group81) -> dict:
     """For each spread direction, the 27 parallel lines of that direction
     that lie inside the line-weight-4 orbit."""
-    omega4 = frame.orbit(4)
-    out = {}
-    for d in gf3.DIRECTIONS:
-        t = perm_table(g81.maps[d])
-        lines = {_line(t, p) for p in omega4}
-        out[d] = tuple(sorted(lines, key=min))
-    return out
+    omega4 = sorted(frame.orbit(4))
+    return {
+        d: tuple(orbits(omega4, [perm_table(g81.maps[d]).__getitem__]))
+        for d in gf3.DIRECTIONS
+    }

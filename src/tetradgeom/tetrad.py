@@ -73,7 +73,6 @@ class Frame:
         "points",
         "lines",
         "unit",
-        "perturbed",
         "_tuple_of",
         "_point_of",
         "_vector_of",
@@ -81,9 +80,8 @@ class Frame:
         "label_collisions",
     )
 
-    def __init__(self, rotations, perturbed: bool = False):
+    def __init__(self, rotations):
         self.rotations = tuple(rotations)
-        self.perturbed = perturbed
         self.unit = UNIT
         pts = []
         for h in range(4):
@@ -158,7 +156,7 @@ class Frame:
 
 
 def build_frame(perturb: bool = False) -> Frame:
-    return Frame(_rotations(perturb), perturbed=perturb)
+    return Frame(_rotations(perturb))
 
 
 # ── the normal subgroup of 81 diagonal maps ──────────────────────────────

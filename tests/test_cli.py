@@ -9,9 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from tetradgeom.certificates import Context, run_certificates
+from tetradgeom import certificates
+from tetradgeom.certificates import (
+    CheckFailed,
+    Context,
+    check_stabilizer,
+    run_certificates,
+)
 from tetradgeom.cli import main
-from tetradgeom.tetrad import build_frame
+from tetradgeom.gf2 import E, apply, linmap, quadric_value
+from tetradgeom.tetrad import Stabilizer, build_frame
 
 REPORT_KEYS = {"name", "claim", "status", "witness", "elapsed_ms"}
 ROOT = Path(__file__).resolve().parents[1]
@@ -79,6 +86,35 @@ def test_non_normalizing_generator_is_named():
     assert cert.witness["generator"] == "zeta_a"
 
 
+def test_quadric_violations_are_counted(ctx, monkeypatch):
+    # swap two non-diagonal elements for invertible maps that move quadric
+    # points; the order stays 31104, so only the quadric sweep can object.
+    # The movers go first and last, so the sweep's packing is tested at
+    # both ends.
+    st = ctx.stabilizer
+    diagonal = set(ctx.g81.maps.values())
+    victims = sorted(g for g in st.elements if g not in diagonal)[:2]
+    first, last = linmap({1: E[0] ^ E[1]}), linmap({8: E[7] ^ E[2]})
+    assert not {first, last} & st.elements
+    elements = (first, *st.elements.difference(victims), last)
+    monkeypatch.setattr(
+        certificates,
+        "build_stabilizer",
+        lambda frame: Stabilizer(st.generators, elements),
+    )
+    bad_ctx = Context(ctx.frame)
+    assert bad_ctx.stabilizer.order == 31104
+    # the genuine elements preserve Q, so the violations are the movers'
+    points = bad_ctx.quadric_points
+    expected = sum(quadric_value(apply(g, p)) for g in (first, last) for p in points)
+    assert expected > 0
+    assert not any(quadric_value(apply(g, p)) for g in victims for p in points)
+    with pytest.raises(CheckFailed) as exc:
+        check_stabilizer(bad_ctx)
+    assert str(exc.value) == "some element moves the quadric"
+    assert exc.value.data == {"violations": expected}
+
+
 def traced_counts(tmp_path, *only):
     """Call counts of a ``verify-all`` run of the named certificates in
     the benchmark's traced child, which counts calls under their traced
@@ -109,12 +145,23 @@ def test_traced_fan_work_is_done_once(tmp_path):
 
 
 def test_traced_section_subspaces_are_built_once(tmp_path):
-    # one plane_subspaces call per Segre denizen, shared by its 13
-    # sections and the transversal checks of its 3-generator sections;
-    # the 24 Segre denizens lie on 8 planes
+    # each plane's subspaces are built once, with the plane, and the
+    # sections and transversal checks read them from there
     calls, distinct = traced_counts(tmp_path, "sections")
-    assert calls["gf3.plane_subspaces"] == 24
-    assert distinct["gf3.plane_subspaces"] == 8
+    assert calls["gf3.plane_subspaces"] == distinct["gf3.plane_subspaces"] == 40
+
+
+def test_verify_all_imports_only_the_standard_library():
+    code = (
+        "import sys; from tetradgeom.cli import main; "
+        "rc = main(['verify-all', '--only', 'stabilizer-group']); "
+        "assert 'numpy' not in sys.modules; sys.exit(rc)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "PASS stabilizer-group" in proc.stdout
 
 
 def test_query_outputs_match_golden(capsys):

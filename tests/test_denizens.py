@@ -199,15 +199,12 @@ def test_sections_census(frame):
 
 def test_classify_section_rejects_bad_input(frame):
     c2 = denizens.denizen_by_id(frame, "0011:0")
-    subs = gf3.plane_subspaces(c2.plane)
     with pytest.raises(ValueError):
-        denizens.classify_section(frame, c2, subs[0], subs)
+        denizens.classify_section(frame, c2, c2.plane.subspaces[0])
     segre = denizens.denizen_by_id(frame, "1111:0")
     outside = gf3.line_through(T("1000"), T("0100"))
     with pytest.raises(ValueError):
-        denizens.classify_section(
-            frame, segre, outside, gf3.plane_subspaces(segre.plane)
-        )
+        denizens.classify_section(frame, segre, outside)
 
 
 def test_fan_triplets_of_canonical_segre(frame):

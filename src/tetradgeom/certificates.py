@@ -9,17 +9,19 @@ quadric, solids, denizens, and the fan triplets of every Segre denizen
 with their troikas) and builds each lazily exactly once.
 
 Witness values are JSON-safe throughout: ints, strings, bools, lists and
-string-keyed dicts only.
+string-keyed dicts only.  The runner turns a witness that does not
+round-trip through `json` into a fail record naming the offending key.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 from . import anf, denizens, gf3, quadric, spreads
 from .gf2 import (
@@ -42,10 +44,12 @@ from .tetrad import (
     build_frame,
     build_group81,
     build_stabilizer,
+    fixes_tetrad,
     induced_matrix,
     point_orbits,
     stabilizer_generators,
     subspace_orbit_partition,
+    tetrad_stabilizer_maps,
 )
 
 
@@ -143,6 +147,15 @@ def _induced(g81, name: str, g) -> tuple:
         ) from None
 
 
+def _where(fn, *args, **where):
+    """fn(*args), failing with the fields `where` (the orbit or denizen
+    it was called on) when fn rejects its input."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        raise CheckFailed(str(e), **where) from None
+
+
 CHECKS = []
 
 
@@ -213,7 +226,8 @@ def check_frame(ctx):
 def check_orbits(ctx):
     f = ctx.frame
     sizes = tuple(len(f.orbit(r)) for r in (1, 2, 3, 4))
-    require(sizes == (12, 54, 108, 81), "line-weight census is wrong", sizes=sizes)
+    require(sizes == (12, 54, 108, 81), "line-weight census is wrong",
+            sizes=list(sizes))
     orbs = point_orbits(stabilizer_generators(f).values())
     require(len(orbs) == 4, "generator action has wrong orbit count",
             count=len(orbs))
@@ -319,7 +333,7 @@ def check_invariants(ctx):
         "invariant degrees wrong",
     )
     for r, expected in VALUE_TABLE.items():
-        row = inv.value_row(f.orbit(r))
+        row = _where(inv.value_row, f.orbit(r), orbit=r)
         require(row == expected, f"value row for orbit {r} wrong",
                 orbit=r, row=list(row), expected=list(expected))
     # dual route: the ANF of the closed-form quadratic equals q2
@@ -369,6 +383,9 @@ def check_invariants(ctx):
     "every element preserves the quadric",
 )
 def check_stabilizer(ctx):
+    for name, g in stabilizer_generators(ctx.frame).items():
+        require(fixes_tetrad(g), "generator does not fix the tetrad lines",
+                generator=name)
     st = ctx.stabilizer
     require(st.order == 31104, "stabilizer order wrong", order=st.order)
     g81 = ctx.g81
@@ -387,7 +404,7 @@ def check_stabilizer(ctx):
     # every element against every quadric point at once: byte k of cols[i]
     # is column i of the k-th element, so XOR-ing the columns p selects
     # packs all images of p, and Q is evaluated bytewise into bit 0
-    flat = bytes(chain.from_iterable(st.elements))
+    flat = b"".join(st.elements)
     cols = [int.from_bytes(flat[i::8], "little") for i in range(8)]
     ones = int.from_bytes(b"\x01" * st.order, "little")
     pairs = [
@@ -406,6 +423,11 @@ def check_stabilizer(ctx):
             q ^= img >> lo & img >> hi
         bad += (q & ones).bit_count()
     require(bad == 0, "some element moves the quadric", violations=bad)
+    # the generators fix the tetrad, so the closure lies in its stabilizer;
+    # containing every map that fixes the tetrad, it is the stabilizer
+    missing = sum(1 for m in tetrad_stabilizer_maps() if m not in st.elements)
+    require(missing == 0, "a map fixing the tetrad lines is not in the closure",
+            missing=missing)
     return {
         "order": st.order,
         "generators": sorted(st.generators),
@@ -790,7 +812,15 @@ def check_denizens(ctx):
     "3-flats, with the tetrad lines external",
 )
 def check_c2(ctx):
-    census = denizens.c2_census(ctx.frame, ctx.triplets)
+    f = ctx.frame
+    census = denizens.c2_census(
+        f,
+        {
+            t: tuple(_where(denizens.c2_line, f, d, ident=d.ident) for d in t)
+            for t in ctx.triplets
+            if t[0].kind == "C2"
+        },
+    )
     require(census["triplet_count"] == 12, "C2 triplet count wrong")
     require(
         census["distinct_lines"] == 36,
@@ -818,7 +848,7 @@ def check_c2(ctx):
 )
 def check_sections(ctx):
     for den in ctx.segres:
-        secs = denizens.sections_of(ctx.frame, den)
+        secs = _where(denizens.sections_of, ctx.frame, den, ident=den.ident)
         tags = Counter(s["tag"] for s in secs)
         require(
             tags == Counter({"S2(2)": 3, "3-generator": 6, "fan": 4}),
@@ -981,6 +1011,18 @@ class Certificate:
         }
 
 
+def _unsafe_key(witness: dict):
+    """The first witness key that is not a string or whose value does not
+    survive a JSON round trip unchanged; None if there is none."""
+    for key, value in witness.items():
+        try:
+            if not isinstance(key, str) or json.loads(json.dumps(value)) != value:
+                return key
+        except (TypeError, ValueError):
+            return key
+    return None
+
+
 def run_certificates(ctx: Context, jobs: int = 1, names=None) -> list:
     selected = [
         (name, claim, fn)
@@ -1000,6 +1042,11 @@ def run_certificates(ctx: Context, jobs: int = 1, names=None) -> list:
         except Exception as e:  # broken inputs must report, not crash
             status = "fail"
             witness = {"error": f"{type(e).__name__}: {e}"}
+        key = _unsafe_key(witness)
+        if key is not None:
+            status = "fail"
+            witness = {"message": f"witness field {key!r} is not JSON-safe",
+                       "key": str(key)}
         ms = (time.perf_counter() - t0) * 1000.0
         return Certificate(name, claim, status, witness, round(ms, 3))
 

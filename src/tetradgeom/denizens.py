@@ -148,15 +148,12 @@ def c2_line(frame: Frame, den: Denizen) -> frozenset:
     return line
 
 
-def c2_census(frame: Frame, triplets) -> dict:
-    """Global structure of the twelve C2 triplets: 36 distinct weight-2
-    lines, paired off as regulus / opposite regulus in the six 3-flats
-    spanned by tetrad-line pairs."""
-    c2_triplets = [t for t in triplets if t[0].kind == "C2"]
-    lines_by_triplet = [
-        tuple(c2_line(frame, d) for d in t) for t in c2_triplets
-    ]
-    all_lines = {ln for tri in lines_by_triplet for ln in tri}
+def c2_census(frame: Frame, c2_lines: dict) -> dict:
+    """Global structure of the twelve C2 triplets, given as a dict from
+    each C2 triplet to the `c2_line` of each of its denizens: 36 distinct
+    weight-2 lines, paired off as regulus / opposite regulus in the six
+    3-flats spanned by tetrad-line pairs."""
+    all_lines = {ln for tri in c2_lines.values() for ln in tri}
 
     pair_flats = {}
     for h, k in combinations(range(4), 2):
@@ -165,7 +162,7 @@ def c2_census(frame: Frame, triplets) -> dict:
     pair_of = {fl: pair for pair, fl in pair_flats.items()}
 
     groups = {}
-    for t, tri_lines in zip(c2_triplets, lines_by_triplet):
+    for t, tri_lines in c2_lines.items():
         home = pair_of.get(span(set().union(*tri_lines)))
         if home is None:
             raise ValueError(
@@ -197,7 +194,7 @@ def c2_census(frame: Frame, triplets) -> dict:
         reguli[pair] = checks
 
     return {
-        "triplet_count": len(c2_triplets),
+        "triplet_count": len(c2_lines),
         "distinct_lines": len(all_lines),
         "pairs_covered": sorted(groups),
         "reguli": reguli,

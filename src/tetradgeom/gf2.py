@@ -15,7 +15,8 @@ frozen test fixtures:
 * The quadratic form Q(x) = x1 x8 + x2 x7 + x3 x6 + x4 x5 + sum_i x_i
   polarizes to B and takes the value 1 on all twelve points of the four
   coordinate-pair lines.
-* A linear map is a tuple of 8 column masks, the images of e_1..e_8.
+* A linear map is an 8-byte `bytes` of column masks, the images of
+  e_1..e_8.  Only this module builds maps.
 
 Everything here is immutable and exact; there is no floating point
 anywhere in the package.
@@ -27,10 +28,10 @@ from functools import lru_cache
 from itertools import combinations
 
 Mask = int
-LinMap = tuple  # tuple[Mask, ...] of length 8
+LinMap = bytes  # 8 column masks, the images of e_1..e_8
 
 E = tuple(1 << i for i in range(8))  # E[i] is the mask of e_{i+1}
-IDENTITY: LinMap = E
+IDENTITY: LinMap = bytes(E)
 UNIT: Mask = 0xFF  # u = e_1 + ... + e_8
 
 #: the four coordinate pairs {i, 9-i} as masks; these are the frame lines'
@@ -84,8 +85,11 @@ def apply(m: LinMap, v: Mask) -> Mask:
 
 
 def compose(m: LinMap, n: LinMap) -> LinMap:
-    """m after n: (compose(m, n))(v) == apply(m, apply(n, v))."""
-    return tuple(apply(m, c) for c in n)
+    """m after n: (compose(m, n))(v) == apply(m, apply(n, v)).
+
+    Eight `apply` calls rather than `n.translate(perm_table(m))`: the
+    table would be built, and cached, for every new m."""
+    return bytes(apply(m, c) for c in n)
 
 
 def linmap(images: dict) -> LinMap:
@@ -96,13 +100,20 @@ def linmap(images: dict) -> LinMap:
     cols = list(E)
     for i, img in images.items():
         cols[i - 1] = img
-    return tuple(cols)
+    return bytes(cols)
 
 
 @lru_cache(maxsize=None)
 def perm_table(m: LinMap) -> bytes:
     """256-entry lookup table of apply(m, v); bytes for speed."""
     return bytes(apply(m, v) for v in range(256))
+
+
+def after(g: LinMap):
+    """The function m -> g after m.  Its columns are m's columns looked up
+    in g's table, one `bytes.translate`."""
+    t = perm_table(g)
+    return lambda m: m.translate(t)
 
 
 def linmap_power(m: LinMap, k: int) -> LinMap:
@@ -117,7 +128,7 @@ def inverse(m: LinMap) -> LinMap:
     of e_i, which exists for every i exactly when m is invertible."""
     t = perm_table(m)
     try:
-        return tuple(t.index(e) for e in E)
+        return bytes(t.index(e) for e in E)
     except ValueError:
         raise ValueError("map is singular") from None
 
@@ -163,10 +174,8 @@ def orbits(items, moves) -> list:
 def mulclose(gens, maxsize: int | None = None) -> frozenset:
     """Closure of a generating set of linear maps under composition: the
     set of all products, capped as in `closure`."""
-    gens = [tuple(g) for g in gens]
-    moves = [
-        lambda m, t=perm_table(g): tuple(map(t.__getitem__, m)) for g in gens
-    ]
+    gens = [bytes(g) for g in gens]
+    moves = [after(g) for g in gens]
     return closure([IDENTITY, *gens], moves, maxsize)
 
 

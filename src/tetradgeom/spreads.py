@@ -23,14 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gf3
-from .gf2 import Mask, orbits, perm_table, span
+from .gf2 import LinMap, Mask, orbits, perm_table, span
 from .tetrad import Frame, Group81
 
 
 @dataclass(frozen=True)
 class Spread:
     direction: int  # the generating sigma = ijk1, one of gf3.DIRECTIONS
-    generator: tuple  # LinMap
+    generator: LinMap
     lines: tuple  # 85 frozensets, sorted by min point
     line_of: dict  # point -> its line
 

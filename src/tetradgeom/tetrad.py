@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import permutations, product
 
 from . import gf3
 from .gf2 import (
@@ -39,6 +39,7 @@ from .gf2 import (
     LinMap,
     Mask,
     PAIR_MASKS,
+    after,
     apply,
     compose,
     inverse,
@@ -217,6 +218,40 @@ class Stabilizer:
 def build_stabilizer(frame: Frame, maxsize: int = 40000) -> Stabilizer:
     gens = stabilizer_generators(frame)
     return Stabilizer(gens, frozenset(mulclose(gens.values(), maxsize)))
+
+
+def fixes_tetrad(m: LinMap) -> bool:
+    """Whether m sends the four coordinate-pair lines onto themselves:
+    the two basis vectors of each line go to two distinct points of one
+    line, and every line is hit."""
+    hit = set()
+    for pm in PAIR_MASKS:
+        a, b = apply(m, pm & -pm), apply(m, pm & (pm - 1))
+        if not (a and b and a != b):
+            return False
+        hit.add(a | b)
+    return hit == set(PAIR_MASKS)
+
+
+def tetrad_stabilizer_maps():
+    """Every linear map that fixes the four coordinate-pair lines as a
+    set, G(tetrad) = GL(2,2) wr S_4, listed from that definition: one
+    permutation of the lines after one of the 6^4 maps that send the two
+    basis vectors of each line to two distinct points of it, 24 * 6^4 =
+    31104 maps.  Streamed, never stored."""
+    pairs = [
+        tuple(permutations((pm & -pm, pm & (pm - 1), pm), 2)) for pm in PAIR_MASKS
+    ]
+    fixing = [
+        linmap({1: a0, 8: b0, 2: a1, 7: b1, 3: a2, 6: b2, 4: a3, 5: b3})
+        for (a0, b0), (a1, b1), (a2, b2), (a3, b3) in product(*pairs)
+    ]
+    for perm in permutations(range(4)):
+        # line h onto line k, e_(h+1) -> e_(k+1) and e_(8-h) -> e_(8-k)
+        shuffle = {}
+        for h, k in enumerate(perm):
+            shuffle[h + 1], shuffle[8 - h] = E[k], E[7 - k]
+        yield from map(after(linmap(shuffle)), fixing)
 
 
 # ── the induced action on (F_3)^4 ────────────────────────────────────────

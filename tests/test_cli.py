@@ -17,7 +17,14 @@ from tetradgeom.certificates import (
     run_certificates,
 )
 from tetradgeom.cli import main
-from tetradgeom.gf2 import E, apply, linmap, quadric_value
+from tetradgeom.gf2 import (
+    E,
+    IDENTITY,
+    apply,
+    linmap,
+    quadric_value,
+    symplectic_product,
+)
 from tetradgeom.tetrad import Stabilizer, build_frame
 
 REPORT_KEYS = {"name", "claim", "status", "witness", "elapsed_ms"}
@@ -76,14 +83,43 @@ def test_witnesses_are_json_safe(ctx):
     )
 
 
-def test_non_normalizing_generator_is_named():
-    # under --perturb, zeta_a no longer normalizes the diagonal group
-    ctx = Context(build_frame(perturb=True))
-    [cert] = run_certificates(ctx, names={"gf3-taxonomy"})
+def test_runner_rejects_a_json_unsafe_witness(ctx, monkeypatch):
+    # a linear map is bytes, which JSON cannot carry
+    stub = ("stub", "a claim", lambda ctx: {"order": 1, "map": IDENTITY})
+    monkeypatch.setattr(certificates, "CHECKS", [stub])
+    [cert] = run_certificates(ctx)
+    assert cert.status == "fail"
+    assert cert.witness == {
+        "message": "witness field 'map' is not JSON-safe",
+        "key": "map",
+    }
+
+
+@pytest.fixture(scope="module")
+def perturbed_ctx():
+    return Context(build_frame(perturb=True))
+
+
+# where each certificate breaks under --perturb: zeta_a neither normalizes
+# the diagonal group nor fixes the tetrad lines, and the labels it induces
+# break the orbit values, the first C2 perp and a 3-generator section
+PERTURBED_WHERE = {
+    "gf3-taxonomy": ("generator", "zeta_a"),
+    "stabilizer-group": ("generator", "zeta_a"),
+    "invariant-polynomials": ("orbit", 1),
+    "c2-rogue-structure": ("ident", "0011:0"),
+    "sections": ("ident", "1111:0"),
+}
+
+
+@pytest.mark.parametrize("name", PERTURBED_WHERE)
+def test_non_normalizing_generator_is_named(perturbed_ctx, name):
+    [cert] = run_certificates(perturbed_ctx, names={name})
     assert cert.status == "fail"
     assert "error" not in cert.witness
     assert cert.witness["message"]
-    assert cert.witness["generator"] == "zeta_a"
+    field, where = PERTURBED_WHERE[name]
+    assert cert.witness[field] == where
 
 
 def test_quadric_violations_are_counted(ctx, monkeypatch):
@@ -113,6 +149,39 @@ def test_quadric_violations_are_counted(ctx, monkeypatch):
         check_stabilizer(bad_ctx)
     assert str(exc.value) == "some element moves the quadric"
     assert exc.value.data == {"violations": expected}
+
+
+def transvection(v):
+    """x -> x + B(x, v) v, which preserves Q when Q(v) = 1."""
+    return linmap({i + 1: e ^ v for i, e in enumerate(E) if symplectic_product(e, v)})
+
+
+def test_maps_outside_the_tetrad_stabilizer_are_found(ctx, monkeypatch):
+    # as above, but the two stand-ins preserve Q and move a tetrad point
+    # (e8 and e1 respectively) off its line; the order stays 31104 and the
+    # quadric sweep passes, so only the containment of every map fixing
+    # the tetrad can object
+    st = ctx.stabilizer
+    diagonal = set(ctx.g81.maps.values())
+    victims = sorted(g for g in st.elements if g not in diagonal)[:2]
+    first, last = transvection(E[0] ^ E[1] ^ E[2]), transvection(E[5] ^ E[6] ^ E[7])
+    assert apply(first, E[7]) == 0x87 and apply(last, E[0]) == 0xE1
+    points = ctx.quadric_points
+    assert all(
+        quadric_value(apply(g, p)) == 0 for g in (first, last) for p in points
+    )
+    elements = st.elements.difference(victims) | {first, last}
+    monkeypatch.setattr(
+        certificates,
+        "build_stabilizer",
+        lambda frame: Stabilizer(st.generators, elements),
+    )
+    bad_ctx = Context(ctx.frame)
+    assert bad_ctx.stabilizer.order == 31104
+    with pytest.raises(CheckFailed) as exc:
+        check_stabilizer(bad_ctx)
+    assert str(exc.value) == "a map fixing the tetrad lines is not in the closure"
+    assert exc.value.data == {"missing": 2}
 
 
 def traced_counts(tmp_path, *only):

@@ -145,7 +145,12 @@ def test_c1_observed_profile(frame):
 
 
 def test_c2_census(ctx):
-    census = denizens.c2_census(ctx.frame, ctx.triplets)
+    c2_lines = {
+        t: tuple(denizens.c2_line(ctx.frame, d) for d in t)
+        for t in ctx.triplets
+        if t[0].kind == "C2"
+    }
+    census = denizens.c2_census(ctx.frame, c2_lines)
     assert census["triplet_count"] == 12
     assert census["distinct_lines"] == 36
     assert census["pairs_covered"] == [

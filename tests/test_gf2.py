@@ -101,7 +101,7 @@ def test_inverse_and_invertibility():
     # random invertible maps round-trip
     found = 0
     while found < 20:
-        m = tuple(rng.randrange(256) for _ in range(8))
+        m = bytes(rng.randrange(256) for _ in range(8))
         try:
             mi = inverse(m)
         except ValueError:  # singular

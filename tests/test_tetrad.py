@@ -5,16 +5,18 @@ from collections import Counter
 import pytest
 
 from tetradgeom import gf3
-from tetradgeom.gf2 import IDENTITY, apply, compose, inverse, linmap_power
+from tetradgeom.gf2 import E, IDENTITY, apply, compose, inverse, linmap, linmap_power
 from tetradgeom.gf3 import mat3_apply
 from tetradgeom.gf3 import trit_from_str as T
 from tetradgeom.tetrad import (
     build_frame,
     build_group81,
     build_stabilizer,
+    fixes_tetrad,
     induced_matrix,
     point_orbits,
     stabilizer_generators,
+    tetrad_stabilizer_maps,
 )
 
 LINES = (
@@ -130,6 +132,23 @@ def test_stabilizer_order_and_normality(frame):
         for sigma in gf3.ALL81[::11]:
             conj = compose(compose(g, g81.maps[sigma]), ginv)
             assert conj == g81.maps[mat3_apply(mat, sigma)]
+
+
+def test_listing_is_the_generated_stabilizer(frame):
+    maps = list(tetrad_stabilizer_maps())
+    assert len(maps) == 31104 and len(set(maps)) == 31104  # 24 * 6^4
+    assert all(fixes_tetrad(m) for m in maps)
+    assert set(maps) == build_stabilizer(frame).elements
+
+
+def test_fixes_tetrad(frame):
+    assert fixes_tetrad(IDENTITY)
+    assert all(fixes_tetrad(g) for g in stabilizer_generators(frame).values())
+    # e1 <-> e2 moves half of L_a onto L_b
+    assert not fixes_tetrad(linmap({1: E[1], 2: E[0]}))
+    # the perturbed rotation sends e1 to e2 + e8, off every tetrad line
+    bad = stabilizer_generators(build_frame(perturb=True))["zeta_a"]
+    assert not fixes_tetrad(bad)
 
 
 def test_induced_matrix_examples(frame):

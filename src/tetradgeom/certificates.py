@@ -19,7 +19,6 @@ import json
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -242,6 +241,27 @@ def check_orbits(ctx):
 # ── 3 symplectic form ────────────────────────────────────────────────────
 
 
+def half_masks() -> tuple:
+    """masks[i] is the 256-bit table of the x with bit i clear."""
+    return tuple(
+        sum(1 << x for x in range(256) if not x >> i & 1) for i in range(8)
+    )
+
+
+def _low_bit(diff: int) -> int:
+    """The least x whose bit is set in a nonzero truth table."""
+    return (diff & -diff).bit_length() - 1
+
+
+def xor_shift(table: int, z: int, masks) -> int:
+    """The truth table of x -> table(x ^ z): for each set bit i of z,
+    swap the two halves of every block of 2^(i+1) entries."""
+    for i, m in enumerate(masks):
+        if z >> i & 1:
+            table = (table >> (1 << i) & m) | (table & m) << (1 << i)
+    return table
+
+
 @check(
     "symplectic-form",
     "the form is alternating and nondegenerate with Gram matrix pairing "
@@ -257,24 +277,32 @@ def check_form(ctx):
             )
     for x in range(256):
         require(symplectic_product(x, x) == 0, "form is not alternating", x=x)
-    for x in range(256):
-        for y in range(256):
-            pol = quadric_value(x ^ y) ^ quadric_value(x) ^ quadric_value(y)
-            if pol != symplectic_product(x, y):
-                raise CheckFailed("polarization identity fails", x=x, y=y)
-    # linearity in the first argument: B(., z) is the parity of the
-    # coordinates picked out by m_z, the sum of the e_i with B(e_i, z) = 1
-    for z in range(256):
-        m_z = sum(e for e in E if symplectic_product(e, z))
-        for x in range(256):
-            if symplectic_product(x, z) != (x & m_z).bit_count() & 1:
-                raise CheckFailed("form is not linear", x=x, z=z)
-    for x in range(1, 256):
-        require(
-            any(symplectic_product(x, y) for y in range(1, 256)),
-            "form is degenerate",
-            x=x,
-        )
+    # 256-bit truth tables: bit x of q_tab is Q(x), bit x of b_tabs[z] is
+    # B(x, z), both evaluated pointwise so the routes stay independent
+    masks = half_masks()
+    full = (1 << 256) - 1
+    q_tab = sum(quadric_value(x) << x for x in range(256))
+    b_tabs = [
+        sum(symplectic_product(x, z) << x for x in range(256)) for z in range(256)
+    ]
+    for z, b_tab in enumerate(b_tabs):
+        pol = xor_shift(q_tab, z, masks) ^ q_tab ^ (full if quadric_value(z) else 0)
+        if pol != b_tab:
+            raise CheckFailed(
+                "polarization identity fails", x=_low_bit(pol ^ b_tab), y=z
+            )
+    # linearity in the first argument: B(., z) is the XOR of the
+    # coordinate tables of the e_i with B(e_i, z) = 1
+    coords = [full ^ m for m in masks]
+    for z, b_tab in enumerate(b_tabs):
+        lin = 0
+        for e, coord in zip(E, coords):
+            if symplectic_product(e, z):
+                lin ^= coord
+        if lin != b_tab:
+            raise CheckFailed("form is not linear", x=_low_bit(lin ^ b_tab), z=z)
+    for z in range(1, 256):
+        require(b_tabs[z], "form is degenerate", x=z)
     return {"pairs_checked": 256 * 256}
 
 
@@ -388,9 +416,10 @@ def check_stabilizer(ctx):
                 generator=name)
     st = ctx.stabilizer
     require(st.order == 31104, "stabilizer order wrong", order=st.order)
+    members = frozenset(st.elements)  # the same object when it is one
     g81 = ctx.g81
     for m in g81.maps.values():
-        require(m in st.elements, "diagonal map missing from stabilizer")
+        require(m in members, "diagonal map missing from stabilizer")
     for name, g in st.generators.items():
         ginv = inverse(g)
         mat = _induced(g81, name, g)
@@ -406,6 +435,7 @@ def check_stabilizer(ctx):
     # packs all images of p, and Q is evaluated bytewise into bit 0
     flat = b"".join(st.elements)
     cols = [int.from_bytes(flat[i::8], "little") for i in range(8)]
+    del flat
     ones = int.from_bytes(b"\x01" * st.order, "little")
     pairs = [
         ((pm & -pm).bit_length() - 1, pm.bit_length() - 1) for pm in PAIR_MASKS
@@ -425,7 +455,7 @@ def check_stabilizer(ctx):
     require(bad == 0, "some element moves the quadric", violations=bad)
     # the generators fix the tetrad, so the closure lies in its stabilizer;
     # containing every map that fixes the tetrad, it is the stabilizer
-    missing = sum(1 for m in tetrad_stabilizer_maps() if m not in st.elements)
+    missing = sum(1 for m in tetrad_stabilizer_maps() if m not in members)
     require(missing == 0, "a map fixing the tetrad lines is not in the closure",
             missing=missing)
     return {
@@ -717,9 +747,12 @@ def check_solids(ctx):
         "system sizes wrong",
         sizes=sorted(sizes.values()),
     )
-    for (a, ta), (b, tb) in combinations(zip(solids, tags), 2):
+    # every pair, on point masks: bit p of a mask is set when p is in the solid
+    masks = [sum(1 << p for p in s) for s in solids]
+    meets = quadric.SAME_SYSTEM_MEETS
+    for (a, ta), (b, tb) in combinations(zip(masks, tags), 2):
         require(
-            quadric.same_system(a, b) == (ta == tb),
+            ((a & b).bit_count() in meets) == (ta == tb),
             "parity relation is not the two-class equivalence",
         )
     tag_of = {s: tg for s, tg in zip(solids, tags)}
@@ -840,6 +873,18 @@ def check_c2(ctx):
 # ── 15, 16, 17 sections, fans, recovery ──────────────────────────────────
 
 
+def _sections_where(frame: Frame, den) -> tuple:
+    """denizens.sections_of, failing with the denizen and the direction of
+    the first section that breaks, spelt as `cli.cmd_sections` spells it."""
+    try:
+        return denizens.sections_of(frame, den)
+    except ValueError as e:
+        for sub in den.plane.subspaces:
+            _where(denizens.classify_section, frame, den, sub, ident=den.ident,
+                   direction=sorted(gf3.trit_str(p) for p in sub.points))
+        raise CheckFailed(str(e), ident=den.ident) from None
+
+
 @check(
     "sections",
     "the 13 sections of each of the 24 Segre denizens split 3/6/4 into "
@@ -848,7 +893,7 @@ def check_c2(ctx):
 )
 def check_sections(ctx):
     for den in ctx.segres:
-        secs = _where(denizens.sections_of, ctx.frame, den, ident=den.ident)
+        secs = _sections_where(ctx.frame, den)
         tags = Counter(s["tag"] for s in secs)
         require(
             tags == Counter({"S2(2)": 3, "3-generator": 6, "fan": 4}),
@@ -1051,6 +1096,8 @@ def run_certificates(ctx: Context, jobs: int = 1, names=None) -> list:
         return Certificate(name, claim, status, witness, round(ms, 3))
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(run_one, selected))
     return [run_one(entry) for entry in selected]

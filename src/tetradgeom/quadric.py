@@ -55,37 +55,51 @@ def unique_form_certificate(frame: Frame) -> dict:
 
 
 def singular_solids(qpoints) -> tuple:
-    """All totally singular solids, by levelwise extension: points ->
-    lines -> planes -> solids, deduplicating at each level."""
+    """All totally singular solids, each found once, depth-first along its
+    reduced echelon basis.
+
+    A basis grows by a quadric point q orthogonal to every row so far
+    (`cand`), greater than the last row added, and free of every earlier
+    row's pivot (its top bit).  The rows are then a reduced echelon basis
+    with pivots ascending, and every totally singular subspace has exactly
+    one such basis, so no subspace is reached twice.  Pairwise orthogonal
+    singular points span a totally singular subspace, so the fourth row
+    closes a solid."""
     qlist = sorted(qpoints)
-    qset = frozenset(qlist)
     perp_sing = {
-        p: frozenset(
-            q for q in qlist if q != p and symplectic_product(p, q) == 0
-        )
+        p: sum(1 << q for q in qlist if q != p and symplectic_product(p, q) == 0)
         for p in qlist
     }
-    level = {frozenset((p,)): (p,) for p in qlist}
-    for _ in range(3):
-        nxt = {}
-        for pts, basis in level.items():
-            cand = perp_sing[basis[0]]
-            for b in basis[1:]:
-                cand = cand & perp_sing[b]
-            for q in cand:
-                if q in pts:
-                    continue
-                npts = frozenset(pts | {q} | {s ^ q for s in pts})
-                if npts not in nxt and npts <= qset:
-                    nxt[npts] = basis + (q,)
-        level = nxt
-    return tuple(sorted(level, key=sorted))
+    solids = []
+
+    def extend(pts, pivots, cand, rows):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            q = low.bit_length() - 1
+            if q & pivots:
+                continue
+            span = pts + [q] + [s ^ q for s in pts]
+            if rows == 3:
+                solids.append(frozenset(span))
+            else:
+                # keep only candidates above q, orthogonal to q as well
+                extend(span, pivots | 1 << q.bit_length() - 1,
+                       cand & perp_sing[q], rows + 1)
+
+    extend([], 0, sum(1 << q for q in qlist), 0)
+    return tuple(sorted(solids, key=sorted))
+
+
+#: intersection sizes (projective dimension 3, 1, -1) of two solids in
+#: the same system
+SAME_SYSTEM_MEETS = (15, 3, 0)
 
 
 def same_system(a: frozenset, b: frozenset) -> bool:
     """Parity relation: solids are in the same system exactly when their
     intersection has projective dimension 3, 1 or -1 (15, 3 or 0 points)."""
-    return len(a & b) in (15, 3, 0)
+    return len(a & b) in SAME_SYSTEM_MEETS
 
 
 def system_tags(solids) -> tuple:

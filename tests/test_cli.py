@@ -13,8 +13,11 @@ from tetradgeom import certificates
 from tetradgeom.certificates import (
     CheckFailed,
     Context,
+    check_form,
     check_stabilizer,
+    half_masks,
     run_certificates,
+    xor_shift,
 )
 from tetradgeom.cli import main
 from tetradgeom.gf2 import (
@@ -104,11 +107,14 @@ def perturbed_ctx():
 # the diagonal group nor fixes the tetrad lines, and the labels it induces
 # break the orbit values, the first C2 perp and a 3-generator section
 PERTURBED_WHERE = {
-    "gf3-taxonomy": ("generator", "zeta_a"),
-    "stabilizer-group": ("generator", "zeta_a"),
-    "invariant-polynomials": ("orbit", 1),
-    "c2-rogue-structure": ("ident", "0011:0"),
-    "sections": ("ident", "1111:0"),
+    "gf3-taxonomy": {"generator": "zeta_a"},
+    "stabilizer-group": {"generator": "zeta_a"},
+    "invariant-polynomials": {"orbit": 1},
+    "c2-rogue-structure": {"ident": "0011:0"},
+    "sections": {
+        "ident": "1111:0",
+        "direction": ["0012", "1101", "1110", "1122"],
+    },
 }
 
 
@@ -118,8 +124,56 @@ def test_non_normalizing_generator_is_named(perturbed_ctx, name):
     assert cert.status == "fail"
     assert "error" not in cert.witness
     assert cert.witness["message"]
-    field, where = PERTURBED_WHERE[name]
-    assert cert.witness[field] == where
+    for field, where in PERTURBED_WHERE[name].items():
+        assert cert.witness[field] == where
+
+
+def test_xor_shift_is_the_translated_table():
+    masks = half_masks()
+    table = sum(quadric_value(x) << x for x in range(256))
+    for z in range(256):
+        shifted = xor_shift(table, z, masks)
+        assert shifted >> 256 == 0
+        for x in range(256):
+            assert shifted >> x & 1 == quadric_value(x ^ z)
+
+
+#: a point of weight 3, so flipping Q there leaves the Gram entries alone
+FLIPPED = E[0] ^ E[1] ^ E[2]
+
+
+def flipped_q(x):
+    return quadric_value(x) ^ (x == FLIPPED)
+
+
+def flipped_polarization(x, y):
+    return flipped_q(x ^ y) ^ flipped_q(x) ^ flipped_q(y)
+
+
+def test_form_check_finds_a_broken_polarization(monkeypatch):
+    monkeypatch.setattr(certificates, "quadric_value", flipped_q)
+    with pytest.raises(CheckFailed) as exc:
+        check_form(None)
+    assert str(exc.value) == "polarization identity fails"
+    x, y = exc.value.data["x"], exc.value.data["y"]
+    assert set(exc.value.data) == {"x", "y"}
+    assert flipped_polarization(x, y) != symplectic_product(x, y)
+
+
+def test_form_check_finds_a_nonlinear_form(monkeypatch):
+    # B' is the polarization of the flipped Q, so that identity holds, and
+    # B' is still alternating with the same Gram matrix, but not bilinear
+    monkeypatch.setattr(certificates, "quadric_value", flipped_q)
+    monkeypatch.setattr(certificates, "symplectic_product", flipped_polarization)
+    with pytest.raises(CheckFailed) as exc:
+        check_form(None)
+    assert str(exc.value) == "form is not linear"
+    x, z = exc.value.data["x"], exc.value.data["z"]
+    assert set(exc.value.data) == {"x", "z"}
+    by_coords = 0
+    for i, e in enumerate(E):
+        by_coords ^= x >> i & flipped_polarization(e, z)
+    assert flipped_polarization(x, z) != by_coords
 
 
 def test_quadric_violations_are_counted(ctx, monkeypatch):
@@ -149,6 +203,18 @@ def test_quadric_violations_are_counted(ctx, monkeypatch):
         check_stabilizer(bad_ctx)
     assert str(exc.value) == "some element moves the quadric"
     assert exc.value.data == {"violations": expected}
+
+
+def test_swapped_system_tags_break_the_parity_sweep(ctx, monkeypatch):
+    # swap the tags of one solid from each system: both systems keep 135
+    # solids, so only the sweep over all pairs can object
+    tags = list(ctx.system_tags)
+    a, b = tags.index(0), tags.index(1)
+    tags[a], tags[b] = 1, 0
+    monkeypatch.setattr(certificates.quadric, "system_tags", lambda s: tuple(tags))
+    with pytest.raises(CheckFailed) as exc:
+        certificates.check_solids(Context(ctx.frame))
+    assert str(exc.value) == "parity relation is not the two-class equivalence"
 
 
 def transvection(v):
@@ -225,6 +291,21 @@ def test_verify_all_imports_only_the_standard_library():
         "import sys; from tetradgeom.cli import main; "
         "rc = main(['verify-all', '--only', 'stabilizer-group']); "
         "assert 'numpy' not in sys.modules; sys.exit(rc)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "PASS stabilizer-group" in proc.stdout
+
+
+def test_sequential_runs_do_not_import_the_thread_pool():
+    code = (
+        "import sys; from tetradgeom.cli import main; "
+        "rc = main(['verify-all', '--only', 'stabilizer-group']); "
+        "assert 'concurrent.futures' not in sys.modules; "
+        "rc |= main(['sections', '--segre', '1111:0', '--json']); "
+        "assert 'concurrent.futures' not in sys.modules; sys.exit(rc)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120

@@ -1,6 +1,7 @@
 """Tests for the 135-point quadric, its 270 solids, and the 9-caps."""
 
-import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -28,6 +29,62 @@ def test_unique_form_certificate(frame):
     assert cert["adopted_linear_part"] == 0xFF
 
 
+def levelwise_solids(qpoints) -> tuple:
+    """Reference: extend points -> lines -> planes -> solids by every
+    orthogonal quadric point, deduplicating the point sets at each level."""
+    qlist = sorted(qpoints)
+    qset = frozenset(qlist)
+    perp_sing = {
+        p: frozenset(
+            q for q in qlist if q != p and symplectic_product(p, q) == 0
+        )
+        for p in qlist
+    }
+    level = {frozenset((p,)): (p,) for p in qlist}
+    for _ in range(3):
+        nxt = {}
+        for pts, basis in level.items():
+            cand = perp_sing[basis[0]]
+            for b in basis[1:]:
+                cand = cand & perp_sing[b]
+            for q in cand:
+                if q in pts:
+                    continue
+                npts = frozenset(pts | {q} | {s ^ q for s in pts})
+                if npts not in nxt and npts <= qset:
+                    nxt[npts] = basis + (q,)
+        level = nxt
+    return tuple(sorted(level, key=sorted))
+
+
+def test_singular_solids_match_levelwise_reference(ctx):
+    assert ctx.solids == levelwise_solids(ctx.quadric_points)
+
+
+def test_singular_solids_are_distinct(ctx):
+    assert len(set(ctx.solids)) == len(ctx.solids) == 270
+
+
+def test_every_singular_line_lies_in_six_solids(ctx):
+    # a totally singular line is a pair of orthogonal quadric points; the
+    # solids through it are the 6 lines of the Q+(3,2) in its perp
+    through = Counter(
+        pair for s in ctx.solids for pair in combinations(sorted(s), 2)
+    )
+    orthogonal = {
+        (p, q)
+        for p, q in combinations(sorted(ctx.quadric_points), 2)
+        if symplectic_product(p, q) == 0
+    }
+    assert len(orthogonal) == 135 * 70 // 2
+    assert set(through) == orthogonal
+    assert set(through.values()) == {6}
+
+
+def masks_of(solids) -> list:
+    return [sum(1 << p for p in s) for s in solids]
+
+
 def test_singular_solids_structure(ctx):
     solids = ctx.solids
     assert len(solids) == 270
@@ -48,27 +105,26 @@ def test_two_systems_of_solids(ctx):
     assert len(tags) == 270
     assert tags.count(0) == 135
     assert tags.count(1) == 135
-    # the tagging is consistent with the parity relation on a seeded
-    # sample of pairs; the full 270 x 270 sweep runs in the certificates
-    solids = ctx.solids
-    rng = random.Random(20260819)
-    for _ in range(4000):
-        a, b = rng.randrange(270), rng.randrange(270)
-        same = quadric.same_system(solids[a], solids[b])
-        assert same == (tags[a] == tags[b]), (a, b)
+    # the tagging is the parity relation on all 36315 pairs
+    assert quadric.SAME_SYSTEM_MEETS == (15, 3, 0)
+    masks = masks_of(ctx.solids)
+    for (a, ta), (b, tb) in combinations(zip(masks, tags), 2):
+        same = (a & b).bit_count() in quadric.SAME_SYSTEM_MEETS
+        assert same == (ta == tb)
 
 
 def test_intersection_sizes_split_by_system(ctx):
-    solids = ctx.solids
-    rng = random.Random(1331)
-    for _ in range(2000):
-        a, b = rng.sample(range(270), 2)
-        n = len(solids[a] & solids[b])
-        assert n in (0, 1, 3, 7, 15)
-        if quadric.same_system(solids[a], solids[b]):
-            assert n in (0, 3, 15)
-        else:
-            assert n in (1, 7)
+    tags = ctx.system_tags
+    sizes = Counter(
+        ((a & b).bit_count(), ta == tb)
+        for (a, ta), (b, tb) in combinations(zip(masks_of(ctx.solids), tags), 2)
+    )
+    # distinct solids meet in a plane, line, point or nothing: dimensions
+    # 2 and 0 across the systems, 1 and -1 within one
+    assert {n for n, _ in sizes} == {0, 1, 3, 7}
+    for (n, same), count in sizes.items():
+        assert same == (n in (0, 3)), (n, same, count)
+    assert sum(sizes.values()) == 270 * 269 // 2
 
 
 def test_generator_solid_pair_lies_on_quadric(ctx):

@@ -27,9 +27,9 @@ from .gf2 import Flat, reduced_basis, span
 #: partner coordinate under the pairing i <-> 9-i
 PARTNER = {i: 9 - i for i in range(1, 9)}
 
-# for each variable index i (0-based), the 256-bit mask of truth-table
-# positions x whose bit i is clear; drives the butterfly
-_LOW = tuple(
+#: for each variable index i (0-based), the 256-bit mask of truth-table
+#: positions x whose bit i is clear; drives the butterflies over a table
+HALF_MASKS = tuple(
     sum(1 << x for x in range(256) if not x >> i & 1) for i in range(8)
 )
 
@@ -40,7 +40,7 @@ def mobius(table: int) -> int:
     """Subset-sum transform of a 256-bit table over GF(2).  Involutory:
     applied to ANF coefficients it yields the truth table and vice versa."""
     for i in range(8):
-        table ^= (table & _LOW[i]) << (1 << i)
+        table ^= (table & HALF_MASKS[i]) << (1 << i)
     return table & _FULL
 
 

@@ -135,20 +135,9 @@ def point_json(frame: Frame, p: int) -> dict:
     return {"mask": p, "bits": point_str(p), "label": frame.label_str(p)}
 
 
-def _induced(g81, name: str, g) -> tuple:
-    """induced_matrix, failing with the generator's name when conjugation
-    by it leaves the diagonal group."""
-    try:
-        return induced_matrix(g, g81)
-    except KeyError:
-        raise CheckFailed(
-            "generator does not normalize the diagonal group", generator=name
-        ) from None
-
-
 def _where(fn, *args, **where):
-    """fn(*args), failing with the fields `where` (the orbit or denizen
-    it was called on) when fn rejects its input."""
+    """fn(*args), failing with the fields `where` (the orbit, denizen or
+    generator it was called on) when fn rejects its input."""
     try:
         return fn(*args)
     except ValueError as e:
@@ -241,22 +230,15 @@ def check_orbits(ctx):
 # ── 3 symplectic form ────────────────────────────────────────────────────
 
 
-def half_masks() -> tuple:
-    """masks[i] is the 256-bit table of the x with bit i clear."""
-    return tuple(
-        sum(1 << x for x in range(256) if not x >> i & 1) for i in range(8)
-    )
-
-
 def _low_bit(diff: int) -> int:
     """The least x whose bit is set in a nonzero truth table."""
     return (diff & -diff).bit_length() - 1
 
 
-def xor_shift(table: int, z: int, masks) -> int:
+def xor_shift(table: int, z: int) -> int:
     """The truth table of x -> table(x ^ z): for each set bit i of z,
     swap the two halves of every block of 2^(i+1) entries."""
-    for i, m in enumerate(masks):
+    for i, m in enumerate(anf.HALF_MASKS):
         if z >> i & 1:
             table = (table >> (1 << i) & m) | (table & m) << (1 << i)
     return table
@@ -268,41 +250,40 @@ def xor_shift(table: int, z: int, masks) -> int:
     "coordinate i with 9-i, and the quadratic form polarizes to it",
 )
 def check_form(ctx):
-    for i in range(1, 9):
-        for j in range(1, 9):
-            expect = 1 if i + j == 9 else 0
-            require(
-                symplectic_product(1 << (i - 1), 1 << (j - 1)) == expect,
-                f"Gram entry ({i},{j}) wrong",
-            )
-    for x in range(256):
-        require(symplectic_product(x, x) == 0, "form is not alternating", x=x)
-    # 256-bit truth tables: bit x of q_tab is Q(x), bit x of b_tabs[z] is
-    # B(x, z), both evaluated pointwise so the routes stay independent
-    masks = half_masks()
-    full = (1 << 256) - 1
-    q_tab = sum(quadric_value(x) << x for x in range(256))
+    # 256-bit truth tables: bit x of b_tabs[z] is B(x, z), bit x of q_tab
+    # is Q(x), both evaluated pointwise so the routes stay independent
     b_tabs = [
         sum(symplectic_product(x, z) << x for x in range(256)) for z in range(256)
     ]
+    for i in range(1, 9):
+        for j in range(1, 9):
+            require(
+                b_tabs[1 << (j - 1)] >> (1 << (i - 1)) & 1 == (i + j == 9),
+                f"Gram entry ({i},{j}) wrong",
+            )
+    for x in range(256):
+        require(not b_tabs[x] >> x & 1, "form is not alternating", x=x)
+    full = (1 << 256) - 1
+    q_tab = sum(quadric_value(x) << x for x in range(256))
     for z, b_tab in enumerate(b_tabs):
-        pol = xor_shift(q_tab, z, masks) ^ q_tab ^ (full if quadric_value(z) else 0)
+        pol = xor_shift(q_tab, z) ^ q_tab ^ (full if quadric_value(z) else 0)
         if pol != b_tab:
             raise CheckFailed(
                 "polarization identity fails", x=_low_bit(pol ^ b_tab), y=z
             )
     # linearity in the first argument: B(., z) is the XOR of the
     # coordinate tables of the e_i with B(e_i, z) = 1
-    coords = [full ^ m for m in masks]
+    coords = [full ^ m for m in anf.HALF_MASKS]
     for z, b_tab in enumerate(b_tabs):
         lin = 0
         for e, coord in zip(E, coords):
-            if symplectic_product(e, z):
+            if b_tab >> e & 1:
                 lin ^= coord
         if lin != b_tab:
             raise CheckFailed("form is not linear", x=_low_bit(lin ^ b_tab), z=z)
-    for z in range(1, 256):
-        require(b_tabs[z], "form is degenerate", x=z)
+    # nondegeneracy needs no step of its own: polarization makes B
+    # symmetric, so linearity in the first argument makes it bilinear, and
+    # a bilinear form with the invertible Gram matrix above is nondegenerate
     return {"pairs_checked": 256 * 256}
 
 
@@ -421,8 +402,8 @@ def check_stabilizer(ctx):
     for m in g81.maps.values():
         require(m in members, "diagonal map missing from stabilizer")
     for name, g in st.generators.items():
+        mat = _where(induced_matrix, g, g81, generator=name)
         ginv = inverse(g)
-        mat = _induced(g81, name, g)
         for sigma, a in g81.maps.items():
             conj = compose(compose(g, a), ginv)
             require(
@@ -535,7 +516,7 @@ def check_gf3(ctx):
 
     # conjugation orbits
     mats = [
-        _induced(ctx.g81, name, g)
+        _where(induced_matrix, g, ctx.g81, generator=name)
         for name, g in stabilizer_generators(ctx.frame).items()
     ]
     orbit_sizes = {}
@@ -706,17 +687,15 @@ def check_orbit4_lines(ctx):
                 point=point_str(p),
             )
     require(len(seen_pairs) == 40, "direction pair count wrong")
-    classes = spreads.parallel_classes(f, g81)
-    for d, lines in sorted(classes.items()):
-        require(len(lines) == 27, "parallel class size wrong", direction=gf3.trit_str(d))
+    for d, sp in sorted(ctx.spreads.items()):
+        inside = [ln for ln in sp.lines if ln <= omega4]
+        require(len(inside) == 27, "parallel class size wrong",
+                direction=gf3.trit_str(d))
         covered = set()
-        for ln in lines:
-            require(ln <= omega4, "parallel line leaves the orbit")
+        for ln in inside:
             require(not (covered & ln), "parallel lines overlap")
             covered |= ln
         require(covered == omega4, "parallel class does not cover the orbit")
-        inside = {ln for ln in ctx.spreads[d].lines if ln <= omega4}
-        require(set(lines) == inside, "parallel class is not the spread part")
     return {"direction_pairs": 40, "classes": 8, "lines_per_class": 27}
 
 
@@ -846,27 +825,44 @@ def check_denizens(ctx):
 )
 def check_c2(ctx):
     f = ctx.frame
-    census = denizens.c2_census(
-        f,
-        {
-            t: tuple(_where(denizens.c2_line, f, d, ident=d.ident) for d in t)
-            for t in ctx.triplets
-            if t[0].kind == "C2"
-        },
-    )
-    require(census["triplet_count"] == 12, "C2 triplet count wrong")
-    require(
-        census["distinct_lines"] == 36,
-        "C2 line count wrong",
-        count=census["distinct_lines"],
-    )
-    require(len(census["pairs_covered"]) == 6, "not all tetrad pairs covered")
-    for pair, checks in census["reguli"].items():
-        for name, ok in checks.items():
-            require(ok, f"regulus check {name} fails", pair=list(pair))
+    c2_triplets = [t for t in ctx.triplets if t[0].kind == "C2"]
+    require(len(c2_triplets) == 12, "C2 triplet count wrong")
+    flats = {
+        (h, k): span(f.lines[h] | f.lines[k]) for h, k in combinations(range(4), 2)
+    }
+    pair_of = {fl: pair for pair, fl in flats.items()}
+    # the C2 lines of each triplet, grouped by the tetrad-pair 3-flat
+    # they span
+    groups = {}
+    for t in c2_triplets:
+        tri = tuple(_where(denizens.c2_line, f, d, ident=d.ident) for d in t)
+        pair = pair_of.get(span(set().union(*tri)))
+        require(pair is not None, "C2 lines span no tetrad-pair 3-flat",
+                ident=t[0].ident)
+        groups.setdefault(pair, []).append(tri)
+    distinct = {ln for two in groups.values() for tri in two for ln in tri}
+    require(len(distinct) == 36, "C2 line count wrong", count=len(distinct))
+    require(len(groups) == 6, "not all tetrad pairs covered")
+    for (h, k), two in sorted(groups.items()):
+        require(len(two) == 2, f"expected 2 C2 triplets per pair, got {len(two)}",
+                pair=[h, k])
+        r1, r2 = two
+        grid = frozenset().union(*r1)
+        require(
+            all(not (a & b) for tri in two for a, b in combinations(tri, 2)),
+            "regulus check disjoint_within fails", pair=[h, k],
+        )
+        require(all(len(a & b) == 1 for a in r1 for b in r2),
+                "regulus check cross_meet_once fails", pair=[h, k])
+        require(grid == frozenset().union(*r2),
+                "regulus check same_grid fails", pair=[h, k])
+        require(grid == flats[h, k].points() & f.orbit(2),
+                "regulus check grid_is_quadric_part fails", pair=[h, k])
+        require(not (grid & (f.lines[h] | f.lines[k])),
+                "regulus check tetrad_lines_external fails", pair=[h, k])
     return {
-        "distinct_lines": census["distinct_lines"],
-        "pairs": [list(p) for p in census["pairs_covered"]],
+        "distinct_lines": len(distinct),
+        "pairs": [list(p) for p in sorted(groups)],
     }
 
 

@@ -148,59 +148,6 @@ def c2_line(frame: Frame, den: Denizen) -> frozenset:
     return line
 
 
-def c2_census(frame: Frame, c2_lines: dict) -> dict:
-    """Global structure of the twelve C2 triplets, given as a dict from
-    each C2 triplet to the `c2_line` of each of its denizens: 36 distinct
-    weight-2 lines, paired off as regulus / opposite regulus in the six
-    3-flats spanned by tetrad-line pairs."""
-    all_lines = {ln for tri in c2_lines.values() for ln in tri}
-
-    pair_flats = {}
-    for h, k in combinations(range(4), 2):
-        fl = span(frame.lines[h] | frame.lines[k])
-        pair_flats[(h, k)] = fl
-    pair_of = {fl: pair for pair, fl in pair_flats.items()}
-
-    groups = {}
-    for t, tri_lines in c2_lines.items():
-        home = pair_of.get(span(set().union(*tri_lines)))
-        if home is None:
-            raise ValueError(
-                f"C2 lines of plane {gf3.trit_str(t[0].plane.functional)} "
-                "span no tetrad-pair 3-flat"
-            )
-        groups.setdefault(home, []).append(tri_lines)
-
-    reguli = {}
-    for pair, two in sorted(groups.items()):
-        if len(two) != 2:
-            raise ValueError(f"expected 2 C2 triplets per pair, got {len(two)}")
-        r1, r2 = two
-        grid = frozenset().union(*r1)
-        checks = {
-            "disjoint_within": all(
-                not (a & b) for tri in (r1, r2) for a, b in combinations(tri, 2)
-            ),
-            "cross_meet_once": all(
-                len(a & b) == 1 for a in r1 for b in r2
-            ),
-            "same_grid": grid == frozenset().union(*r2),
-            "grid_is_quadric_part": grid
-            == pair_flats[pair].points() & frame.orbit(2),
-            "tetrad_lines_external": not (
-                grid & (frame.lines[pair[0]] | frame.lines[pair[1]])
-            ),
-        }
-        reguli[pair] = checks
-
-    return {
-        "triplet_count": len(c2_lines),
-        "distinct_lines": len(all_lines),
-        "pairs_covered": sorted(groups),
-        "reguli": reguli,
-    }
-
-
 # ── sections of a Segre denizen ──────────────────────────────────────────
 
 

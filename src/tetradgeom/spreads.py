@@ -82,13 +82,3 @@ def orbit4_line_test(frame: Frame, g81: Group81, p: Mask, direction) -> bool:
     q = t[p]
     r = t[q]
     return len({p, q, r}) == 3 and p ^ q ^ r == 0
-
-
-def parallel_classes(frame: Frame, g81: Group81) -> dict:
-    """For each spread direction, the 27 parallel lines of that direction
-    that lie inside the line-weight-4 orbit."""
-    omega4 = sorted(frame.orbit(4))
-    return {
-        d: tuple(orbits(omega4, [perm_table(g81.maps[d]).__getitem__]))
-        for d in gf3.DIRECTIONS
-    }

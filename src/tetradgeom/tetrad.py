@@ -215,9 +215,11 @@ class Stabilizer:
         return len(self.elements)
 
 
-def build_stabilizer(frame: Frame, maxsize: int = 40000) -> Stabilizer:
+def build_stabilizer(frame: Frame) -> Stabilizer:
     gens = stabilizer_generators(frame)
-    return Stabilizer(gens, frozenset(mulclose(gens.values(), maxsize)))
+    # the cap, above 31104, keeps a broken generator set (`--perturb`)
+    # from walking all of GL(8,2)
+    return Stabilizer(gens, frozenset(mulclose(gens.values(), 40000)))
 
 
 def fixes_tetrad(m: LinMap) -> bool:
@@ -259,13 +261,16 @@ def tetrad_stabilizer_maps():
 
 def induced_matrix(g: LinMap, g81: Group81) -> tuple:
     """Columns (images of eps_1..eps_4) of the F_3-linear map phi_g with
-    g A_sigma g^-1 = A_(phi_g sigma).  Raises KeyError if conjugation
-    leaves the 81-group, i.e. if g does not normalize it."""
+    g A_sigma g^-1 = A_(phi_g sigma).  Raises ValueError if conjugation
+    leaves the 81-group, i.e. if g does not normalize it, and if g is
+    singular."""
     ginv = inverse(g)
     cols = []
     for e in gf3.BASIS:
-        conj = compose(compose(g, g81.maps[e]), ginv)
-        cols.append(g81.trit_of[conj])
+        sigma = g81.trit_of.get(compose(compose(g, g81.maps[e]), ginv))
+        if sigma is None:
+            raise ValueError("generator does not normalize the diagonal group")
+        cols.append(sigma)
     return tuple(cols)
 
 

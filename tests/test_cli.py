@@ -9,13 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from tetradgeom import certificates
+from tetradgeom import certificates, denizens
 from tetradgeom.certificates import (
     CheckFailed,
     Context,
     check_form,
     check_stabilizer,
-    half_masks,
     run_certificates,
     xor_shift,
 )
@@ -128,11 +127,27 @@ def test_non_normalizing_generator_is_named(perturbed_ctx, name):
         assert cert.witness[field] == where
 
 
+def test_c2_lines_spanning_no_pair_flat_are_located(ctx, monkeypatch):
+    # give denizen 0011:0 a tetrad line as its C2 line: its triplet's lines
+    # then span no tetrad-pair 3-flat, and the witness names the triplet
+    c2_line = denizens.c2_line
+
+    def rogue(frame, den):
+        return frame.lines[0] if den.ident == "0011:0" else c2_line(frame, den)
+
+    monkeypatch.setattr(denizens, "c2_line", rogue)
+    [cert] = run_certificates(ctx, names={"c2-rogue-structure"})
+    assert cert.status == "fail"
+    assert cert.witness == {
+        "message": "C2 lines span no tetrad-pair 3-flat",
+        "ident": "0011:0",
+    }
+
+
 def test_xor_shift_is_the_translated_table():
-    masks = half_masks()
     table = sum(quadric_value(x) << x for x in range(256))
     for z in range(256):
-        shifted = xor_shift(table, z, masks)
+        shifted = xor_shift(table, z)
         assert shifted >> 256 == 0
         for x in range(256):
             assert shifted >> x & 1 == quadric_value(x ^ z)
@@ -174,6 +189,19 @@ def test_form_check_finds_a_nonlinear_form(monkeypatch):
     for i, e in enumerate(E):
         by_coords ^= x >> i & flipped_polarization(e, z)
     assert flipped_polarization(x, z) != by_coords
+
+
+def test_form_check_rejects_a_degenerate_form_at_the_gram_step(monkeypatch):
+    # dropping the (4,5) pair leaves an alternating bilinear form with e4
+    # and e5 in its radical; its Gram matrix is not the standard one, which
+    # is why the check needs no separate degeneracy step
+    def without_45(x, y):
+        return symplectic_product(x, y) ^ (x >> 3 & y >> 4 ^ x >> 4 & y >> 3) & 1
+
+    monkeypatch.setattr(certificates, "symplectic_product", without_45)
+    with pytest.raises(CheckFailed) as exc:
+        check_form(None)
+    assert str(exc.value) == "Gram entry (4,5) wrong"
 
 
 def test_quadric_violations_are_counted(ctx, monkeypatch):

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from tetradgeom import denizens, gf3
+from tetradgeom.certificates import check_c2
 from tetradgeom.gf2 import perp, span
 from tetradgeom.gf3 import trit_from_str as T
 
@@ -145,19 +146,10 @@ def test_c1_observed_profile(frame):
 
 
 def test_c2_census(ctx):
-    c2_lines = {
-        t: tuple(denizens.c2_line(ctx.frame, d) for d in t)
-        for t in ctx.triplets
-        if t[0].kind == "C2"
+    assert check_c2(ctx) == {
+        "distinct_lines": 36,
+        "pairs": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]],
     }
-    census = denizens.c2_census(ctx.frame, c2_lines)
-    assert census["triplet_count"] == 12
-    assert census["distinct_lines"] == 36
-    assert census["pairs_covered"] == [
-        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-    ]
-    for pair, checks in census["reguli"].items():
-        assert all(checks.values()), (pair, checks)
 
 
 def test_regulus_pair_in_third_fourth_flat(ctx):

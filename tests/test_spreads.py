@@ -1,4 +1,5 @@
-"""Tests for the eight spreads, generator solids, and parallel classes."""
+"""Tests for the eight spreads, generator solids, and the spread lines
+inside the weight-4 orbit."""
 
 import pytest
 
@@ -134,17 +135,10 @@ def test_orbit4_line_test_rejects_point_off_orbit(ctx):
 
 
 def test_parallel_classes(ctx):
-    classes = spreads.parallel_classes(ctx.frame, ctx.g81)
-    assert set(classes) == set(gf3.DIRECTIONS)
+    # each spread's lines inside the weight-4 orbit partition it into 27
     omega4 = ctx.frame.orbit(4)
-    for d, lines in classes.items():
-        assert len(lines) == 27
-        covered = set()
-        for ln in lines:
-            assert len(ln) == 3
-            assert ln <= omega4
-            covered |= ln
-        assert covered == omega4
-        # the class is exactly the lines of the d spread inside omega4
-        inside = {ln for ln in ctx.spreads[d].lines if ln <= omega4}
-        assert set(lines) == inside
+    for d, sp in ctx.spreads.items():
+        inside = [ln for ln in sp.lines if ln <= omega4]
+        assert len(inside) == 27, gf3.trit_str(d)
+        assert sum(len(ln) for ln in inside) == 81
+        assert frozenset().union(*inside) == omega4

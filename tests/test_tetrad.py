@@ -171,6 +171,16 @@ def test_induced_matrix_examples(frame):
     assert mat3_apply(mat, T("0001")) == T("2000")
 
 
+def test_induced_matrix_rejects_non_normalizing_and_singular_maps(frame):
+    # the perturbed rotation does not normalize its frame's diagonal group
+    bad_frame = build_frame(perturb=True)
+    bad = stabilizer_generators(bad_frame)["zeta_a"]
+    with pytest.raises(ValueError, match="does not normalize"):
+        induced_matrix(bad, build_group81(bad_frame))
+    with pytest.raises(ValueError, match="singular"):
+        induced_matrix(linmap({1: 0}), build_group81(frame))
+
+
 def test_point_orbits_of_rotations(frame):
     orbs = point_orbits(frame.rotations)
     sizes = Counter(len(o) for o in orbs)

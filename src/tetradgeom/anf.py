@@ -10,11 +10,12 @@ butterfly, which over GF(2) is an involution; both directions are kept so
 each can serve as an oracle for the other.
 
 Convention for flat "equations": the equation polynomial of a flat F is
-its *indicator*, the product of (1 + phi) over a basis of linear forms phi
-vanishing on F.  It has degree = codim(F) and takes the value 1 exactly on
-F and at the zero vector.  This is the convention under which the
-orbit-value table of the degree 2/4/6 invariants holds; summing the
-complementary-degree indicators would flip rows of that table.
+its *indicator*, the Moebius transform of the truth table that is 1
+exactly on F and at the zero vector.  Its degree is codim(F), which the
+`invariant-polynomials` certificate checks for the three flat sums.  This
+is the convention under which the orbit-value table of the degree 2/4/6
+invariants holds; summing the complementary-degree indicators would flip
+rows of that table.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .gf2 import Flat, reduced_basis, span
+from .gf2 import Flat, span
 
 #: partner coordinate under the pairing i <-> 9-i
 PARTNER = {i: 9 - i for i in range(1, 9)}
@@ -65,21 +66,6 @@ class Anf8:
         return cls(0)
 
     @classmethod
-    def one(cls) -> "Anf8":
-        return cls(1)
-
-    @classmethod
-    def linear(cls, mask: int) -> "Anf8":
-        """sum_{i in mask} x_i for a vector mask (bit i-1 <-> x_i)."""
-        c = 0
-        m = mask
-        while m:
-            low = m & -m
-            c |= 1 << low
-            m ^= low
-        return cls(c)
-
-    @classmethod
     def from_monomials(cls, monomials) -> "Anf8":
         c = 0
         for mon in monomials:
@@ -97,14 +83,6 @@ class Anf8:
 
     def __add__(self, other: "Anf8") -> "Anf8":
         return Anf8(self.coeffs ^ other.coeffs)
-
-    def __mul__(self, other: "Anf8") -> "Anf8":
-        mine = list(_monomial_masks(self.coeffs))
-        r = 0
-        for b in _monomial_masks(other.coeffs):
-            for a in mine:
-                r ^= 1 << (a | b)
-        return Anf8(r)
 
     def __eq__(self, other):
         return isinstance(other, Anf8) and self.coeffs == other.coeffs
@@ -163,25 +141,10 @@ class Anf8:
 # ── flat indicators and the orbit invariants ─────────────────────────────
 
 
-def annihilator_forms(flat: Flat) -> tuple:
-    """Echelon basis of the linear forms (as masks, bit i-1 <-> x_i)
-    vanishing on the flat.  Uses the plain dot product, not the symplectic
-    form."""
-    sols = [
-        c
-        for c in range(256)
-        if all((c & b).bit_count() % 2 == 0 for b in flat.basis)
-    ]
-    return reduced_basis(sols)
-
-
 def flat_indicator(flat: Flat) -> Anf8:
-    """Indicator polynomial of a flat: degree = codimension, value 1
-    exactly on the flat and at the zero vector."""
-    p = Anf8.one()
-    for c in annihilator_forms(flat):
-        p = p * (Anf8.one() + Anf8.linear(c))
-    return p
+    """Indicator polynomial of a flat: value 1 exactly on the flat and at
+    the zero vector."""
+    return Anf8.from_truth_table(sum(1 << p for p in flat.points()) | 1)
 
 
 @dataclass(frozen=True)
@@ -211,18 +174,12 @@ class InvariantPolys:
 
 
 def build_invariants(frame) -> InvariantPolys:
-    lines = [set(pts) for pts in frame.lines]
-    q2 = Anf8.zero()
-    for trio in combinations(range(4), 3):
-        pts = set().union(*(lines[h] for h in trio))
-        q2 = q2 + flat_indicator(span(pts))
-    q4 = Anf8.zero()
-    for duo in combinations(range(4), 2):
-        pts = lines[duo[0]] | lines[duo[1]]
-        q4 = q4 + flat_indicator(span(pts))
-    q6 = Anf8.zero()
-    for h in range(4):
-        q6 = q6 + flat_indicator(span(lines[h]))
+    def flat_sum(k: int) -> Anf8:
+        """Sum of the indicators of the flats spanned by k of the lines."""
+        flats = (span(frozenset().union(*ls)) for ls in combinations(frame.lines, k))
+        return sum(map(flat_indicator, flats), Anf8.zero())
+
+    q2, q4, q6 = flat_sum(3), flat_sum(2), flat_sum(1)
     return InvariantPolys(q2, q4, q6, q2 + q4 + q6)
 
 
@@ -280,11 +237,7 @@ def symmetric_parts() -> dict:
 def explicit_lw4_sextic() -> Anf8:
     """Closed-form version of q_lw4, built from symmetric sums alone.
     Used as an independent cross-check of the flat-indicator route."""
-    parts = symmetric_parts()
-    total = Anf8.zero()
-    for p in parts.values():
-        total = total + p
-    return total
+    return sum(symmetric_parts().values(), Anf8.zero())
 
 
 # ── complete 6-fold polarization ─────────────────────────────────────────

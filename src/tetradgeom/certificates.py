@@ -144,6 +144,17 @@ def _where(fn, *args, **where):
         raise CheckFailed(str(e), **where) from None
 
 
+def _partition(parts, whole, overlap: str, cover: str, **where):
+    """Require the sets `parts` to be pairwise disjoint (else fail with
+    `overlap`) and their union to be `whole` (else `cover`), locating
+    either failure by the fields `where`."""
+    union = set()
+    for part in parts:
+        require(not (union & part), overlap, **where)
+        union |= part
+    require(union == whole, cover, **where)
+
+
 CHECKS = []
 
 
@@ -392,16 +403,18 @@ def check_invariants(ctx):
     "every element preserves the quadric",
 )
 def check_stabilizer(ctx):
-    for name, g in stabilizer_generators(ctx.frame).items():
+    gens = stabilizer_generators(ctx.frame)
+    for name, g in gens.items():
         require(fixes_tetrad(g), "generator does not fix the tetrad lines",
                 generator=name)
     st = ctx.stabilizer
-    require(st.order == 31104, "stabilizer order wrong", order=st.order)
-    members = frozenset(st.elements)  # the same object when it is one
+    order = len(st)
+    require(order == 31104, "stabilizer order wrong", order=order)
+    members = frozenset(st)  # the same object when it is one
     g81 = ctx.g81
     for m in g81.maps.values():
         require(m in members, "diagonal map missing from stabilizer")
-    for name, g in st.generators.items():
+    for name, g in gens.items():
         mat = _where(induced_matrix, g, g81, generator=name)
         ginv = inverse(g)
         for sigma, a in g81.maps.items():
@@ -414,10 +427,10 @@ def check_stabilizer(ctx):
     # every element against every quadric point at once: byte k of cols[i]
     # is column i of the k-th element, so XOR-ing the columns p selects
     # packs all images of p, and Q is evaluated bytewise into bit 0
-    flat = b"".join(st.elements)
+    flat = b"".join(st)
     cols = [int.from_bytes(flat[i::8], "little") for i in range(8)]
     del flat
-    ones = int.from_bytes(b"\x01" * st.order, "little")
+    ones = int.from_bytes(b"\x01" * order, "little")
     pairs = [
         ((pm & -pm).bit_length() - 1, pm.bit_length() - 1) for pm in PAIR_MASKS
     ]
@@ -440,9 +453,9 @@ def check_stabilizer(ctx):
     require(missing == 0, "a map fixing the tetrad lines is not in the closure",
             missing=missing)
     return {
-        "order": st.order,
-        "generators": sorted(st.generators),
-        "quadric_checks": st.order * 135,
+        "order": order,
+        "generators": sorted(gens),
+        "quadric_checks": order * 135,
     }
 
 
@@ -615,16 +628,15 @@ def check_weights(ctx):
 def check_spreads(ctx):
     f = ctx.frame
     g81 = ctx.g81
+    points = frozenset(range(1, 256))
     for d, sp in sorted(ctx.spreads.items()):
         require(len(sp.lines) == 85, "spread size wrong", direction=gf3.trit_str(d))
-        seen = set()
         for ln in sp.lines:
             require(len(ln) == 3, "spread line size wrong")
             a, b, c = sorted(ln)
             require(a ^ b == c, "spread line not closed")
-            require(not (seen & ln), "spread lines overlap")
-            seen |= ln
-        require(len(seen) == 255, "spread does not cover the points")
+        _partition(sp.lines, points, "spread lines overlap",
+                   "spread does not cover the points", direction=gf3.trit_str(d))
         for tl in f.lines:
             require(tl in set(sp.lines), "spread misses a tetrad line")
         for ln in sp.lines:
@@ -649,7 +661,7 @@ def check_spreads(ctx):
             "fixed-point-freeness does not match all-nonzero digits",
             sigma=gf3.trit_str(sigma),
         )
-    lines_u = {sp.line_of[f.unit] for sp in ctx.spreads.values()}
+    lines_u = {sp.line_of[UNIT] for sp in ctx.spreads.values()}
     require(len(lines_u) == 8, "unit point does not lie on 8 distinct lines")
     return {
         "spreads": 8,
@@ -691,11 +703,9 @@ def check_orbit4_lines(ctx):
         inside = [ln for ln in sp.lines if ln <= omega4]
         require(len(inside) == 27, "parallel class size wrong",
                 direction=gf3.trit_str(d))
-        covered = set()
-        for ln in inside:
-            require(not (covered & ln), "parallel lines overlap")
-            covered |= ln
-        require(covered == omega4, "parallel class does not cover the orbit")
+        _partition(inside, omega4, "parallel lines overlap",
+                   "parallel class does not cover the orbit",
+                   direction=gf3.trit_str(d))
     return {"direction_pairs": 40, "classes": 8, "lines_per_class": 27}
 
 
@@ -738,7 +748,8 @@ def check_solids(ctx):
     for p in sorted(f.orbit(4)):
         even, odd = spreads.solid_pair(f, ctx.spreads, p)
         se, so = frozenset(even.points()), frozenset(odd.points())
-        require(se in solid_set and so in solid_set, "family span is not a solid")
+        require(se in solid_set and so in solid_set, "family span is not a solid",
+                point=point_str(p))
         require(len(se & so) == 7, "solid pair does not meet in a plane",
                 point=point_str(p))
         require(tag_of[se] != tag_of[so], "solid pair lies in one system",
@@ -774,12 +785,10 @@ def check_denizens(ctx):
     kinds = Counter()
     c1_profiles = set()
     for t in ctx.triplets:
-        union = set()
         for d in t:
             require(len(d.points) == 27, "denizen size wrong", ident=d.ident)
-            require(not (union & d.points), "triplet cosets overlap")
-            union |= d.points
-        require(union == omega4, "triplet does not cover the orbit")
+        _partition((d.points for d in t), omega4, "triplet cosets overlap",
+                   "triplet does not cover the orbit", ident=t[0].ident)
         for d in t:
             kind = d.kind
             cert = denizens.structural_certificate(f, d)
@@ -972,18 +981,17 @@ def check_enneads(ctx):
         require(len(cells) == 9, "ennead does not have nine cells")
         meet = t1[0].plane.vectors & t2[0].plane.vectors
         require(len(meet) == 9, "plane intersection is not 9 vectors")
-        union = set()
         for cell in cells:
             require(len(cell) == 9, "ennead cell size wrong")
-            require(not (union & cell), "ennead cells overlap")
-            union |= cell
             # coset structure: the cell is the 9-element intersection of
             # the two planes, shifted to any one of its points
             require(
                 f.coset_points(meet, f.trits_from_point(min(cell))) == cell,
                 "ennead cell is not a coset of the intersection",
             )
-        require(union == omega4, "ennead does not cover the orbit")
+        _partition(cells, omega4, "ennead cells overlap",
+                   "ennead does not cover the orbit",
+                   pair=[t1[0].ident, t2[0].ident])
         pairs += 1
     require(pairs == 780, "triplet pair count wrong", count=pairs)
     return {"pairs": pairs, "cells_per_pair": 9}
@@ -1005,25 +1013,26 @@ def check_caps(ctx):
     w3 = quadric.weight3_lines()
     require(len(w3) == 8, "weight-3 plane count wrong", count=len(w3))
     for ln in w3:
+        # the plane spelt as `cli.cmd_caps` spells it
+        where = {"plane": sorted(gf3.trit_str(p) for p in ln.points)}
         cap = quadric.nine_cap(f, ln)
-        require(len(cap) == 9 and set(cap) <= qp, "cap is not 9 quadric points")
+        require(len(cap) == 9 and set(cap) <= qp, "cap is not 9 quadric points",
+                **where)
         for a, b in combinations(cap, 2):
-            require(symplectic_product(a, b) == 1, "cap points are orthogonal")
-            require(quadric_value(a ^ b) == 1, "cap secant stays on the quadric")
-            require(a ^ b not in cap, "three cap points are collinear")
+            require(symplectic_product(a, b) == 1, "cap points are orthogonal",
+                    **where)
+            require(quadric_value(a ^ b) == 1, "cap secant stays on the quadric",
+                    **where)
+            require(a ^ b not in cap, "three cap points are collinear", **where)
         translates = quadric.cap_translates(f, ln)
-        require(len(translates) == 9, "translate count wrong")
-        union = set()
+        require(len(translates) == 9, "translate count wrong", **where)
         for cap9 in translates:
-            require(len(cap9) == 9, "translate size wrong")
+            require(len(cap9) == 9, "translate size wrong", **where)
             for a, b in combinations(sorted(cap9), 2):
-                require(
-                    symplectic_product(a, b) == 1,
-                    "translate is not a cap",
-                )
-            require(not (union & cap9), "translates overlap")
-            union |= cap9
-        require(union == omega4, "translates do not cover the orbit")
+                require(symplectic_product(a, b) == 1, "translate is not a cap",
+                        **where)
+        _partition(translates, omega4, "translates overlap",
+                   "translates do not cover the orbit", **where)
     example = quadric.nine_cap(f, w3[0])
     return {
         "caps": 8,

@@ -93,7 +93,7 @@ def cmd_orbits(args) -> int:
     for row in data:
         print(f"line weight {row['line_weight']}: {row['size']} points")
         for pj in row["points"][:6]:
-            print(f"    0x{pj['mask']:02x} {pj['bits']:<8} {pj['label']}")
+            print(f"    {_fmt_point(frame, pj['mask'])}")
         if row["size"] > 6:
             print(f"    ... {row['size'] - 6} more")
     return 0
@@ -311,7 +311,7 @@ def cmd_caps(args) -> int:
         print(f"plane {{{', '.join(r['plane'])}}}: 9-cap with "
               f"{r['translates']} translates")
         for pj in r["cap"]:
-            print(f"    0x{pj['mask']:02x} {pj['bits']:<8} {pj['label']}")
+            print(f"    {_fmt_point(frame, pj['mask'])}")
     return 0
 
 

@@ -288,7 +288,6 @@ def fan_decompose(frame: Frame, points) -> tuple:
 
 @dataclass(frozen=True)
 class FanTriplet:
-    subspace: gf3.Line
     weight3_pair: int  # canonical representative of the +-lambda pair
     fans: tuple  # three frozensets of 9 points
     troikas: tuple  # the three troikas of each fan
@@ -312,7 +311,7 @@ def fan_triplets(frame: Frame, den: Denizen) -> tuple:
         )
         troikas, centres = zip(*(fan_decompose(frame, fan) for fan in fans))
         out.append(
-            FanTriplet(sub, w3, fans, troikas, centres, frozenset(centres))
+            FanTriplet(w3, fans, troikas, centres, frozenset(centres))
         )
     if len(out) != 4:
         raise ValueError(f"expected 4 fan triplets, found {len(out)}")

@@ -27,7 +27,6 @@ A_sigma(u) = U_sigma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import permutations, product
 
@@ -35,7 +34,6 @@ from . import gf3
 from .gf2 import (
     E,
     IDENTITY,
-    UNIT,
     LinMap,
     Mask,
     PAIR_MASKS,
@@ -73,7 +71,6 @@ class Frame:
         "rotations",
         "points",
         "lines",
-        "unit",
         "_tuple_of",
         "_point_of",
         "_vector_of",
@@ -83,7 +80,6 @@ class Frame:
 
     def __init__(self, rotations):
         self.rotations = tuple(rotations)
-        self.unit = UNIT
         pts = []
         for h in range(4):
             u0 = PAIR_MASKS[h]
@@ -205,21 +201,11 @@ def stabilizer_generators(frame: Frame) -> dict:
     return gens
 
 
-@dataclass(frozen=True)
-class Stabilizer:
-    generators: dict
-    elements: frozenset
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def build_stabilizer(frame: Frame) -> Stabilizer:
-    gens = stabilizer_generators(frame)
+def build_stabilizer(frame: Frame) -> frozenset:
+    """The closure of the stabilizer generators, as a set of maps."""
     # the cap, above 31104, keeps a broken generator set (`--perturb`)
     # from walking all of GL(8,2)
-    return Stabilizer(gens, frozenset(mulclose(gens.values(), 40000)))
+    return mulclose(stabilizer_generators(frame).values(), 40000)
 
 
 def fixes_tetrad(m: LinMap) -> bool:

@@ -1,11 +1,44 @@
 """Algebraic normal forms, flat indicators and the invariant polynomials."""
 
+from itertools import combinations
 from random import Random
 
 import pytest
 
 from tetradgeom import anf
-from tetradgeom.gf2 import UNIT, quadric_value, span
+from tetradgeom.gf2 import E, UNIT, quadric_value, reduced_basis, span
+
+
+def annihilator_forms(flat) -> tuple:
+    """Reference: echelon basis of the linear forms (as masks, bit i-1 <->
+    x_i) vanishing on the flat, under the plain dot product."""
+    return reduced_basis(
+        c
+        for c in range(256)
+        if all((c & b).bit_count() % 2 == 0 for b in flat.basis)
+    )
+
+
+def product(a: anf.Anf8, b: anf.Anf8) -> anf.Anf8:
+    """Reference: multiply out monomial by monomial; since x_i^2 = x_i the
+    product of two monomials is the union of their variables."""
+    mine = [m for m in range(256) if a.coeffs >> m & 1]
+    r = 0
+    for n in range(256):
+        if b.coeffs >> n & 1:
+            for m in mine:
+                r ^= 1 << (m | n)
+    return anf.Anf8(r)
+
+
+def product_indicator(flat) -> anf.Anf8:
+    """Reference: the indicator as the product of (1 + phi) over a basis of
+    the linear forms phi vanishing on the flat."""
+    p = anf.Anf8(1)
+    for c in annihilator_forms(flat):
+        phi = anf.Anf8(sum(1 << e for e in E if c & e))
+        p = product(p, anf.Anf8(1) + phi)
+    return p
 
 
 def test_mobius_is_involutory():
@@ -16,17 +49,16 @@ def test_mobius_is_involutory():
 
 
 def test_basic_constructors_and_evaluate():
-    z, o = anf.Anf8.zero(), anf.Anf8.one()
+    z, o = anf.Anf8.zero(), anf.Anf8(1)
     assert z.degree() == -1 and o.degree() == 0
     assert o.evaluate(0) == 1 and o.evaluate(0xAB) == 1
     x1 = anf.Anf8.from_monomials([(1,)])
-    x8 = anf.Anf8.from_monomials([(8,)])
     assert x1.evaluate(0x01) == 1 and x1.evaluate(0xFE) == 0
-    p = x1 * x8
+    p = anf.Anf8.from_monomials([(1, 8)])
     assert p.degree() == 2
     assert p.evaluate(0x81) == 1 and p.evaluate(0x80) == 0
     assert (p + p).degree() == -1  # characteristic 2
-    lin = anf.Anf8.linear(0x81)
+    lin = anf.Anf8.from_monomials([(1,), (8,)])
     assert lin.evaluate(0x01) == 1 and lin.evaluate(0x81) == 0
 
 
@@ -46,14 +78,11 @@ def test_truth_table_round_trip():
         assert all(p.evaluate(v) == (t >> v & 1) for v in range(0, 256, 17))
 
 
-def test_multiplication_matches_pointwise_product():
-    rng = Random(23)
-    for _ in range(8):
-        a = anf.Anf8.from_truth_table(rng.getrandbits(256))
-        b = anf.Anf8.from_truth_table(rng.getrandbits(256))
-        ab = a * b
-        for v in range(0, 256, 13):
-            assert ab.evaluate(v) == a.evaluate(v) & b.evaluate(v)
+def test_reference_product_is_the_pointwise_product():
+    parts = list(anf.symmetric_parts().values())
+    for a in parts:
+        for b in parts:
+            assert product(a, b).truth_table() == a.truth_table() & b.truth_table()
 
 
 def test_flat_indicator():
@@ -67,12 +96,35 @@ def test_flat_indicator():
     assert anf.flat_indicator(solid).degree() == 4
 
 
-def test_annihilator_forms():
-    line = span([0x01, 0x80])
-    forms = anf.annihilator_forms(line)
-    assert len(forms) == 6
-    for c in forms:
-        assert all((c & v).bit_count() % 2 == 0 for v in line.points())
+def test_reference_annihilator_forms():
+    for flat in (span([0x01, 0x80]), span([0x01, 0x02, 0x04, 0x08])):
+        forms = annihilator_forms(flat)
+        assert len(forms) == 8 - flat.rank
+        for c in forms:
+            assert all((c & v).bit_count() % 2 == 0 for v in flat.points())
+
+
+def test_flat_indicator_matches_the_product_on_coordinate_flats():
+    # the 255 flats spanned by a nonempty set of basis vectors
+    for s in range(1, 256):
+        flat = span([e for e in E if s & e])
+        ind = anf.flat_indicator(flat)
+        assert ind == product_indicator(flat)
+        assert ind.degree() == 8 - flat.rank
+
+
+def test_flat_indicator_matches_the_product_on_line_unions(frame):
+    # the 15 flats spanned by a nonempty set of the frame's lines
+    flats = [
+        span(frozenset().union(*lines))
+        for k in range(1, 5)
+        for lines in combinations(frame.lines, k)
+    ]
+    assert len(flats) == 15
+    for flat in flats:
+        ind = anf.flat_indicator(flat)
+        assert ind == product_indicator(flat)
+        assert ind.degree() == 8 - flat.rank
 
 
 def test_symmetric_parts_term_counts():

@@ -27,7 +27,7 @@ from tetradgeom.gf2 import (
     quadric_value,
     symplectic_product,
 )
-from tetradgeom.tetrad import Stabilizer, build_frame
+from tetradgeom.tetrad import build_frame
 
 REPORT_KEYS = {"name", "claim", "status", "witness", "elapsed_ms"}
 ROOT = Path(__file__).resolve().parents[1]
@@ -104,16 +104,22 @@ def perturbed_ctx():
 
 # where each certificate breaks under --perturb: zeta_a neither normalizes
 # the diagonal group nor fixes the tetrad lines, and the labels it induces
-# break the orbit values, the first C2 perp and a 3-generator section
+# break the orbit values, the solid pair of the first weight-4 point, the
+# first triplet and triplet pair, the first C2 perp, a 3-generator section
+# and the first cap
 PERTURBED_WHERE = {
     "gf3-taxonomy": {"generator": "zeta_a"},
     "stabilizer-group": {"generator": "zeta_a"},
     "invariant-polynomials": {"orbit": 1},
+    "generator-solids": {"point": "1234"},
+    "denizen-classification": {"ident": "0001:0"},
     "c2-rogue-structure": {"ident": "0011:0"},
     "sections": {
         "ident": "1111:0",
         "direction": ["0012", "1101", "1110", "1122"],
     },
+    "enneads": {"pair": ["0001:0", "0010:0"]},
+    "nine-caps": {"plane": ["0111", "1012", "1120", "1201"]},
 }
 
 
@@ -125,6 +131,17 @@ def test_non_normalizing_generator_is_named(perturbed_ctx, name):
     assert cert.witness["message"]
     for field, where in PERTURBED_WHERE[name].items():
         assert cert.witness[field] == where
+
+
+def test_partition_failures_are_located():
+    partition = certificates._partition
+    partition([{1}, {2, 3}], {1, 2, 3}, "overlap", "cover", at=0)
+    with pytest.raises(CheckFailed) as exc:
+        partition([{1, 2}, {2, 3}], {1, 2, 3}, "overlap", "cover", at=1)
+    assert (str(exc.value), exc.value.data) == ("overlap", {"at": 1})
+    with pytest.raises(CheckFailed) as exc:
+        partition([{1}, {3}], {1, 2, 3}, "overlap", "cover", at=2)
+    assert (str(exc.value), exc.value.data) == ("cover", {"at": 2})
 
 
 def test_c2_lines_spanning_no_pair_flat_are_located(ctx, monkeypatch):
@@ -211,17 +228,13 @@ def test_quadric_violations_are_counted(ctx, monkeypatch):
     # both ends.
     st = ctx.stabilizer
     diagonal = set(ctx.g81.maps.values())
-    victims = sorted(g for g in st.elements if g not in diagonal)[:2]
+    victims = sorted(g for g in st if g not in diagonal)[:2]
     first, last = linmap({1: E[0] ^ E[1]}), linmap({8: E[7] ^ E[2]})
-    assert not {first, last} & st.elements
-    elements = (first, *st.elements.difference(victims), last)
-    monkeypatch.setattr(
-        certificates,
-        "build_stabilizer",
-        lambda frame: Stabilizer(st.generators, elements),
-    )
+    assert not {first, last} & st
+    elements = (first, *st.difference(victims), last)
+    monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
     bad_ctx = Context(ctx.frame)
-    assert bad_ctx.stabilizer.order == 31104
+    assert len(bad_ctx.stabilizer) == 31104
     # the genuine elements preserve Q, so the violations are the movers'
     points = bad_ctx.quadric_points
     expected = sum(quadric_value(apply(g, p)) for g in (first, last) for p in points)
@@ -257,21 +270,17 @@ def test_maps_outside_the_tetrad_stabilizer_are_found(ctx, monkeypatch):
     # the tetrad can object
     st = ctx.stabilizer
     diagonal = set(ctx.g81.maps.values())
-    victims = sorted(g for g in st.elements if g not in diagonal)[:2]
+    victims = sorted(g for g in st if g not in diagonal)[:2]
     first, last = transvection(E[0] ^ E[1] ^ E[2]), transvection(E[5] ^ E[6] ^ E[7])
     assert apply(first, E[7]) == 0x87 and apply(last, E[0]) == 0xE1
     points = ctx.quadric_points
     assert all(
         quadric_value(apply(g, p)) == 0 for g in (first, last) for p in points
     )
-    elements = st.elements.difference(victims) | {first, last}
-    monkeypatch.setattr(
-        certificates,
-        "build_stabilizer",
-        lambda frame: Stabilizer(st.generators, elements),
-    )
+    elements = st.difference(victims) | {first, last}
+    monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
     bad_ctx = Context(ctx.frame)
-    assert bad_ctx.stabilizer.order == 31104
+    assert len(bad_ctx.stabilizer) == 31104
     with pytest.raises(CheckFailed) as exc:
         check_stabilizer(bad_ctx)
     assert str(exc.value) == "a map fixing the tetrad lines is not in the closure"

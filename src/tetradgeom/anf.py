@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .gf2 import Flat, span
+from .gf2 import span
 
 #: partner coordinate under the pairing i <-> 9-i
 PARTNER = {i: 9 - i for i in range(1, 9)}
@@ -141,10 +141,10 @@ class Anf8:
 # ── flat indicators and the orbit invariants ─────────────────────────────
 
 
-def flat_indicator(flat: Flat) -> Anf8:
-    """Indicator polynomial of a flat: value 1 exactly on the flat and at
-    the zero vector."""
-    return Anf8.from_truth_table(sum(1 << p for p in flat.points()) | 1)
+def flat_indicator(flat: frozenset) -> Anf8:
+    """Indicator polynomial of a flat, given as its points: value 1
+    exactly on the flat and at the zero vector."""
+    return Anf8.from_truth_table(sum(1 << p for p in flat) | 1)
 
 
 @dataclass(frozen=True)

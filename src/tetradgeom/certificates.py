@@ -35,6 +35,7 @@ from .gf2 import (
     perp,
     point_str,
     quadric_value,
+    rank,
     span,
     symplectic_product,
 )
@@ -185,7 +186,7 @@ def check_frame(ctx):
                 line=[point_str(p) for p in sorted(ln)])
         require(not (allpts & ln), "lines are not pairwise disjoint")
         allpts |= ln
-    require(span(allpts).rank == 8, "tetrad does not span the space")
+    require(rank(span(allpts)) == 8, "tetrad does not span the space")
     for h in range(4):
         z = f.rotations[h]
         require(linmap_power(z, 3) == IDENTITY, f"rotation {h} has order != 3")
@@ -482,13 +483,15 @@ def check_gf3(ctx):
     for pl in pls:
         require(len(pl.points) == 13, "plane has wrong point count")
         require(len(pl.subspaces) == 13, "plane has wrong line count")
+    lines_on = Counter(p for ln in lns for p in ln.points)
+    lines_through = Counter(
+        pair for ln in lns for pair in combinations(sorted(ln.points), 2)
+    )
     for p in pts:
-        on = sum(1 for ln in lns if p in ln.points)
-        require(on == 13, "point lies on wrong number of lines", lines=on)
-    for a, b in combinations(pts, 2):
-        through = [ln for ln in lns if a in ln.points and b in ln.points]
-        if len(through) != 1:
-            raise CheckFailed("point pair not on a unique line")
+        require(lines_on[p] == 13, "point lies on wrong number of lines",
+                lines=lines_on[p])
+    for pair in combinations(sorted(pts), 2):
+        require(lines_through[pair] == 1, "point pair not on a unique line")
 
     pkinds = Counter(gf3.plane_kind(pl) for pl in pls)
     require(
@@ -727,8 +730,7 @@ def check_solids(ctx):
     solid_set = set(solids)
     for s in solids:
         require(len(s) == 15 and s <= qp, "solid is not 15 singular points")
-        fl = span(s)
-        require(fl.rank == 4 and fl.points() == s, "solid is not a 3-flat")
+        require(span(s) == s, "solid is not a 3-flat")
     tags = ctx.system_tags
     sizes = Counter(tags)
     require(
@@ -746,8 +748,7 @@ def check_solids(ctx):
         )
     tag_of = {s: tg for s, tg in zip(solids, tags)}
     for p in sorted(f.orbit(4)):
-        even, odd = spreads.solid_pair(f, ctx.spreads, p)
-        se, so = frozenset(even.points()), frozenset(odd.points())
+        se, so = spreads.solid_pair(f, ctx.spreads, p)
         require(se in solid_set and so in solid_set, "family span is not a solid",
                 point=point_str(p))
         require(len(se & so) == 7, "solid pair does not meet in a plane",
@@ -805,8 +806,8 @@ def check_denizens(ctx):
                 )
             if kind == "C3":
                 pp = span(d.points)
-                require(pp.rank == 7, "C3 span is not a 6-flat", ident=d.ident)
-                axis = sorted(perp(pp.basis).points())
+                require(rank(pp) == 7, "C3 span is not a 6-flat", ident=d.ident)
+                axis = sorted(perp(pp))
                 require(
                     len(axis) == 1 and f.line_weight(axis[0]) == 1,
                     "C3 perp is not a single weight-1 point",
@@ -865,7 +866,7 @@ def check_c2(ctx):
                 "regulus check cross_meet_once fails", pair=[h, k])
         require(grid == frozenset().union(*r2),
                 "regulus check same_grid fails", pair=[h, k])
-        require(grid == flats[h, k].points() & f.orbit(2),
+        require(grid == flats[h, k] & f.orbit(2),
                 "regulus check grid_is_quadric_part fails", pair=[h, k])
         require(not (grid & (f.lines[h] | f.lines[k])),
                 "regulus check tetrad_lines_external fails", pair=[h, k])
@@ -878,18 +879,6 @@ def check_c2(ctx):
 # ── 15, 16, 17 sections, fans, recovery ──────────────────────────────────
 
 
-def _sections_where(frame: Frame, den) -> tuple:
-    """denizens.sections_of, failing with the denizen and the direction of
-    the first section that breaks, spelt as `cli.cmd_sections` spells it."""
-    try:
-        return denizens.sections_of(frame, den)
-    except ValueError as e:
-        for sub in den.plane.subspaces:
-            _where(denizens.classify_section, frame, den, sub, ident=den.ident,
-                   direction=sorted(gf3.trit_str(p) for p in sub.points))
-        raise CheckFailed(str(e), ident=den.ident) from None
-
-
 @check(
     "sections",
     "the 13 sections of each of the 24 Segre denizens split 3/6/4 into "
@@ -898,8 +887,11 @@ def _sections_where(frame: Frame, den) -> tuple:
 )
 def check_sections(ctx):
     for den in ctx.segres:
-        secs = _sections_where(ctx.frame, den)
-        tags = Counter(s["tag"] for s in secs)
+        tags = Counter(
+            _where(denizens.classify_section, ctx.frame, den, sub,
+                   ident=den.ident, direction=gf3.point_strs(sub))["tag"]
+            for sub in den.plane.subspaces
+        )
         require(
             tags == Counter({"S2(2)": 3, "3-generator": 6, "fan": 4}),
             "section split is not 3/6/4",
@@ -1013,8 +1005,7 @@ def check_caps(ctx):
     w3 = quadric.weight3_lines()
     require(len(w3) == 8, "weight-3 plane count wrong", count=len(w3))
     for ln in w3:
-        # the plane spelt as `cli.cmd_caps` spells it
-        where = {"plane": sorted(gf3.trit_str(p) for p in ln.points)}
+        where = {"plane": gf3.point_strs(ln)}
         cap = quadric.nine_cap(f, ln)
         require(len(cap) == 9 and set(cap) <= qp, "cap is not 9 quadric points",
                 **where)

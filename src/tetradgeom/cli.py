@@ -1,7 +1,7 @@
 """Command-line interface: the verification suite and geometry queries.
 
-Exit codes: 0 success, 1 at least one certificate failed, 2 usage or
-lookup error.  Points are printed as mask, set-bit string and index
+Exit codes: 0 success, 1 at least one certificate failed, 2 usage,
+lookup or I/O error (such as an unwritable report file).  Points are printed as mask, set-bit string and index
 label; `--json` switches any query to a machine-readable report.
 """
 
@@ -246,7 +246,7 @@ def cmd_sections(args) -> int:
     rows = []
     for sub, s in zip(subs, secs):
         row = {
-            "direction": sorted(gf3.trit_str(p) for p in sub.points),
+            "direction": gf3.point_strs(sub),
             "line_kind": s["line_kind"],
             "tag": s["tag"],
             "points": [point_json(frame, p) for p in sorted(s["points"])],
@@ -299,7 +299,7 @@ def cmd_caps(args) -> int:
         translates = quadric.cap_translates(frame, ln)
         rows.append(
             {
-                "plane": sorted(gf3.trit_str(p) for p in ln.points),
+                "plane": gf3.point_strs(ln),
                 "cap": [point_json(frame, p) for p in cap],
                 "translates": len(translates),
             }
@@ -382,7 +382,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(str(e), file=sys.stderr)
         return 2
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import gf3
-from .gf2 import lines_inside, perp, span
+from .gf2 import lines_inside, perp, rank, span
 from .tetrad import Frame
 
 PLANE_KIND_TO_DENIZEN = {0: "segre", 1: "C1", 2: "C2", 3: "C3"}
@@ -110,11 +110,11 @@ def structural_certificate(frame: Frame, den: Denizen) -> dict:
         for p in ln:
             per_point[p] += 1
     incidences = sorted({per_point[p] for p in den.points})
-    rank = span(den.points).rank
+    span_rank = rank(span(den.points))
     profile = (
         len(inner),
         incidences[0] if len(incidences) == 1 else None,
-        rank,
+        span_rank,
     )
     structural = "C1"
     for tag, sig in SIGNATURES.items():
@@ -123,7 +123,7 @@ def structural_certificate(frame: Frame, den: Denizen) -> dict:
     return {
         "lines": len(inner),
         "per_point": incidences,
-        "span_rank": rank,
+        "span_rank": span_rank,
         "structural_kind": structural,
     }
 
@@ -135,15 +135,14 @@ def c2_line(frame: Frame, den: Denizen) -> frozenset:
     """The line L with den = perp(L) meet (weight-4 orbit).  Requires a
     C2 denizen; checks the perp really is a line of the weight-2 orbit
     and that the denizen is recovered from it."""
-    f = perp(den.points)
-    if f.rank != 2:
+    line = perp(den.points)
+    if rank(line) != 2:
         raise ValueError(
-            f"perp of {den.ident} has rank {f.rank}, not a line"
+            f"perp of {den.ident} has rank {rank(line)}, not a line"
         )
-    line = frozenset(f.points())
     if any(frame.line_weight(p) != 2 for p in line):
         raise ValueError(f"perp line of {den.ident} leaves the weight-2 orbit")
-    if perp(line).points() & frame.orbit(4) != den.points:
+    if perp(line) & frame.orbit(4) != den.points:
         raise ValueError(f"perp does not recover denizen {den.ident}")
     return line
 
@@ -188,7 +187,7 @@ def classify_section(frame: Frame, den: Denizen, sub: gf3.Line) -> dict:
     detail = {}
 
     if tag == "S2(2)":
-        if len(inner) != 6 or span(pts).rank != 4:
+        if len(inner) != 6 or rank(span(pts)) != 4:
             raise ValueError("grid section failed its signature")
         detail["rulings"] = _ruling_split(inner)
     elif tag == "3-generator":

@@ -6,6 +6,8 @@ frozen test fixtures:
 * A vector of V(8,2) is an int in range(256); bit i-1 holds the
   coefficient of the basis vector e_i (i = 1..8).  A projective point of
   PG(7,2) is a nonzero mask; 0 occurs only inside subspace computations.
+  A flat (projective subspace) is the frozenset of its points, like
+  every other point set.
 * The symplectic form pairs coordinate i with coordinate 9-i (bit k with
   bit 7-k):
 
@@ -182,79 +184,27 @@ def mulclose(gens, maxsize: int | None = None) -> frozenset:
 # ── flats (projective subspaces) ─────────────────────────────────────────
 
 
-def reduced_basis(vectors) -> tuple:
-    """Canonical reduced echelon basis of the span, pivots descending."""
-    rows = {}
+def span(vectors) -> frozenset:
+    """Smallest flat containing the given vectors.  Each vector outside
+    the span so far doubles it by XOR."""
+    acc = {0}
     for v in vectors:
-        while v:
-            p = v.bit_length() - 1
-            if p in rows:
-                v ^= rows[p]
-            else:
-                rows[p] = v
-                break
-    # back-substitution: clear every pivot bit from the other rows
-    for p in sorted(rows):
-        for q in sorted(rows):
-            if q > p and rows[q] >> p & 1:
-                rows[q] ^= rows[p]
-    return tuple(rows[p] for p in sorted(rows, reverse=True))
+        if v not in acc:
+            acc |= {a ^ v for a in acc}
+    return frozenset(acc) - {0}
 
 
-class Flat:
-    """A projective flat of PG(7,2), stored as a canonical echelon basis.
-
-    `rank` is the linear dimension of the underlying subspace and `dim`
-    the projective dimension (rank - 1; the empty flat has dim -1).
-    """
-
-    __slots__ = ("basis", "_points")
-
-    def __init__(self, basis):
-        self.basis = tuple(basis)
-        self._points = None
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis) - 1
-
-    def points(self) -> frozenset:
-        """All nonzero vectors of the subspace."""
-        if self._points is None:
-            acc = [0]
-            for b in self.basis:
-                acc += [v ^ b for v in acc]
-            self._points = frozenset(acc) - {0}
-        return self._points
-
-    def __eq__(self, other):
-        return isinstance(other, Flat) and self.basis == other.basis
-
-    def __hash__(self):
-        return hash(self.basis)
-
-    def __repr__(self):
-        return f"Flat(dim={self.dim}, basis={[point_str(b) for b in self.basis]})"
-
-
-def span(vectors) -> Flat:
-    """Smallest flat containing the given vectors."""
-    return Flat(reduced_basis(vectors))
-
-
-def perp(vectors) -> Flat:
+def perp(vectors) -> frozenset:
     """The flat of all x with B(x, v) = 0 for every given v."""
-    basis = reduced_basis(vectors)
-    sols = [
-        x
-        for x in range(256)
-        if all(symplectic_product(x, b) == 0 for b in basis)
-    ]
-    return Flat(reduced_basis(sols))
+    xs = range(1, 256)
+    for v in vectors:
+        xs = [x for x in xs if not symplectic_product(x, v)]
+    return frozenset(xs)
+
+
+def rank(flat) -> int:
+    """The linear dimension of a flat, read off its 2^rank - 1 points."""
+    return len(flat).bit_length()
 
 
 def lines_inside(points) -> set:

@@ -200,6 +200,12 @@ class Plane:
         return f"Plane({trit_str(self.functional)})"
 
 
+def point_strs(space) -> list:
+    """The points of a line or plane as sorted digit strings, the one
+    spelling of a subspace in query output and check witnesses."""
+    return sorted(trit_str(p) for p in space.points)
+
+
 def line_through(a: Trit, b: Trit) -> Line:
     vecs = subspace_vectors((a, b))
     if len(vecs) != 9:

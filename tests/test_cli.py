@@ -258,6 +258,19 @@ def test_swapped_system_tags_break_the_parity_sweep(ctx, monkeypatch):
     assert str(exc.value) == "parity relation is not the two-class equivalence"
 
 
+def test_a_solid_that_is_not_a_flat_is_rejected(ctx, monkeypatch):
+    # trade one point of a solid for a quadric point outside it: still 15
+    # singular points, but no longer closed under XOR
+    solids = list(ctx.solids)
+    s = solids[0]
+    outside = min(ctx.quadric_points - s)
+    solids[0] = s - {min(s)} | {outside}
+    monkeypatch.setattr(certificates.quadric, "singular_solids", lambda qp: solids)
+    with pytest.raises(CheckFailed) as exc:
+        certificates.check_solids(Context(ctx.frame))
+    assert str(exc.value) == "solid is not a 3-flat"
+
+
 def transvection(v):
     """x -> x + B(x, v) v, which preserves Q when Q(v) = 1."""
     return linmap({i + 1: e ^ v for i, e in enumerate(E) if symplectic_product(e, v)})
@@ -384,6 +397,18 @@ def test_verify_all_unknown_name(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "unknown certificate" in err
+
+
+def test_verify_all_unwritable_report_exits_2(tmp_path, capsys):
+    # exit code 1 means a certificate failed; a report that cannot be
+    # written is an error of the invocation
+    path = tmp_path / "missing" / "r.json"
+    rc = main(["verify-all", "--only", "orbit-census", "--report", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "PASS orbit-census" in captured.out
+    assert str(path) in captured.err
+    assert not path.exists()
 
 
 def test_orbits_json(capsys):

@@ -1,6 +1,8 @@
 """GF(2) linear algebra: masks, the symplectic form, maps and flats."""
 
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
+from operator import xor
 from random import Random
 
 import pytest
@@ -10,7 +12,6 @@ from tetradgeom.gf2 import (
     IDENTITY,
     PAIR_MASKS,
     UNIT,
-    Flat,
     apply,
     compose,
     inverse,
@@ -22,7 +23,7 @@ from tetradgeom.gf2 import (
     perp,
     point_str,
     quadric_value,
-    reduced_basis,
+    rank,
     span,
     symplectic_product,
 )
@@ -131,14 +132,13 @@ def test_mulclose_cap():
         mulclose([swap, cyc], maxsize=100)
 
 
-def test_reduced_basis_and_span():
-    b = reduced_basis([0x81, 0x80, 0x01])
-    assert len(b) == 2
-    fl = span([0x01, 0x80])
-    assert fl.rank == 2
-    assert fl.points() == {0x01, 0x80, 0x81}
-    assert 0x81 in fl.points() and 0x02 not in fl.points()
-    assert span([]).rank == 0 and span([]).points() == set()
+def test_span_is_the_point_set():
+    fl = span([0x81, 0x80, 0x01])  # a dependent generating set
+    assert fl == {0x01, 0x80, 0x81} and rank(fl) == 2
+    assert 0x81 in fl and 0x02 not in fl
+    assert span([0x01, 0x00]) == {0x01}  # zero adds nothing
+    assert span([]) == frozenset() and rank(span([])) == 0
+    assert span(E) == frozenset(range(1, 256)) and rank(span(E)) == 8
 
 
 def test_flat_equality_and_hash():
@@ -146,22 +146,50 @@ def test_flat_equality_and_hash():
     b = span([0x81, 0x01])
     assert a == b and hash(a) == hash(b)
     assert a != span([0x01, 0x02])
+    assert {a: "line"}[frozenset({0x01, 0x80, 0x81})] == "line"
 
 
 def test_perp_dimensions():
     pp = perp([0x01])
     # perp of e1 under the reversal pairing: everything missing e8
-    assert pp.rank == 7
-    assert all(symplectic_product(0x01, q) == 0 for q in pp.points())
-    assert perp([UNIT]).rank == 7
-    assert perp([0x01, 0x80]).rank == 6
+    assert pp == {x for x in range(1, 256) if not x & 0x80} and rank(pp) == 7
+    assert rank(perp([UNIT])) == 7
+    assert rank(perp([0x01, 0x80])) == 6
+    assert perp([]) == frozenset(range(1, 256))
+
+
+def _line_union_flats(lines):
+    """The 15 flats spanned by a nonempty set of the given lines, by
+    definition: every sum of one vector from each line or zero."""
+    for k in range(1, 5):
+        for chosen in combinations(lines, k):
+            sums = {reduce(xor, vs, 0) for vs in product(*(ln | {0} for ln in chosen))}
+            yield list(frozenset().union(*chosen)), frozenset(sums - {0})
+
+
+def test_span_and_perp_on_coordinate_and_line_union_flats(frame):
+    coordinate = [
+        ([e for e in E if s & e], frozenset(x for x in range(1, 256) if not x & ~s))
+        for s in range(1, 256)
+    ]
+    flats = coordinate + list(_line_union_flats(frame.lines))
+    assert len(flats) == 255 + 15
+    for gens, flat in flats:
+        assert span(gens) == flat
+        brute = frozenset(
+            x for x in range(1, 256)
+            if all(symplectic_product(x, v) == 0 for v in flat)
+        )
+        assert perp(flat) == brute
+        assert perp(perp(flat)) == flat
+        assert rank(flat) + rank(perp(flat)) == 8
 
 
 def test_lines_inside():
     triangle = {0x01, 0x80, 0x81}
     assert lines_inside(triangle) == {frozenset(triangle)}
-    fl = span([0x01, 0x02]).points()
+    fl = span([0x01, 0x02])
     assert len(lines_inside(fl)) == 1
-    plane = span([0x01, 0x02, 0x04]).points()
+    plane = span([0x01, 0x02, 0x04])
     assert len(lines_inside(plane)) == 7  # Fano plane
     assert lines_inside({0x01, 0x02, 0x04}) == set()

@@ -130,11 +130,11 @@ def test_intersection_sizes_split_by_system(ctx):
 def test_generator_solid_pair_lies_on_quadric(ctx):
     pi, pistar = spreads.solid_pair(ctx.frame, ctx.spreads, 0xFF)
     solid_sets = set(ctx.solids)
-    assert pi.points() in solid_sets
-    assert pistar.points() in solid_sets
+    assert pi in solid_sets
+    assert pistar in solid_sets
     # the two members of the pair sit in opposite systems
-    assert not quadric.same_system(pi.points(), pistar.points())
-    assert len(pi.points() & pistar.points()) == 7
+    assert not quadric.same_system(pi, pistar)
+    assert len(pi & pistar) == 7
 
 
 def test_weight3_lines(frame):

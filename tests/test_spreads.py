@@ -4,6 +4,7 @@ inside the weight-4 orbit."""
 import pytest
 
 from tetradgeom import gf3, spreads
+from tetradgeom.gf2 import rank
 from tetradgeom.gf3 import ALL81, wt_std
 from tetradgeom.gf3 import trit_from_str as T
 
@@ -91,11 +92,11 @@ def test_distinct_line_counts_by_orbit(ctx):
 def test_solid_pair_of_unit_point(ctx):
     pi, pistar = spreads.solid_pair(ctx.frame, ctx.spreads, 0xFF)
     for flat in (pi, pistar):
-        assert flat.rank == 4
-        assert len(flat.points()) == 15
-        weights = sorted(ctx.frame.line_weight(p) for p in flat.points())
+        assert rank(flat) == 4
+        assert len(flat) == 15
+        weights = sorted(ctx.frame.line_weight(p) for p in flat)
         assert weights == [2] * 6 + [4] * 9
-    meet = pi.points() & pistar.points()
+    meet = pi & pistar
     assert meet == UNIT_SOLID_MEET
     # the common plane: the point itself plus six weight-2 points
     assert sorted(ctx.frame.line_weight(p) for p in meet) == [2] * 6 + [4]
@@ -109,8 +110,8 @@ def test_solid_pair_spans_even_and_odd_families(ctx):
     odd_pts = set().union(
         *(ctx.spreads[d].line_of[0xFF] for d in gf3.FAMILY_ODD)
     )
-    assert even_pts <= pi.points()
-    assert odd_pts <= pistar.points()
+    assert even_pts <= pi
+    assert odd_pts <= pistar
 
 
 def test_solid_pair_rejects_low_weight_point(ctx):

@@ -32,6 +32,7 @@ from .gf2 import (
     compose,
     inverse,
     linmap_power,
+    mulclose,
     perp,
     point_str,
     quadric_value,
@@ -40,16 +41,18 @@ from .gf2 import (
     symplectic_product,
 )
 from .tetrad import (
+    LINE_NAMES,
     Frame,
     build_frame,
     build_group81,
     build_stabilizer,
     fixes_tetrad,
     induced_matrix,
+    line_maps,
+    line_shuffles,
     point_orbits,
     stabilizer_generators,
     subspace_orbit_partition,
-    tetrad_stabilizer_maps,
 )
 
 
@@ -404,10 +407,26 @@ def check_invariants(ctx):
     "every element preserves the quadric",
 )
 def check_stabilizer(ctx):
+    """<gens> = G(tetrad) = the `stabilizer` artifact.  The generators fix
+    the tetrad, so <gens> lies in G(tetrad).  G(tetrad) is a line shuffle
+    after one GL(2,2) map per line, and each of those factor sets is the
+    closure of two generators, so G(tetrad) lies in <gens>.  The artifact
+    has 31104 = |G(tetrad)| elements, each fixing the tetrad, so it is
+    G(tetrad)."""
     gens = stabilizer_generators(ctx.frame)
     for name, g in gens.items():
         require(fixes_tetrad(g), "generator does not fix the tetrad lines",
                 generator=name)
+    factors = [
+        (f"line_{name}", maps, (gens[f"zeta_{name}"], gens[f"swap_{name}"]))
+        for name, maps in zip(LINE_NAMES, line_maps())
+    ]
+    factors.append(("shuffles", frozenset(line_shuffles()),
+                    (gens["swap_ab"], gens["cycle_abcd"])))
+    for name, maps, pair in factors:
+        require(mulclose(pair) == maps,
+                "a factor of the stabilizer is not generated by its generators",
+                factor=name)
     st = ctx.stabilizer
     order = len(st)
     require(order == 31104, "stabilizer order wrong", order=order)
@@ -427,8 +446,13 @@ def check_stabilizer(ctx):
             )
     # every element against every quadric point at once: byte k of cols[i]
     # is column i of the k-th element, so XOR-ing the columns p selects
-    # packs all images of p, and Q is evaluated bytewise into bit 0
-    flat = b"".join(st)
+    # packs all images of p, and Q is evaluated bytewise into bit 0.
+    # Appended rather than `b"".join`-ed: join keeps an 80-byte buffer
+    # record per element, 2.5 MB for 31104 maps, which set the peak memory
+    # of `verify-all`
+    flat = bytearray()
+    for m in st:
+        flat += m
     cols = [int.from_bytes(flat[i::8], "little") for i in range(8)]
     del flat
     ones = int.from_bytes(b"\x01" * order, "little")
@@ -448,11 +472,27 @@ def check_stabilizer(ctx):
             q ^= img >> lo & img >> hi
         bad += (q & ones).bit_count()
     require(bad == 0, "some element moves the quadric", violations=bad)
-    # the generators fix the tetrad, so the closure lies in its stabilizer;
-    # containing every map that fixes the tetrad, it is the stabilizer
-    missing = sum(1 for m in tetrad_stabilizer_maps() if m not in members)
-    require(missing == 0, "a map fixing the tetrad lines is not in the closure",
-            missing=missing)
+    # `fixes_tetrad` for every element at once, on the same packing:
+    # on_line[v] has bit h when v is a point of line h, so ANDing the
+    # flags of a line's two basis images and of their sum leaves bit k
+    # exactly when they are two distinct points of line k; an element
+    # fixes the tetrad when its four lines leave all four bits
+    on_line = bytes(
+        sum(1 << h for h, pm in enumerate(PAIR_MASKS) if v and v | pm == pm)
+        for v in range(256)
+    )
+
+    def flags(packed):
+        raw = packed.to_bytes(order, "little").translate(on_line)
+        return int.from_bytes(raw, "little")
+
+    hit = 0
+    for lo, hi in pairs:
+        a, b = cols[lo], cols[hi]
+        hit |= flags(a) & flags(b) & flags(a ^ b)
+    bad = order - hit.to_bytes(order, "little").count(0b1111)
+    require(bad == 0, "some element does not fix the tetrad lines",
+            violations=bad)
     return {
         "order": order,
         "generators": sorted(gens),
@@ -967,26 +1007,74 @@ def check_recovery(ctx):
 def check_enneads(ctx):
     f = ctx.frame
     omega4 = f.orbit(4)
+    labels = {}  # each distinct meet -> its coset labels, or None
     pairs = 0
     for t1, t2 in combinations(ctx.triplets, 2):
         cells = denizens.ennead(f, t1, t2)
-        require(len(cells) == 9, "ennead does not have nine cells")
         meet = t1[0].plane.vectors & t2[0].plane.vectors
-        require(len(meet) == 9, "plane intersection is not 9 vectors")
-        for cell in cells:
-            require(len(cell) == 9, "ennead cell size wrong")
-            # coset structure: the cell is the 9-element intersection of
-            # the two planes, shifted to any one of its points
-            require(
-                f.coset_points(meet, f.trits_from_point(min(cell))) == cell,
-                "ennead cell is not a coset of the intersection",
-            )
-        _partition(cells, omega4, "ennead cells overlap",
-                   "ennead does not cover the orbit",
-                   pair=[t1[0].ident, t2[0].ident])
+        if meet not in labels:
+            try:
+                labels[meet] = _coset_labels(f, meet, omega4)
+            except ValueError:
+                labels[meet] = None
+        # nine cells of nine points, each inside one coset and no two in
+        # the same one: as the cosets hold the 81 points, each cell is a
+        # whole coset, and the cells are all of them
+        if not (
+            labels[meet] is not None
+            and len(cells) == 9
+            and {bytes(c).translate(labels[meet]) for c in cells} == _EACH_COSET
+        ):
+            # locate the failure as the per-pair check always has
+            require(len(cells) == 9, "ennead does not have nine cells")
+            require(len(meet) == 9, "plane intersection is not 9 vectors")
+            for cell in cells:
+                require(len(cell) == 9, "ennead cell size wrong")
+                # coset structure: the cell is the 9-element intersection
+                # of the two planes, shifted to any one of its points
+                require(
+                    f.coset_points(meet, f.trits_from_point(min(cell))) == cell,
+                    "ennead cell is not a coset of the intersection",
+                )
+            _partition(cells, omega4, "ennead cells overlap",
+                       "ennead does not cover the orbit",
+                       pair=[t1[0].ident, t2[0].ident])
         pairs += 1
     require(pairs == 780, "triplet pair count wrong", count=pairs)
     return {"pairs": pairs, "cells_per_pair": 9}
+
+
+#: each of the nine cosets as a `_coset_labels` table reads it: nine
+#: copies of its label
+_EACH_COSET = frozenset(bytes([k]) * 9 for k in range(9))
+
+
+def _coset_labels(f, meet, omega4):
+    """The cosets of `meet` through the points of the weight-4 orbit
+    `omega4`, as a 256-byte table: k at each point of the k-th coset, 255
+    elsewhere.  Each coset is built from its least point, as the per-pair
+    check builds it, and must contain that point and lie in `omega4`
+    apart from the earlier ones; else, or for a meet of other than 9
+    vectors, None.  A table rather than point sets, since most of the 130
+    meets are in use at once.  Raises ValueError if a point has no
+    (F_3)^4 label."""
+    if len(meet) != 9:
+        return None
+    table = bytearray(b"\xff" * 256)
+    k = 0
+    for p in sorted(omega4):
+        if table[p] == 255:
+            cell = f.coset_points(meet, f.trits_from_point(p))
+            # every point below p lies in an earlier coset, so p is the
+            # least point of this one
+            if p not in cell:
+                return None
+            for q in cell:
+                if q not in omega4 or table[q] != 255:
+                    return None
+                table[q] = k
+            k += 1
+    return bytes(table)
 
 
 # ── 19 nine-caps ─────────────────────────────────────────────────────────

@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from collections import Counter
+from contextlib import nullcontext
 
 from . import anf, denizens, gf3, quadric
 from . import spreads as spreads_mod
@@ -51,23 +52,23 @@ def cmd_verify(args) -> int:
             )
             return 2
         names = set(args.only)
-    frame = build_frame(perturb=args.perturb)
-    ctx = Context(frame)
-    t0 = time.perf_counter()
-    certs = run_certificates(ctx, jobs=max(1, args.jobs), names=names)
-    wall = time.perf_counter() - t0
-    for c in certs:
-        if c.status == "pass":
-            print(f"PASS {c.name:<24} ({c.elapsed_ms:8.1f} ms)")
-        else:
-            msg = c.witness.get("message") or c.witness.get("error") or ""
-            print(f"FAIL {c.name:<24} ({c.elapsed_ms:8.1f} ms) {msg}")
-    passed = sum(c.status == "pass" for c in certs)
-    print(f"passed {passed}/{len(certs)} certificates in {wall:.1f} s")
-    if args.report:
-        report = [c.to_json() for c in certs]
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+    # opened before any check runs, so that an unwritable path fails at once
+    with open(args.report, "w") if args.report else nullcontext() as fh:
+        frame = build_frame(perturb=args.perturb)
+        ctx = Context(frame)
+        t0 = time.perf_counter()
+        certs = run_certificates(ctx, jobs=max(1, args.jobs), names=names)
+        wall = time.perf_counter() - t0
+        for c in certs:
+            if c.status == "pass":
+                print(f"PASS {c.name:<24} ({c.elapsed_ms:8.1f} ms)")
+            else:
+                msg = c.witness.get("message") or c.witness.get("error") or ""
+                print(f"FAIL {c.name:<24} ({c.elapsed_ms:8.1f} ms) {msg}")
+        passed = sum(c.status == "pass" for c in certs)
+        print(f"passed {passed}/{len(certs)} certificates in {wall:.1f} s")
+        if fh is not None:
+            json.dump([c.to_json() for c in certs], fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0 if passed == len(certs) else 1
 

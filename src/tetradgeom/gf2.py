@@ -41,14 +41,15 @@ UNIT: Mask = 0xFF  # u = e_1 + ... + e_8
 PAIR_MASKS = (0x81, 0x42, 0x24, 0x18)
 
 
-def bits_of(x: Mask) -> tuple:
-    """The 1-based coordinate indices present in x, ascending."""
-    return tuple(i + 1 for i in range(8) if x >> i & 1)
+# point_str of every mask: its 1-based coordinate indices, ascending
+_POINT_STRS = tuple(
+    "".join(str(i + 1) for i in range(8) if x >> i & 1) or "0" for x in range(256)
+)
 
 
 def point_str(x: Mask) -> str:
     """Digit-string shorthand: e_1+e_3+e_5+e_7 prints as '1357'."""
-    return "".join(str(i) for i in bits_of(x)) or "0"
+    return _POINT_STRS[x]
 
 
 # bit-reversal table: partner of bit k is bit 7-k
@@ -135,15 +136,9 @@ def inverse(m: LinMap) -> LinMap:
         raise ValueError("map is singular") from None
 
 
-def closure(seeds, moves, maxsize: int | None = None) -> frozenset:
+def closure(seeds, moves) -> frozenset:
     """Everything reachable from `seeds` under repeated application of the
-    functions in `moves`, by breadth-first search.
-
-    If `maxsize` is given and the closure exceeds it, raises ValueError:
-    callers that may feed a broken generating set (the perturbation hook)
-    use the cap to fail cleanly instead of walking a large chunk of
-    GL(8,2).
-    """
+    functions in `moves`, by breadth-first search."""
     found = set(seeds)
     bdy = list(found)
     while bdy:
@@ -154,8 +149,6 @@ def closure(seeds, moves, maxsize: int | None = None) -> frozenset:
                 if c not in found:
                     found.add(c)
                     new.append(c)
-                    if maxsize is not None and len(found) > maxsize:
-                        raise ValueError(f"closure exceeded {maxsize} elements")
         bdy = new
     return frozenset(found)
 
@@ -173,12 +166,12 @@ def orbits(items, moves) -> list:
     return parts
 
 
-def mulclose(gens, maxsize: int | None = None) -> frozenset:
+def mulclose(gens) -> frozenset:
     """Closure of a generating set of linear maps under composition: the
-    set of all products, capped as in `closure`."""
+    set of all products."""
     gens = [bytes(g) for g in gens]
     moves = [after(g) for g in gens]
-    return closure([IDENTITY, *gens], moves, maxsize)
+    return closure([IDENTITY, *gens], moves)
 
 
 # ── flats (projective subspaces) ─────────────────────────────────────────

@@ -60,6 +60,7 @@ _NEG = tuple(row.index(ZERO) for row in _ADD)
 _SCALE = ((ZERO,) * 81, tuple(ALL81), _NEG)  # _SCALE[c][v] = c * v
 _DIGITS = tuple(product(range(3), repeat=4))  # in int order
 _WT = tuple(4 - d.count(0) for d in _DIGITS)
+_TRIT_STRS = tuple("".join(map(str, d)) for d in _DIGITS)
 
 
 def t_add(a: Trit, b: Trit) -> Trit:
@@ -80,7 +81,7 @@ def digits(a: Trit) -> tuple:
 
 
 def trit_str(a: Trit) -> str:
-    return "".join(map(str, _DIGITS[a]))
+    return _TRIT_STRS[a]
 
 
 def trit_from_str(s: str) -> Trit:

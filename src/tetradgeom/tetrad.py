@@ -43,7 +43,6 @@ from .gf2 import (
     inverse,
     linmap,
     linmap_power,
-    mulclose,
     orbits,
     perm_table,
 )
@@ -201,13 +200,6 @@ def stabilizer_generators(frame: Frame) -> dict:
     return gens
 
 
-def build_stabilizer(frame: Frame) -> frozenset:
-    """The closure of the stabilizer generators, as a set of maps."""
-    # the cap, above 31104, keeps a broken generator set (`--perturb`)
-    # from walking all of GL(8,2)
-    return mulclose(stabilizer_generators(frame).values(), 40000)
-
-
 def fixes_tetrad(m: LinMap) -> bool:
     """Whether m sends the four coordinate-pair lines onto themselves:
     the two basis vectors of each line go to two distinct points of one
@@ -221,25 +213,57 @@ def fixes_tetrad(m: LinMap) -> bool:
     return hit == set(PAIR_MASKS)
 
 
+def _line_images() -> list:
+    """For each coordinate-pair line, the six ordered pairs of distinct
+    points of it: the images of its low and high basis vectors."""
+    return [
+        tuple(permutations((pm & -pm, pm & (pm - 1), pm), 2)) for pm in PAIR_MASKS
+    ]
+
+
+def line_maps() -> tuple:
+    """For each line h, the six maps GL(2,2) on V_h: e_(h+1) and e_(8-h)
+    go to two distinct points of L_h, the other six coordinates stay."""
+    return tuple(
+        frozenset(linmap({h + 1: a, 8 - h: b}) for a, b in images)
+        for h, images in enumerate(_line_images())
+    )
+
+
+def line_shuffles() -> tuple:
+    """The 24 maps that move line h onto line perm[h], e_(h+1) -> e_(k+1)
+    and e_(8-h) -> e_(8-k) for k = perm[h], one per permutation of the
+    lines."""
+    shuffles = []
+    for perm in permutations(range(4)):
+        images = {}
+        for h, k in enumerate(perm):
+            images[h + 1], images[8 - h] = E[k], E[7 - k]
+        shuffles.append(linmap(images))
+    return tuple(shuffles)
+
+
 def tetrad_stabilizer_maps():
     """Every linear map that fixes the four coordinate-pair lines as a
     set, G(tetrad) = GL(2,2) wr S_4, listed from that definition: one
-    permutation of the lines after one of the 6^4 maps that send the two
-    basis vectors of each line to two distinct points of it, 24 * 6^4 =
-    31104 maps.  Streamed, never stored."""
-    pairs = [
-        tuple(permutations((pm & -pm, pm & (pm - 1), pm), 2)) for pm in PAIR_MASKS
-    ]
+    line shuffle after one product of the four `line_maps` factors,
+    24 * 6^4 = 31104 maps.  Streamed."""
     fixing = [
         linmap({1: a0, 8: b0, 2: a1, 7: b1, 3: a2, 6: b2, 4: a3, 5: b3})
-        for (a0, b0), (a1, b1), (a2, b2), (a3, b3) in product(*pairs)
+        for (a0, b0), (a1, b1), (a2, b2), (a3, b3) in product(*_line_images())
     ]
-    for perm in permutations(range(4)):
-        # line h onto line k, e_(h+1) -> e_(k+1) and e_(8-h) -> e_(8-k)
-        shuffle = {}
-        for h, k in enumerate(perm):
-            shuffle[h + 1], shuffle[8 - h] = E[k], E[7 - k]
-        yield from map(after(linmap(shuffle)), fixing)
+    for shuffle in line_shuffles():
+        yield from map(after(shuffle), fixing)
+
+
+def build_stabilizer(frame: Frame) -> frozenset:
+    """G(tetrad), the listing of `tetrad_stabilizer_maps` as a set of maps.
+    It does not depend on the frame: the tetrad is the four coordinate-pair
+    lines whatever the rotations.  That the frame's stabilizer generators
+    generate it is `stabilizer-group`'s to prove."""
+    # via a dict, whose table grows in smaller steps than a set's: frozen
+    # from either, the frozenset gets the smallest table that fits
+    return frozenset(dict.fromkeys(tetrad_stabilizer_maps()))
 
 
 # ── the induced action on (F_3)^4 ────────────────────────────────────────

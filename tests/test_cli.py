@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tetradgeom import certificates, denizens
+from tetradgeom import certificates, denizens, gf3
 from tetradgeom.certificates import (
     CheckFailed,
     Context,
@@ -27,7 +27,7 @@ from tetradgeom.gf2 import (
     quadric_value,
     symplectic_product,
 )
-from tetradgeom.tetrad import build_frame
+from tetradgeom.tetrad import Frame, build_frame, fixes_tetrad
 
 REPORT_KEYS = {"name", "claim", "status", "witness", "elapsed_ms"}
 ROOT = Path(__file__).resolve().parents[1]
@@ -279,8 +279,8 @@ def transvection(v):
 def test_maps_outside_the_tetrad_stabilizer_are_found(ctx, monkeypatch):
     # as above, but the two stand-ins preserve Q and move a tetrad point
     # (e8 and e1 respectively) off its line; the order stays 31104 and the
-    # quadric sweep passes, so only the containment of every map fixing
-    # the tetrad can object
+    # quadric sweep passes, so only the sweep of every element against
+    # the tetrad lines can object
     st = ctx.stabilizer
     diagonal = set(ctx.g81.maps.values())
     victims = sorted(g for g in st if g not in diagonal)[:2]
@@ -296,8 +296,113 @@ def test_maps_outside_the_tetrad_stabilizer_are_found(ctx, monkeypatch):
     assert len(bad_ctx.stabilizer) == 31104
     with pytest.raises(CheckFailed) as exc:
         check_stabilizer(bad_ctx)
-    assert str(exc.value) == "a map fixing the tetrad lines is not in the closure"
-    assert exc.value.data == {"missing": 2}
+    assert str(exc.value) == "some element does not fix the tetrad lines"
+    assert exc.value.data == {"violations": 2}
+
+
+def test_tetrad_sweep_counts_every_kind_of_non_fixing_map(ctx, monkeypatch):
+    # with no quadric points the quadric sweep passes whatever the maps,
+    # so the tetrad sweep alone judges four stand-ins that fail
+    # `fixes_tetrad` each in its own way
+    crafted = [
+        linmap({8: E[0]}),  # both basis vectors of L_a onto one point
+        linmap({1: 0}),  # a basis vector onto zero
+        linmap({1: E[1], 2: E[0]}),  # half of L_a onto L_b
+        linmap({2: E[0], 7: E[7]}),  # L_b onto L_a, so L_b is never hit
+    ]
+    assert not any(fixes_tetrad(m) for m in crafted)
+    st = ctx.stabilizer
+    diagonal = set(ctx.g81.maps.values())
+    victims = sorted(g for g in st if g not in diagonal)[: len(crafted)]
+    elements = st.difference(victims) | set(crafted)
+    monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
+    monkeypatch.setattr(certificates.quadric, "build_quadric", frozenset)
+    with pytest.raises(CheckFailed) as exc:
+        check_stabilizer(Context(ctx.frame))
+    assert str(exc.value) == "some element does not fix the tetrad lines"
+    assert exc.value.data == {"violations": 4}
+
+
+def test_perturbed_stabilizer_fails_before_any_closure(monkeypatch):
+    # the perturbed zeta_a moves e1 off every tetrad line; the check stops
+    # there, so no closure ever runs on maps outside the stabilizer
+    def no_closure(gens):
+        raise AssertionError("mulclose reached")
+
+    monkeypatch.setattr(certificates, "mulclose", no_closure)
+    with pytest.raises(CheckFailed) as exc:
+        check_stabilizer(Context(build_frame(perturb=True)))
+    assert str(exc.value) == "generator does not fix the tetrad lines"
+    assert exc.value.data == {"generator": "zeta_a"}
+
+
+def test_a_factor_outside_the_generated_group_is_found(ctx, monkeypatch):
+    # shuffles listed with one map too many: <swap_ab, cycle_abcd> has 24
+    shuffles = (*certificates.line_shuffles(), linmap({1: E[1], 2: E[0]}))
+    monkeypatch.setattr(certificates, "line_shuffles", lambda: shuffles)
+    with pytest.raises(CheckFailed) as exc:
+        check_stabilizer(Context(ctx.frame))
+    assert str(exc.value) == (
+        "a factor of the stabilizer is not generated by its generators"
+    )
+    assert exc.value.data == {"factor": "shuffles"}
+
+
+def test_a_swapped_ennead_point_is_found(ctx, monkeypatch):
+    # one point traded between two cells of the first pair: still nine
+    # cells of nine points partitioning the orbit, but not cosets
+    first = ctx.triplets[0], ctx.triplets[1]
+    original = denizens.ennead
+
+    def swapped(frame, t1, t2):
+        cells = list(original(frame, t1, t2))
+        if (t1, t2) == first:
+            a, b = min(cells[0]), min(cells[1])
+            cells[0] = cells[0] - {a} | {b}
+            cells[1] = cells[1] - {b} | {a}
+        return tuple(cells)
+
+    monkeypatch.setattr(certificates.denizens, "ennead", swapped)
+    with pytest.raises(CheckFailed) as exc:
+        certificates.check_enneads(ctx)
+    assert str(exc.value) == "ennead cell is not a coset of the intersection"
+    assert exc.value.data == {}
+
+
+def test_an_ennead_with_a_repeated_cell_is_found(ctx, monkeypatch):
+    # ten cells, the first twice: as a set they are still the nine cosets
+    original = denizens.ennead
+
+    def repeated(frame, t1, t2):
+        cells = original(frame, t1, t2)
+        return cells + cells[:1]
+
+    monkeypatch.setattr(certificates.denizens, "ennead", repeated)
+    with pytest.raises(CheckFailed) as exc:
+        certificates.check_enneads(ctx)
+    assert str(exc.value) == "ennead does not have nine cells"
+
+
+def test_a_coset_that_misses_its_own_point_is_found(ctx, monkeypatch):
+    # the coset through the orbit's least point p0 comes back as another
+    # coset, for every meet.  The other cosets still label every point
+    # once, but the cell of p0 is not the coset its least point gives.
+    frame = ctx.frame
+    omega4 = frame.orbit(4)
+    p0 = min(omega4)
+    v0 = frame.trits_from_point(p0)
+    original = Frame.coset_points
+
+    def skewed(self, vectors, shift=gf3.ZERO):
+        cell = original(self, vectors, shift)
+        if shift == v0:
+            return original(self, vectors, frame.trits_from_point(min(omega4 - cell)))
+        return cell
+
+    monkeypatch.setattr(Frame, "coset_points", skewed)
+    with pytest.raises(CheckFailed) as exc:
+        certificates.check_enneads(ctx)
+    assert str(exc.value) == "ennead cell is not a coset of the intersection"
 
 
 def traced_counts(tmp_path, *only):
@@ -406,7 +511,8 @@ def test_verify_all_unwritable_report_exits_2(tmp_path, capsys):
     rc = main(["verify-all", "--only", "orbit-census", "--report", str(path)])
     captured = capsys.readouterr()
     assert rc == 2
-    assert "PASS orbit-census" in captured.out
+    # the report file is opened first, so no certificate ran
+    assert "PASS" not in captured.out
     assert str(path) in captured.err
     assert not path.exists()
 

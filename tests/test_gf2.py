@@ -34,6 +34,10 @@ def test_point_str():
     assert point_str(0x55) == "1357"
     assert UNIT == 0xFF and point_str(UNIT) == "12345678"
     assert PAIR_MASKS == (0x81, 0x42, 0x24, 0x18)
+    # the spelling table is the digit formula
+    for x in range(256):
+        digits = tuple(i + 1 for i in range(8) if x >> i & 1)
+        assert point_str(x) == ("".join(str(i) for i in digits) or "0")
 
 
 def test_symplectic_gram_matrix():
@@ -122,14 +126,6 @@ def test_mulclose_single_rotation():
     z = linmap({1: E[7], 8: E[0] ^ E[7]})
     els = mulclose([z])
     assert els == {IDENTITY, z, linmap_power(z, 2)}
-
-
-def test_mulclose_cap():
-    # two generators of a big group blow past a small cap
-    swap = linmap({1: E[1], 2: E[0]})
-    cyc = linmap({i: E[i % 8] for i in range(1, 9)})
-    with pytest.raises(ValueError):
-        mulclose([swap, cyc], maxsize=100)
 
 
 def test_span_is_the_point_set():

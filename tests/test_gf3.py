@@ -32,6 +32,8 @@ def test_trit_strings():
 def test_trit_string_round_trip_and_order():
     for v in gf3.ALL81:
         assert gf3.trit_from_str(gf3.trit_str(v)) == v
+        # the spelling table is the digit formula
+        assert gf3.trit_str(v) == "".join(map(str, gf3.digits(v)))
     # int order is the lexicographic order of the digit strings
     assert sorted(gf3.ALL81, key=gf3.trit_str) == list(gf3.ALL81)
 

@@ -1,11 +1,22 @@
 """The frame: four lines, rotations, labelling, groups."""
 
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from tetradgeom import gf3
-from tetradgeom.gf2 import E, IDENTITY, apply, compose, inverse, linmap, linmap_power
+from tetradgeom.gf2 import (
+    E,
+    IDENTITY,
+    after,
+    apply,
+    compose,
+    inverse,
+    linmap,
+    linmap_power,
+    mulclose,
+)
 from tetradgeom.gf3 import mat3_apply
 from tetradgeom.gf3 import trit_from_str as T
 from tetradgeom.tetrad import (
@@ -14,6 +25,8 @@ from tetradgeom.tetrad import (
     build_stabilizer,
     fixes_tetrad,
     induced_matrix,
+    line_maps,
+    line_shuffles,
     point_orbits,
     stabilizer_generators,
     tetrad_stabilizer_maps,
@@ -138,7 +151,21 @@ def test_listing_is_the_generated_stabilizer(frame):
     maps = list(tetrad_stabilizer_maps())
     assert len(maps) == 31104 and len(set(maps)) == 31104  # 24 * 6^4
     assert all(fixes_tetrad(m) for m in maps)
-    assert set(maps) == build_stabilizer(frame)
+    # the breadth-first closure of all ten generators, an independent route
+    assert set(maps) == mulclose(stabilizer_generators(frame).values())
+    assert build_stabilizer(frame) == set(maps)
+
+
+def test_listing_is_the_product_of_its_factors():
+    per_line = line_maps()
+    assert [len(maps) for maps in per_line] == [6, 6, 6, 6]
+    shuffles = line_shuffles()
+    assert len(set(shuffles)) == 24
+    fixing = [
+        compose(compose(a, b), compose(c, d)) for a, b, c, d in product(*per_line)
+    ]
+    products = {after(s)(m) for s in shuffles for m in fixing}
+    assert products == set(tetrad_stabilizer_maps())
 
 
 def test_fixes_tetrad(frame):

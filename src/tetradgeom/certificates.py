@@ -50,6 +50,7 @@ from .tetrad import (
     induced_matrix,
     line_maps,
     line_shuffles,
+    point_json,
     point_orbits,
     stabilizer_generators,
     subspace_orbit_partition,
@@ -135,13 +136,9 @@ class Context:
         )
 
 
-def point_json(frame: Frame, p: int) -> dict:
-    return {"mask": p, "bits": point_str(p), "label": frame.label_str(p)}
-
-
 def _where(fn, *args, **where):
-    """fn(*args), failing with the fields `where` (the orbit, denizen or
-    generator it was called on) when fn rejects its input."""
+    """fn(*args), failing with the fields `where` (the orbit, denizen,
+    generator or plane it was called on) when fn rejects its input."""
     try:
         return fn(*args)
     except ValueError as e:
@@ -522,7 +519,8 @@ def check_gf3(ctx):
         require(on == 4, "line lies on wrong number of planes", planes=on)
     for pl in pls:
         require(len(pl.points) == 13, "plane has wrong point count")
-        require(len(pl.subspaces) == 13, "plane has wrong line count")
+        subs = _where(getattr, pl, "subspaces", plane=gf3.point_strs(pl))
+        require(len(subs) == 13, "plane has wrong line count")
     lines_on = Counter(p for ln in lns for p in ln.points)
     lines_through = Counter(
         pair for ln in lns for pair in combinations(sorted(ln.points), 2)

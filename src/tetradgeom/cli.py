@@ -1,8 +1,13 @@
 """Command-line interface: the verification suite and geometry queries.
 
 Exit codes: 0 success, 1 at least one certificate failed, 2 usage,
-lookup or I/O error (such as an unwritable report file).  Points are printed as mask, set-bit string and index
-label; `--json` switches any query to a machine-readable report.
+lookup or I/O error (such as an unwritable report file).  Points are
+printed as mask, set-bit string and index label; `--json` switches any
+query to a machine-readable report.
+
+Each subcommand imports the one module it reads inside its own body, so
+a query process never loads the certificate suite, and `orbits` loads
+nothing beyond the frame.
 """
 
 from __future__ import annotations
@@ -14,18 +19,16 @@ import time
 from collections import Counter
 from contextlib import nullcontext
 
-from . import anf, denizens, gf3, quadric
-from . import spreads as spreads_mod
-from .certificates import CHECKS, Context, point_json, run_certificates
+from . import gf3
 from .gf2 import point_str
-from .tetrad import build_frame, build_group81
+from .tetrad import build_frame, build_group81, point_json
 
 
 def _fmt_point(frame, p: int) -> str:
     return f"0x{p:02x} {point_str(p):<8} {frame.label_str(p)}"
 
 
-def _anf_str(p: anf.Anf8) -> str:
+def _anf_str(p) -> str:
     terms = []
     for m in p.monomials():
         terms.append("1" if not m else "".join(f"x{i}" for i in m))
@@ -40,6 +43,8 @@ def _line_json(frame, ln) -> list:
 
 
 def cmd_verify(args) -> int:
+    from .certificates import CHECKS, Context, run_certificates
+
     known = {name for name, _, _ in CHECKS}
     names = None
     if args.only:
@@ -101,6 +106,8 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from . import anf
+
     frame = build_frame()
     inv = anf.build_invariants(frame)
     table = {r: inv.value_row(frame.orbit(r)) for r in (1, 2, 3, 4)}
@@ -132,6 +139,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_spreads(args) -> int:
+    from . import spreads as spreads_mod
+
     s = args.ijk
     if len(s) != 3 or any(ch not in "12" for ch in s):
         print("--ijk must be three digits from {1,2}, e.g. 121", file=sys.stderr)
@@ -164,6 +173,8 @@ def cmd_spreads(args) -> int:
 
 
 def cmd_triplets(args) -> int:
+    from . import denizens
+
     frame = build_frame()
     trips = denizens.all_triplets(frame)
     rows = [
@@ -197,6 +208,8 @@ def cmd_triplets(args) -> int:
 
 
 def cmd_denizen(args) -> int:
+    from . import denizens
+
     frame = build_frame()
     den = denizens.denizen_by_id(frame, f"{args.plane}:{args.shift}")
     kind = den.kind
@@ -234,6 +247,8 @@ def cmd_denizen(args) -> int:
 
 
 def cmd_sections(args) -> int:
+    from . import denizens
+
     frame = build_frame()
     den = denizens.denizen_by_id(frame, args.segre)
     if den.kind != "segre":
@@ -293,6 +308,8 @@ def cmd_sections(args) -> int:
 
 
 def cmd_caps(args) -> int:
+    from . import quadric
+
     frame = build_frame()
     rows = []
     for ln in quadric.weight3_lines():

@@ -31,8 +31,8 @@ points (kinds 1..7, census 6/24/16/12/16/48/8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 Trit = int  # 27 xi_1 + 9 xi_2 + 3 xi_3 + xi_4
@@ -188,14 +188,18 @@ class Line:
 
 @dataclass(frozen=True)
 class Plane:
-    """A plane of PG(3,3), the kernel of the canonical functional, with
-    its 13 2-subspaces (from `plane_subspaces`, built once in
-    `all_planes`)."""
+    """A plane of PG(3,3), the kernel of the canonical functional.  Its
+    13 2-subspaces are built by `plane_subspaces` on the first read of
+    `subspaces` and kept on the plane; they are not a field, so equality
+    and hash see only the functional, points and vectors."""
 
     functional: Trit
     points: tuple
     vectors: frozenset
-    subspaces: tuple = field(default=(), compare=False)
+
+    @cached_property
+    def subspaces(self) -> tuple:
+        return plane_subspaces(self)
 
     def __repr__(self):
         return f"Plane({trit_str(self.functional)})"
@@ -239,8 +243,7 @@ def all_planes() -> tuple:
             if sum(x * y for x, y in zip(_DIGITS[c], _DIGITS[v])) % 3 == 0
         )
         pts = tuple(sorted({canon(v) for v in vecs if v != ZERO}))
-        pl = Plane(c, pts, vecs)
-        planes.append(replace(pl, subspaces=plane_subspaces(pl)))
+        planes.append(Plane(c, pts, vecs))
     return tuple(sorted(planes, key=lambda p: p.functional))
 
 

@@ -45,6 +45,7 @@ from .gf2 import (
     linmap_power,
     orbits,
     perm_table,
+    point_str,
 )
 
 LINE_NAMES = "abcd"
@@ -149,6 +150,12 @@ class Frame:
     def label_table(self) -> dict:
         """point -> index tuple, for all labelled points (read-only)."""
         return self._tuple_of
+
+
+def point_json(frame: Frame, p: Mask) -> dict:
+    """A point as query output and check witnesses spell it: mask,
+    set-bit string and label."""
+    return {"mask": p, "bits": point_str(p), "label": frame.label_str(p)}
 
 
 def build_frame(perturb: bool = False) -> Frame:

@@ -435,9 +435,12 @@ def test_traced_fan_work_is_done_once(tmp_path):
 
 
 def test_traced_section_subspaces_are_built_once(tmp_path):
-    # each plane's subspaces are built once, with the plane, and the
-    # sections and transversal checks read them from there
+    # a plane's subspaces are built on their first read and kept: the
+    # sections and transversal checks read only the 8 Segre planes', the
+    # taxonomy reads all 40, and neither builds any of them twice
     calls, distinct = traced_counts(tmp_path, "sections")
+    assert calls["gf3.plane_subspaces"] == distinct["gf3.plane_subspaces"] == 8
+    calls, distinct = traced_counts(tmp_path, "gf3-taxonomy")
     assert calls["gf3.plane_subspaces"] == distinct["gf3.plane_subspaces"] == 40
 
 
@@ -467,6 +470,69 @@ def test_sequential_runs_do_not_import_the_thread_pool():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "PASS stabilizer-group" in proc.stdout
+
+
+# the first benchmarked invocation of each query subcommand
+QUERIES = {
+    sub: next(iter(argvs)).split()
+    for sub, argvs in json.loads(GOLDEN_QUERIES.read_text()).items()
+}
+# what no query process loads, and what `orbits` leaves out besides
+NEVER_IN_QUERIES = {"tetradgeom.certificates", "concurrent.futures"}
+NOT_IN_ORBITS = {
+    "tetradgeom.anf", "tetradgeom.denizens", "tetradgeom.quadric",
+    "tetradgeom.spreads",
+}
+
+
+def loaded_modules(code: str) -> set:
+    """The modules a fresh process has loaded after running `code`."""
+    code += "\nimport sys; print(' '.join(sys.modules), file=sys.stderr)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return set(proc.stderr.split())
+
+
+@pytest.mark.parametrize("query", QUERIES)
+def test_queries_load_only_what_they_print(query):
+    argv = QUERIES[query]
+    loaded = loaded_modules(
+        f"from tetradgeom.cli import main\nassert main({argv!r}) == 0"
+    )
+    assert "tetradgeom.cli" in loaded
+    assert not loaded & NEVER_IN_QUERIES
+    if query == "orbits":
+        assert not loaded & NOT_IN_ORBITS
+
+
+def test_the_setup_probe_loads_only_the_frame():
+    loaded = loaded_modules("import tetradgeom.cli as c; c.build_frame()")
+    assert not loaded & (NEVER_IN_QUERIES | NOT_IN_ORBITS)
+
+
+def test_a_plane_whose_subspaces_fail_is_named(ctx, monkeypatch):
+    # fresh planes, so that no line table is already kept on them
+    planes = tuple(
+        gf3.Plane(pl.functional, pl.points, pl.vectors) for pl in gf3.all_planes()
+    )
+    broken = gf3.plane_from_functional(gf3.trit_from_str("1111"))
+    build = gf3.plane_subspaces
+
+    def failing(pl):
+        if pl == broken:
+            raise ValueError("expected 13 subspaces, found 12")
+        return build(pl)
+
+    monkeypatch.setattr(gf3, "all_planes", lambda: planes)
+    monkeypatch.setattr(gf3, "plane_subspaces", failing)
+    [cert] = run_certificates(ctx, names={"gf3-taxonomy"})
+    assert cert.status == "fail"
+    assert cert.witness == {
+        "message": "expected 13 subspaces, found 12",
+        "plane": gf3.point_strs(broken),
+    }
 
 
 def test_query_outputs_match_golden(capsys):

@@ -152,6 +152,29 @@ def test_plane_subspaces():
             assert len(sub.points) == 4
 
 
+def test_plane_subspaces_are_built_on_first_read_and_kept():
+    pl = gf3.plane_from_functional(T("1111"))
+    fresh = gf3.Plane(pl.functional, pl.points, pl.vectors)
+    assert "subspaces" not in vars(fresh)
+    before = hash(fresh)
+    assert fresh == pl and before == hash(pl)
+    subs = fresh.subspaces
+    assert fresh.subspaces is subs
+    assert subs == gf3.plane_subspaces(pl)
+    # the kept table is not a field: equality and hash do not move
+    assert hash(fresh) == before
+    assert fresh == pl and hash(fresh) == hash(pl)
+    assert fresh != gf3.plane_from_functional(T("0001"))
+
+
+def test_plane_from_functional_is_the_listed_plane():
+    for c in (T("1111"), T("0001"), T("1220")):
+        pl = gf3.plane_from_functional(c)
+        assert any(other is pl for other in gf3.all_planes())
+        pl.subspaces  # reading the table keeps the plane the listed one
+        assert gf3.plane_from_functional(c) is pl
+
+
 def test_segre_plane_line_split():
     pl = gf3.plane_from_functional(T("1111"))
     kinds = Counter(gf3.line_kind(s) for s in gf3.plane_subspaces(pl))

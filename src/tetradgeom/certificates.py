@@ -151,7 +151,7 @@ def _partition(parts, whole, overlap: str, cover: str, **where):
     either failure by the fields `where`."""
     union = set()
     for part in parts:
-        require(not (union & part), overlap, **where)
+        require(union.isdisjoint(part), overlap, **where)
         union |= part
     require(union == whole, cover, **where)
 
@@ -1005,74 +1005,52 @@ def check_recovery(ctx):
 def check_enneads(ctx):
     f = ctx.frame
     omega4 = f.orbit(4)
-    labels = {}  # each distinct meet -> its coset labels, or None
+    labels = {}  # each distinct meet -> its nine cosets as a label table
     pairs = 0
     for t1, t2 in combinations(ctx.triplets, 2):
         cells = denizens.ennead(f, t1, t2)
-        meet = t1[0].plane.vectors & t2[0].plane.vectors
-        if meet not in labels:
-            try:
-                labels[meet] = _coset_labels(f, meet, omega4)
-            except ValueError:
-                labels[meet] = None
-        # nine cells of nine points, each inside one coset and no two in
-        # the same one: as the cosets hold the 81 points, each cell is a
-        # whole coset, and the cells are all of them
-        if not (
-            labels[meet] is not None
-            and len(cells) == 9
-            and {bytes(c).translate(labels[meet]) for c in cells} == _EACH_COSET
-        ):
-            # locate the failure as the per-pair check always has
-            require(len(cells) == 9, "ennead does not have nine cells")
-            require(len(meet) == 9, "plane intersection is not 9 vectors")
-            for cell in cells:
-                require(len(cell) == 9, "ennead cell size wrong")
-                # coset structure: the cell is the 9-element intersection
-                # of the two planes, shifted to any one of its points
-                require(
-                    f.coset_points(meet, f.trits_from_point(min(cell))) == cell,
-                    "ennead cell is not a coset of the intersection",
-                )
-            _partition(cells, omega4, "ennead cells overlap",
+        plane = t1[0].plane.vectors
+        meet = plane & t2[0].plane.vectors
+        table = labels.get(meet)
+        if table is None:
+            # the meet's three cosets inside each of the first plane's
+            # (the shifts of its denizens): nine images of the meet, which
+            # must partition the orbit
+            steps = gf3.coset_shifts(plane, meet)
+            images = [
+                f.coset_points(meet, gf3.t_add(d.shift, step))
+                for d in t1
+                for step in steps
+            ]
+            _partition(images, omega4, "ennead cells overlap",
                        "ennead does not cover the orbit",
                        pair=[t1[0].ident, t2[0].ident])
+            table = bytearray(b"\xff" * 256)  # k at each point of image k
+            for k, image in enumerate(images):
+                for p in image:
+                    table[p] = k
+            table = labels[meet] = bytes(table)
+        # a cell read through the table is nine copies of one label
+        # exactly when it is that coset
+        if len(cells) != 9 or (
+            {bytes(cell).translate(table) for cell in cells} != _EACH_COSET
+        ):
+            require(len(cells) == 9, "ennead does not have nine cells")
+            for cell in cells:
+                require(len(cell) == 9, "ennead cell size wrong")
+                require(bytes(cell).translate(table) in _EACH_COSET,
+                        "ennead cell is not a coset of the intersection")
+            # nine cosets, so two of them are the same
+            raise CheckFailed("ennead cells overlap",
+                              pair=[t1[0].ident, t2[0].ident])
         pairs += 1
     require(pairs == 780, "triplet pair count wrong", count=pairs)
     return {"pairs": pairs, "cells_per_pair": 9}
 
 
-#: each of the nine cosets as a `_coset_labels` table reads it: nine
+#: each of the nine cosets as a row of the label table reads it: nine
 #: copies of its label
 _EACH_COSET = frozenset(bytes([k]) * 9 for k in range(9))
-
-
-def _coset_labels(f, meet, omega4):
-    """The cosets of `meet` through the points of the weight-4 orbit
-    `omega4`, as a 256-byte table: k at each point of the k-th coset, 255
-    elsewhere.  Each coset is built from its least point, as the per-pair
-    check builds it, and must contain that point and lie in `omega4`
-    apart from the earlier ones; else, or for a meet of other than 9
-    vectors, None.  A table rather than point sets, since most of the 130
-    meets are in use at once.  Raises ValueError if a point has no
-    (F_3)^4 label."""
-    if len(meet) != 9:
-        return None
-    table = bytearray(b"\xff" * 256)
-    k = 0
-    for p in sorted(omega4):
-        if table[p] == 255:
-            cell = f.coset_points(meet, f.trits_from_point(p))
-            # every point below p lies in an earlier coset, so p is the
-            # least point of this one
-            if p not in cell:
-                return None
-            for q in cell:
-                if q not in omega4 or table[q] != 255:
-                    return None
-                table[q] = k
-            k += 1
-    return bytes(table)
 
 
 # ── 19 nine-caps ─────────────────────────────────────────────────────────

@@ -87,9 +87,9 @@ def denizen_by_id(frame: Frame, ident: str) -> Denizen:
     try:
         func_str, shift_str = ident.split(":")
         functional = gf3.canon(gf3.trit_from_str(func_str))
-        shift_index = int(shift_str)
-        if shift_index not in (0, 1, 2):
+        if shift_str not in ("0", "1", "2"):  # int() would take "+1", " 1"
             raise ValueError
+        shift_index = int(shift_str)
     except ValueError:
         raise ValueError(
             f"denizen id must look like '1121:0', got {ident!r}"

@@ -33,6 +33,9 @@ REPORT_KEYS = {"name", "claim", "status", "witness", "elapsed_ms"}
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_REPORT = ROOT / "perfbench" / "golden" / "verify-report.json"
 GOLDEN_QUERIES = ROOT / "perfbench" / "golden" / "queries.json"
+# every child process finds the package through one absolute path, from
+# whatever directory the suite runs in
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 def without_timings(report) -> str:
@@ -44,6 +47,7 @@ def without_timings(report) -> str:
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "tetradgeom", *args],
+        env=CHILD_ENV,
         capture_output=True,
         text=True,
         timeout=120,
@@ -383,26 +387,64 @@ def test_an_ennead_with_a_repeated_cell_is_found(ctx, monkeypatch):
     assert str(exc.value) == "ennead does not have nine cells"
 
 
-def test_a_coset_that_misses_its_own_point_is_found(ctx, monkeypatch):
-    # the coset through the orbit's least point p0 comes back as another
-    # coset, for every meet.  The other cosets still label every point
-    # once, but the cell of p0 is not the coset its least point gives.
-    frame = ctx.frame
-    omega4 = frame.orbit(4)
-    p0 = min(omega4)
-    v0 = frame.trits_from_point(p0)
+def test_a_wrong_coset_image_is_found(ctx, monkeypatch):
+    # the first pair's meet at shift zero, one of the nine images its
+    # table is built from, comes back as another of its cosets: the nine
+    # images then overlap and cannot label the orbit
+    t1, t2 = ctx.triplets[0], ctx.triplets[1]
+    meet = t1[0].plane.vectors & t2[0].plane.vectors
+    other = min(v for v in gf3.ALL81 if v not in meet)
     original = Frame.coset_points
 
     def skewed(self, vectors, shift=gf3.ZERO):
-        cell = original(self, vectors, shift)
-        if shift == v0:
-            return original(self, vectors, frame.trits_from_point(min(omega4 - cell)))
-        return cell
+        if vectors == meet and shift == gf3.ZERO:
+            shift = other
+        return original(self, vectors, shift)
 
     monkeypatch.setattr(Frame, "coset_points", skewed)
+    [cert] = run_certificates(ctx, names={"enneads"})
+    assert cert.status == "fail"
+    assert cert.witness == {
+        "message": "ennead cells overlap",
+        "pair": ["0001:0", "0010:0"],
+    }
+
+
+def mutated_first_ennead(ctx, monkeypatch, mutate):
+    """Run the ennead check with the first pair's cells passed through
+    `mutate`, and return its failure."""
+    first = ctx.triplets[0], ctx.triplets[1]
+    original = denizens.ennead
+
+    def mutated(frame, t1, t2):
+        cells = original(frame, t1, t2)
+        return mutate(list(cells)) if (t1, t2) == first else cells
+
+    monkeypatch.setattr(certificates.denizens, "ennead", mutated)
     with pytest.raises(CheckFailed) as exc:
         certificates.check_enneads(ctx)
-    assert str(exc.value) == "ennead cell is not a coset of the intersection"
+    return exc.value
+
+
+def test_an_ennead_cell_of_eight_points_is_found(ctx, monkeypatch):
+    def short(cells):
+        cells[4] = cells[4] - {min(cells[4])}
+        return cells
+
+    failure = mutated_first_ennead(ctx, monkeypatch, short)
+    assert str(failure) == "ennead cell size wrong"
+    assert failure.data == {}
+
+
+def test_an_ennead_with_a_cell_in_place_of_another_is_found(ctx, monkeypatch):
+    # nine cells, each a coset, but the last is the first again
+    def doubled(cells):
+        cells[8] = cells[0]
+        return cells
+
+    failure = mutated_first_ennead(ctx, monkeypatch, doubled)
+    assert str(failure) == "ennead cells overlap"
+    assert failure.data == {"pair": ["0001:0", "0010:0"]}
 
 
 def traced_counts(tmp_path, *only):
@@ -415,7 +457,7 @@ def traced_counts(tmp_path, *only):
         [sys.executable, "perfbench/child.py", str(result), "traced",
          "verify-all", *only_args],
         cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": "src"},
+        env=CHILD_ENV,
         capture_output=True,
         text=True,
         timeout=120,
@@ -451,7 +493,11 @@ def test_verify_all_imports_only_the_standard_library():
         "assert 'numpy' not in sys.modules; sys.exit(rc)"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code],
+        env=CHILD_ENV,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "PASS stabilizer-group" in proc.stdout
@@ -466,7 +512,11 @@ def test_sequential_runs_do_not_import_the_thread_pool():
         "assert 'concurrent.futures' not in sys.modules; sys.exit(rc)"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code],
+        env=CHILD_ENV,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "PASS stabilizer-group" in proc.stdout
@@ -489,7 +539,11 @@ def loaded_modules(code: str) -> set:
     """The modules a fresh process has loaded after running `code`."""
     code += "\nimport sys; print(' '.join(sys.modules), file=sys.stderr)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code],
+        env=CHILD_ENV,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return set(proc.stderr.split())
@@ -695,6 +749,12 @@ def test_caps_json(capsys):
     for row in data["caps"]:
         assert len(row["cap"]) == 9
         assert row["translates"] == 9
+
+
+@pytest.mark.parametrize("ident", ["1111:+1", "1111: 1", "1111:0_0", "1111:-0"])
+def test_a_malformed_denizen_id_exits_2(ident, capsys):
+    assert main(["sections", "--segre", ident]) == 2
+    assert "denizen id must look like" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2():

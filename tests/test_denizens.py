@@ -59,7 +59,12 @@ def test_denizen_by_id(frame):
 
 
 def test_denizen_by_id_rejects_malformed(frame):
-    for bad in ("111:0", "1111:5", "1111", "1x11:0", "0000:0", "11111:0"):
+    for bad in (
+        "111:0", "1111:5", "1111", "1x11:0", "0000:0", "11111:0", "1111:",
+        # int() reads each of these shifts as 0 or 1
+        "1111:+1", "1111: 1", "1111:0_0", "1111:-0", "1111:0 ", "1111:00",
+        "1111:\u0661",
+    ):
         with pytest.raises(ValueError):
             denizens.denizen_by_id(frame, bad)
 
@@ -276,6 +281,27 @@ def test_ennead(ctx):
     assert all(len(c) == 9 for c in cells)
     assert frozenset().union(*cells) == ctx.frame.orbit(4)
     assert sum(len(c) for c in cells) == 81  # pairwise disjoint
+
+
+def test_every_ennead_cell_is_the_coset_of_its_least_point(ctx):
+    # the definition, pair by pair: each cell is the meet of the two
+    # planes shifted to its least point, and the nine cells partition the
+    # orbit
+    frame = ctx.frame
+    omega4 = frame.orbit(4)
+    pairs = 0
+    for t1, t2 in combinations(ctx.triplets, 2):
+        meet = t1[0].plane.vectors & t2[0].plane.vectors
+        cells = denizens.ennead(frame, t1, t2)
+        for cell in cells:
+            assert cell == frame.coset_points(
+                meet, frame.trits_from_point(min(cell))
+            )
+        assert len(cells) == 9
+        assert sum(map(len, cells)) == 81
+        assert frozenset().union(*cells) == omega4
+        pairs += 1
+    assert pairs == 780
 
 
 def test_ennead_rejects_equal_planes(ctx):

@@ -19,7 +19,7 @@ import json
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from . import anf, denizens, gf3, quadric, spreads
@@ -28,9 +28,9 @@ from .gf2 import (
     IDENTITY,
     PAIR_MASKS,
     UNIT,
+    after,
     apply,
     compose,
-    inverse,
     linmap_power,
     mulclose,
     perp,
@@ -405,8 +405,8 @@ def check_invariants(ctx):
 )
 def check_stabilizer(ctx):
     """<gens> = G(tetrad) = the `stabilizer` artifact.  The generators fix
-    the tetrad, so <gens> lies in G(tetrad).  G(tetrad) is a line shuffle
-    after one GL(2,2) map per line, and each of those factor sets is the
+    the tetrad, so <gens> lies in G(tetrad).  G(tetrad) is one GL(2,2)
+    map per line after a line shuffle, and each of those factor sets is the
     closure of two generators, so G(tetrad) lies in <gens>.  The artifact
     has 31104 = |G(tetrad)| elements, each fixing the tetrad, so it is
     G(tetrad)."""
@@ -433,17 +433,17 @@ def check_stabilizer(ctx):
         require(m in members, "diagonal map missing from stabilizer")
     for name, g in gens.items():
         mat = _where(induced_matrix, g, g81, generator=name)
-        ginv = inverse(g)
+        # g A_sigma g^-1 = A_(phi_g sigma), multiplied out by g on the right
+        g_after = after(g)
         for sigma, a in g81.maps.items():
-            conj = compose(compose(g, a), ginv)
             require(
-                conj == g81.maps[gf3.mat3_apply(mat, sigma)],
+                g_after(a) == compose(g81.maps[gf3.mat3_apply(mat, sigma)], g),
                 f"conjugation by {name} is not the induced linear map",
                 sigma=gf3.trit_str(sigma),
             )
-    # every element against every quadric point at once: byte k of cols[i]
-    # is column i of the k-th element, so XOR-ing the columns p selects
-    # packs all images of p, and Q is evaluated bytewise into bit 0.
+    # every element against every vector at once: byte k of cols[i] is
+    # column i of the k-th element, so XOR-ing the columns v selects packs
+    # all images of v, and one `translate` reads them through a table.
     # Appended rather than `b"".join`-ed: join keeps an 80-byte buffer
     # record per element, 2.5 MB for 31104 maps, which set the peak memory
     # of `verify-all`
@@ -452,41 +452,33 @@ def check_stabilizer(ctx):
         flat += m
     cols = [int.from_bytes(flat[i::8], "little") for i in range(8)]
     del flat
-    ones = int.from_bytes(b"\x01" * order, "little")
-    pairs = [
-        ((pm & -pm).bit_length() - 1, pm.bit_length() - 1) for pm in PAIR_MASKS
-    ]
-    bad = 0
-    for p in ctx.quadric_points:
-        img = 0
+
+    def images(v, table):
+        packed = 0
         for i in range(8):
-            if p >> i & 1:
-                img ^= cols[i]
-        q = img ^ img >> 4  # fold each byte's parity into its bit 0
-        q ^= q >> 2
-        q ^= q >> 1
-        for lo, hi in pairs:
-            q ^= img >> lo & img >> hi
-        bad += (q & ones).bit_count()
+            if v >> i & 1:
+                packed ^= cols[i]
+        return packed.to_bytes(order, "little").translate(table)
+
+    on_quadric = bytes(map(quadric_value, range(256)))
+    bad = sum(order - images(p, on_quadric).count(0) for p in ctx.quadric_points)
     require(bad == 0, "some element moves the quadric", violations=bad)
-    # `fixes_tetrad` for every element at once, on the same packing:
-    # on_line[v] has bit h when v is a point of line h, so ANDing the
-    # flags of a line's two basis images and of their sum leaves bit k
-    # exactly when they are two distinct points of line k; an element
-    # fixes the tetrad when its four lines leave all four bits
+    # `fixes_tetrad` for every element at once: on_line[v] has bit h when
+    # v is a point of line h, so ANDing the flags of a line's two basis
+    # images and of their sum leaves bit k exactly when they are two
+    # distinct points of line k; an element fixes the tetrad when its four
+    # lines leave all four bits
     on_line = bytes(
         sum(1 << h for h, pm in enumerate(PAIR_MASKS) if v and v | pm == pm)
         for v in range(256)
     )
-
-    def flags(packed):
-        raw = packed.to_bytes(order, "little").translate(on_line)
-        return int.from_bytes(raw, "little")
-
     hit = 0
-    for lo, hi in pairs:
-        a, b = cols[lo], cols[hi]
-        hit |= flags(a) & flags(b) & flags(a ^ b)
+    for pm in PAIR_MASKS:
+        lo, hi, both = (
+            int.from_bytes(images(v, on_line), "little")
+            for v in (pm & -pm, pm & (pm - 1), pm)
+        )
+        hit |= lo & hi & both
     bad = order - hit.to_bytes(order, "little").count(0b1111)
     require(bad == 0, "some element does not fix the tetrad lines",
             violations=bad)
@@ -1107,13 +1099,7 @@ class Certificate:
     elapsed_ms: float
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "claim": self.claim,
-            "status": self.status,
-            "witness": self.witness,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 def _unsafe_key(witness: dict):

@@ -378,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("denizen", help="inspect one denizen")
     p.add_argument("--plane", required=True, metavar="XXXX",
                    help="plane functional, four digits from {0,1,2}")
-    p.add_argument("--shift", type=int, default=0, choices=(0, 1, 2))
+    p.add_argument("--shift", default="0", choices=("0", "1", "2"))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_denizen)
 

@@ -220,20 +220,15 @@ def fixes_tetrad(m: LinMap) -> bool:
     return hit == set(PAIR_MASKS)
 
 
-def _line_images() -> list:
-    """For each coordinate-pair line, the six ordered pairs of distinct
-    points of it: the images of its low and high basis vectors."""
-    return [
-        tuple(permutations((pm & -pm, pm & (pm - 1), pm), 2)) for pm in PAIR_MASKS
-    ]
-
-
 def line_maps() -> tuple:
     """For each line h, the six maps GL(2,2) on V_h: e_(h+1) and e_(8-h)
     go to two distinct points of L_h, the other six coordinates stay."""
     return tuple(
-        frozenset(linmap({h + 1: a, 8 - h: b}) for a, b in images)
-        for h, images in enumerate(_line_images())
+        frozenset(
+            linmap({h + 1: a, 8 - h: b})
+            for a, b in permutations((pm & -pm, pm & (pm - 1), pm), 2)
+        )
+        for h, pm in enumerate(PAIR_MASKS)
     )
 
 
@@ -253,14 +248,18 @@ def line_shuffles() -> tuple:
 def tetrad_stabilizer_maps():
     """Every linear map that fixes the four coordinate-pair lines as a
     set, G(tetrad) = GL(2,2) wr S_4, listed from that definition: one
-    line shuffle after one product of the four `line_maps` factors,
-    24 * 6^4 = 31104 maps.  Streamed."""
-    fixing = [
-        linmap({1: a0, 8: b0, 2: a1, 7: b1, 3: a2, 6: b2, 4: a3, 5: b3})
-        for (a0, b0), (a1, b1), (a2, b2), (a3, b3) in product(*_line_images())
-    ]
-    for shuffle in line_shuffles():
-        yield from map(after(shuffle), fixing)
+    product of the four `line_maps` factors after one line shuffle,
+    6^4 * 24 = 31104 maps.  Streamed.
+
+    The factors, not the shuffles, are applied by table lookup: each
+    factor's table is built once, most of them already for the frame's
+    generators, and the shuffles need none."""
+    *first, last = line_maps()
+    maps = line_shuffles()
+    for factor in first:
+        maps = [m(g) for m in map(after, factor) for g in maps]
+    for m in map(after, last):
+        yield from map(m, maps)
 
 
 def build_stabilizer(frame: Frame) -> frozenset:

@@ -352,6 +352,17 @@ def test_a_factor_outside_the_generated_group_is_found(ctx, monkeypatch):
     assert exc.value.data == {"factor": "shuffles"}
 
 
+def test_a_wrong_induced_matrix_is_found(ctx, monkeypatch):
+    # phi_g taken as the identity for every generator: right for the
+    # rotations, which commute with the diagonal maps, wrong for swap_a,
+    # which inverts zeta_a
+    monkeypatch.setattr(certificates, "induced_matrix", lambda g, g81: gf3.BASIS)
+    with pytest.raises(CheckFailed) as exc:
+        check_stabilizer(Context(ctx.frame))
+    assert str(exc.value) == "conjugation by swap_a is not the induced linear map"
+    assert exc.value.data == {"sigma": "1000"}
+
+
 def test_a_swapped_ennead_point_is_found(ctx, monkeypatch):
     # one point traded between two cells of the first pair: still nine
     # cells of nine points partitioning the orbit, but not cosets
@@ -751,10 +762,29 @@ def test_caps_json(capsys):
         assert row["translates"] == 9
 
 
-@pytest.mark.parametrize("ident", ["1111:+1", "1111: 1", "1111:0_0", "1111:-0"])
-def test_a_malformed_denizen_id_exits_2(ident, capsys):
-    assert main(["sections", "--segre", ident]) == 2
-    assert "denizen id must look like" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *(
+            pytest.param(["sections", "--segre", ident],
+                         "denizen id must look like", id=ident)
+            for ident in ("1111:+1", "1111: 1", "1111:0_0", "1111:-0")
+        ),
+        # each of these is an int to `int()`, but not a shift
+        *(
+            pytest.param(["denizen", "--plane", "1111", "--shift", shift],
+                         "invalid choice", id=f"--shift {ascii(shift)}")
+            for shift in ("+1", " 1", "0_1", "\u0662")
+        ),
+    ],
+)
+def test_a_malformed_denizen_id_exits_2(argv, message, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a bad option itself
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2():

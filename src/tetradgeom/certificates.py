@@ -5,8 +5,8 @@ with structured data when a property fails.  The runner turns the
 registered checks into Certificate records (name, claim, status, witness,
 elapsed_ms) in a fixed order, independent of how many worker threads
 execute them.  The Context carries the shared artifacts (frame, groups,
-quadric, solids, denizens, and the fan triplets of every Segre denizen
-with their troikas) and builds each lazily exactly once.
+quadric, solids, denizens, and the fan triplets of every Segre denizen)
+and builds each lazily exactly once.
 
 Witness values are JSON-safe throughout: ints, strings, bools, lists and
 string-keyed dicts only.  The runner turns a witness that does not
@@ -505,14 +505,15 @@ def check_gf3(ctx):
         "PG(3,3) census wrong",
         census=[len(pts), len(lns), len(pls)],
     )
-    for ln in lns:
-        require(len(ln.points) == 4, "line has wrong point count")
-        on = sum(1 for pl in pls if ln.vectors <= pl.vectors)
-        require(on == 4, "line lies on wrong number of planes", planes=on)
     for pl in pls:
         require(len(pl.points) == 13, "plane has wrong point count")
         subs = _where(getattr, pl, "subspaces", plane=gf3.point_strs(pl))
         require(len(subs) == 13, "plane has wrong line count")
+    planes_on = Counter(ln for pl in pls for ln in pl.subspaces)
+    for ln in lns:
+        require(len(ln.points) == 4, "line has wrong point count")
+        require(planes_on[ln] == 4, "line lies on wrong number of planes",
+                planes=planes_on[ln])
     lines_on = Counter(p for ln in lns for p in ln.points)
     lines_through = Counter(
         pair for ln in lns for pair in combinations(sorted(ln.points), 2)
@@ -939,23 +940,23 @@ def check_sections(ctx):
 def check_fans(ctx):
     f = ctx.frame
     tetrad_points = f.orbit(1)
+    centres = {}  # each distinct fan -> its centre, decomposed on first sight
     fans_seen = 0
     for den, fts in zip(ctx.segres, ctx.fan_triplets):
         for ft in fts:
-            for troikas, centre in zip(ft.troikas, ft.centres):
+            for fan in ft.fans:
+                if fan not in centres:
+                    _, centres[fan] = _where(denizens.fan_decompose, f, fan,
+                                             ident=den.ident)
                 require(
-                    centre in tetrad_points,
+                    centres[fan] in tetrad_points,
                     "fan centre is not a tetrad point",
                     ident=den.ident,
-                    centre=point_str(centre),
+                    centre=point_str(centres[fan]),
                 )
-                for tr in troikas:
-                    a, b, c = sorted(tr)
-                    require(a ^ b ^ c == centre, "troika centre wrong")
                 fans_seen += 1
             require(
-                len(ft.centre_line) == 3
-                and ft.centre_line in set(f.lines),
+                ft.centre_line in f.lines,
                 "centre line of a fan triplet is not a tetrad line",
                 ident=den.ident,
             )

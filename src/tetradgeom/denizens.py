@@ -34,7 +34,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 from . import gf3
 from .gf2 import lines_inside, perp, rank, span
@@ -152,21 +154,17 @@ def c2_line(frame: Frame, den: Denizen) -> frozenset:
 
 def _ruling_split(inner) -> tuple:
     """Split 6 coplanar-grid lines into two rulings of 3 pairwise
-    disjoint lines; raises if the structure is not a grid."""
+    disjoint lines; raises if the structure is not a grid.  A line's
+    ruling is the line itself and the lines it misses."""
     inner = sorted(inner, key=min)
-    rulings = []
-    unused = set(range(6))
-    while unused:
-        i = min(unused)
-        clique = [j for j in unused if j == i or not (inner[i] & inner[j])]
-        if len(clique) != 3:
-            raise ValueError("grid section does not split into rulings")
-        for a, b in combinations(clique, 2):
-            if inner[a] & inner[b]:
-                raise ValueError("ruling lines intersect")
-        rulings.append(tuple(inner[j] for j in clique))
-        unused -= set(clique)
-    return tuple(rulings)
+    rulings = tuple(dict.fromkeys(
+        tuple(m for m in inner if m == ln or not m & ln) for ln in inner
+    ))
+    if len(rulings) != 2 or any(len(r) != 3 for r in rulings):
+        raise ValueError("grid section does not split into rulings")
+    if any(a & b for r in rulings for a, b in combinations(r, 2)):
+        raise ValueError("ruling lines intersect")
+    return rulings
 
 
 def classify_section(frame: Frame, den: Denizen, sub: gf3.Line) -> dict:
@@ -287,10 +285,11 @@ def fan_decompose(frame: Frame, points) -> tuple:
 
 @dataclass(frozen=True)
 class FanTriplet:
+    """Three parallel fans of a Segre denizen.  Each fan's three troikas
+    XOR to its centre, so `centre_line` holds the three fans' XORs;
+    the `fans-troikas` certificate decomposes every fan and so certifies it."""
     weight3_pair: int  # canonical representative of the +-lambda pair
     fans: tuple  # three frozensets of 9 points
-    troikas: tuple  # the three troikas of each fan
-    centres: tuple  # centre of each fan
     centre_line: frozenset
 
 
@@ -308,29 +307,21 @@ def fan_triplets(frame: Frame, den: Denizen) -> tuple:
             frame.coset_points(sub.vectors, s)
             for s in gf3.coset_shifts(den.plane.vectors, sub.vectors, den.shift)
         )
-        troikas, centres = zip(*(fan_decompose(frame, fan) for fan in fans))
-        out.append(
-            FanTriplet(w3, fans, troikas, centres, frozenset(centres))
-        )
+        out.append(FanTriplet(w3, fans, frozenset(reduce(xor, f) for f in fans)))
     if len(out) != 4:
         raise ValueError(f"expected 4 fan triplets, found {len(out)}")
     return tuple(sorted(out, key=lambda ft: ft.weight3_pair))
 
 
 def recover_tetrad(fts) -> frozenset:
-    """The four centre lines of a Segre denizen's fan triplets `fts`.
-    For every Segre denizen these are exactly the four tetrad lines, so
-    the denizen alone determines the tetrad."""
+    """The four centre lines of a Segre denizen's fan triplets `fts`, each
+    its fans' XORs.  For every Segre denizen these are exactly the four
+    tetrad lines, so the denizen alone determines the tetrad."""
     return frozenset(ft.centre_line for ft in fts)
 
 
 def fans_per_point(fts) -> dict:
-    counts = Counter()
-    for ft in fts:
-        for fan in ft.fans:
-            for p in fan:
-                counts[p] += 1
-    return dict(counts)
+    return dict(Counter(p for ft in fts for fan in ft.fans for p in fan))
 
 
 # ── enneads ──────────────────────────────────────────────────────────────

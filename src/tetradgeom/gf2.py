@@ -108,8 +108,11 @@ def linmap(images: dict) -> LinMap:
 
 @lru_cache(maxsize=None)
 def perm_table(m: LinMap) -> bytes:
-    """256-entry lookup table of apply(m, v); bytes for speed."""
-    return bytes(apply(m, v) for v in range(256))
+    """256-entry lookup table of apply(m, v), doubled by XOR per column."""
+    t = [0]
+    for c in m:
+        t += [x ^ c for x in t]
+    return bytes(t)
 
 
 def after(g: LinMap):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the JSON report format."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -122,6 +123,8 @@ PERTURBED_WHERE = {
         "ident": "1111:0",
         "direction": ["0012", "1101", "1110", "1122"],
     },
+    "fans-troikas": {"ident": "1111:0", "centre": "12"},
+    "tetrad-recovery": {"ident": "1111:0"},
     "enneads": {"pair": ["0001:0", "0010:0"]},
     "nine-caps": {"plane": ["0111", "1012", "1120", "1201"]},
 }
@@ -482,9 +485,16 @@ def test_traced_fan_work_is_done_once(tmp_path):
     calls, distinct = traced_counts(tmp_path, "fans-troikas", "tetrad-recovery")
     assert calls["denizens.fan_triplets"] == 24
     assert distinct["denizens.fan_triplets"] == 24
-    # each of the 144 distinct fans lies in two Segre denizens
-    assert calls["denizens.fan_decompose"] == 288
+    # each of the 144 distinct fans lies in two Segre denizens and is
+    # decomposed on its first sight only
+    assert calls["denizens.fan_decompose"] == 144
     assert distinct["denizens.fan_decompose"] == 144
+
+
+def test_tetrad_recovery_decomposes_no_fan(tmp_path):
+    calls, _ = traced_counts(tmp_path, "tetrad-recovery")
+    assert calls["denizens.fan_triplets"] == 24
+    assert calls.get("denizens.fan_decompose", 0) == 0
 
 
 def test_traced_section_subspaces_are_built_once(tmp_path):
@@ -575,6 +585,43 @@ def test_queries_load_only_what_they_print(query):
 def test_the_setup_probe_loads_only_the_frame():
     loaded = loaded_modules("import tetradgeom.cli as c; c.build_frame()")
     assert not loaded & (NEVER_IN_QUERIES | NOT_IN_ORBITS)
+
+
+def test_a_fan_that_fails_to_decompose_is_named(frame, monkeypatch):
+    decompose = denizens.fan_decompose
+
+    def failing(frame, fan):
+        if 0xFF in fan:
+            raise ValueError("fan must split into exactly three troikas")
+        return decompose(frame, fan)
+
+    monkeypatch.setattr(denizens, "fan_decompose", failing)
+    fans, recovery = run_certificates(
+        Context(frame), names={"fans-troikas", "tetrad-recovery"}
+    )
+    assert (fans.status, recovery.status) == ("fail", "pass")
+    assert fans.witness == {
+        "message": "fan must split into exactly three troikas",
+        "ident": "1111:0",
+    }
+
+
+def test_a_centre_line_off_the_tetrad_is_named(frame, monkeypatch):
+    # each fan still decomposes onto a tetrad point; only the triplet's
+    # centre line is wrong
+    build = denizens.fan_triplets
+
+    def skewed(frame, den):
+        fts = build(frame, den)
+        wrong = frozenset({0x81, 0x42, 0xC3})
+        return (dataclasses.replace(fts[0], centre_line=wrong), *fts[1:])
+
+    monkeypatch.setattr(denizens, "fan_triplets", skewed)
+    [cert] = run_certificates(Context(frame), names={"fans-troikas"})
+    assert cert.witness == {
+        "message": "centre line of a fan triplet is not a tetrad line",
+        "ident": "1111:0",
+    }
 
 
 def test_a_plane_whose_subspaces_fail_is_named(ctx, monkeypatch):

@@ -1,7 +1,9 @@
 """Tests for denizens: classification, sections, fans, and enneads."""
 
 from collections import Counter
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 import pytest
 
@@ -209,6 +211,13 @@ def test_classify_section_rejects_bad_input(frame):
         denizens.classify_section(frame, segre, outside)
 
 
+def test_six_concurrent_lines_are_not_a_grid():
+    # every pair meets in the point 1, so no line has a ruling partner
+    lines = [frozenset({1, 1 << k, 1 | 1 << k}) for k in range(1, 7)]
+    with pytest.raises(ValueError, match="does not split into rulings"):
+        denizens._ruling_split(lines)
+
+
 def test_fan_triplets_of_canonical_segre(frame):
     den = denizens.denizen_by_id(frame, "1111:0")
     fts = denizens.fan_triplets(frame, den)
@@ -224,7 +233,8 @@ def test_fan_triplets_of_canonical_segre(frame):
     for ft in fts:
         assert len(ft.fans) == 3
         assert frozenset().union(*ft.fans) == den.points
-        assert set(ft.centres) == set(ft.centre_line)
+        centres = {denizens.fan_decompose(frame, f)[1] for f in ft.fans}
+        assert centres == ft.centre_line
 
 
 def test_fan_decomposition_troikas(frame):
@@ -239,6 +249,16 @@ def test_fan_decomposition_troikas(frame):
     for t in troikas:
         a, b, c = sorted(t)
         assert a ^ b ^ c == centre
+
+
+def test_fan_xor_is_its_troika_centre(ctx):
+    # three troikas XOR to the centre each, so the nine points XOR to it
+    for den, fts in zip(ctx.segres, ctx.fan_triplets):
+        fans = [fan for ft in fts for fan in ft.fans]
+        assert len(fans) == 12
+        for fan in fans:
+            _, centre = denizens.fan_decompose(ctx.frame, fan)
+            assert reduce(xor, fan) == centre, den.ident
 
 
 def test_fans_per_point(frame):

@@ -27,6 +27,7 @@ from tetradgeom.gf2 import (
     span,
     symplectic_product,
 )
+from tetradgeom.tetrad import stabilizer_generators
 
 
 def test_point_str():
@@ -115,11 +116,17 @@ def test_inverse_and_invertibility():
         found += 1
 
 
-def test_perm_table_matches_apply():
-    z = linmap({1: E[7], 8: E[0] ^ E[7]})
-    t = perm_table(z)
-    assert len(t) == 256
-    assert all(t[v] == apply(z, v) for v in range(256))
+def test_perm_table_matches_apply(frame):
+    maps = [
+        linmap({1: E[7], 8: E[0] ^ E[7]}),
+        *stabilizer_generators(frame).values(),
+        linmap({1: E[1], 2: E[1]}),  # singular
+        bytes(8),  # the zero map
+    ]
+    for m in maps:
+        t = perm_table(m)
+        assert len(t) == 256
+        assert all(t[v] == apply(m, v) for v in range(256))
 
 
 def test_mulclose_single_rotation():

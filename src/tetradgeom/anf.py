@@ -20,7 +20,7 @@ rows of that table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .gf2 import span
@@ -147,9 +147,8 @@ def flat_indicator(flat: frozenset) -> Anf8:
     return Anf8.from_truth_table(sum(1 << p for p in flat) | 1)
 
 
-@dataclass(frozen=True)
-class InvariantPolys:
-    """The three flat-sum invariants and their sum.
+class InvariantPolys(namedtuple("InvariantPolys", "q2 q4 q6 q_lw4")):
+    """The three flat-sum invariants and their sum, each an Anf8.
 
     q2 sums the indicators of the four 5-flats spanned by line triples,
     q4 the six 3-flats spanned by line pairs, q6 the four lines
@@ -157,10 +156,7 @@ class InvariantPolys:
     of line weight 4.
     """
 
-    q2: Anf8
-    q4: Anf8
-    q6: Anf8
-    q_lw4: Anf8
+    __slots__ = ()
 
     def value_row(self, points) -> tuple:
         """(q2, q4, q6) values, constant on an orbit passed as points."""

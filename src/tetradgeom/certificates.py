@@ -18,8 +18,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import Counter
-from dataclasses import asdict, dataclass
+from collections import Counter, namedtuple
 from itertools import combinations
 
 from . import anf, denizens, gf3, quadric, spreads
@@ -429,15 +428,16 @@ def check_stabilizer(ctx):
     require(order == 31104, "stabilizer order wrong", order=order)
     members = frozenset(st)  # the same object when it is one
     g81 = ctx.g81
-    for m in g81.maps.values():
-        require(m in members, "diagonal map missing from stabilizer")
+    for sigma, m in enumerate(g81):
+        require(m in members, "diagonal map missing from stabilizer",
+                sigma=gf3.trit_str(sigma))
     for name, g in gens.items():
         mat = _where(induced_matrix, g, g81, generator=name)
         # g A_sigma g^-1 = A_(phi_g sigma), multiplied out by g on the right
         g_after = after(g)
-        for sigma, a in g81.maps.items():
+        for sigma, a in enumerate(g81):
             require(
-                g_after(a) == compose(g81.maps[gf3.mat3_apply(mat, sigma)], g),
+                g_after(a) == compose(g81[gf3.mat3_apply(mat, sigma)], g),
                 f"conjugation by {name} is not the induced linear map",
                 sigma=gf3.trit_str(sigma),
             )
@@ -506,21 +506,23 @@ def check_gf3(ctx):
         census=[len(pts), len(lns), len(pls)],
     )
     for pl in pls:
-        require(len(pl.points) == 13, "plane has wrong point count")
-        subs = _where(getattr, pl, "subspaces", plane=gf3.point_strs(pl))
-        require(len(subs) == 13, "plane has wrong line count")
+        plane = gf3.point_strs(pl)
+        require(len(pl.points) == 13, "plane has wrong point count", plane=plane)
+        subs = _where(getattr, pl, "subspaces", plane=plane)
+        require(len(subs) == 13, "plane has wrong line count", plane=plane)
     planes_on = Counter(ln for pl in pls for ln in pl.subspaces)
     for ln in lns:
-        require(len(ln.points) == 4, "line has wrong point count")
+        line = gf3.point_strs(ln)
+        require(len(ln.points) == 4, "line has wrong point count", line=line)
         require(planes_on[ln] == 4, "line lies on wrong number of planes",
-                planes=planes_on[ln])
+                line=line, planes=planes_on[ln])
     lines_on = Counter(p for ln in lns for p in ln.points)
     lines_through = Counter(
         pair for ln in lns for pair in combinations(sorted(ln.points), 2)
     )
     for p in pts:
         require(lines_on[p] == 13, "point lies on wrong number of lines",
-                lines=lines_on[p])
+                point=gf3.trit_str(p), lines=lines_on[p])
     for pair in combinations(sorted(pts), 2):
         require(lines_through[pair] == 1, "point pair not on a unique line")
 
@@ -542,22 +544,26 @@ def check_gf3(ctx):
     expected_dirs = {0: 3, 1: 2, 2: 4, 3: 0}
     fam_count = Counter()
     for pl in pls:
+        plane = gf3.point_strs(pl)
         dirs = [p for p in pl.points if gf3.wt_std(p) == 4]
         k = gf3.plane_kind(pl)
         require(
             len(dirs) == expected_dirs[k],
             "direction count per plane kind wrong",
+            plane=plane,
             kind=k,
             found=len(dirs),
         )
         if k == 0:
             fams = {gf3.direction_family(d) for d in dirs}
-            require(len(fams) == 1, "vertex-free plane mixes direction families")
+            require(len(fams) == 1, "vertex-free plane mixes direction families",
+                    plane=plane)
             fam_count[fams.pop()] += 1
             kinds = Counter(gf3.line_kind(s) for s in pl.subspaces)
             require(
                 kinds == Counter({4: 3, 6: 6, 3: 4}),
                 "vertex-free plane line-kind split is not 3/6/4",
+                plane=plane,
             )
     require(fam_count == Counter({0: 4, 1: 4}), "family split of Segre planes wrong")
 
@@ -664,19 +670,22 @@ def check_spreads(ctx):
     g81 = ctx.g81
     points = frozenset(range(1, 256))
     for d, sp in sorted(ctx.spreads.items()):
-        require(len(sp.lines) == 85, "spread size wrong", direction=gf3.trit_str(d))
+        direction = gf3.trit_str(d)
+        require(len(sp.lines) == 85, "spread size wrong", direction=direction)
         for ln in sp.lines:
-            require(len(ln) == 3, "spread line size wrong")
+            require(len(ln) == 3, "spread line size wrong", direction=direction)
             a, b, c = sorted(ln)
-            require(a ^ b == c, "spread line not closed")
+            require(a ^ b == c, "spread line not closed", direction=direction)
         _partition(sp.lines, points, "spread lines overlap",
-                   "spread does not cover the points", direction=gf3.trit_str(d))
+                   "spread does not cover the points", direction=direction)
         for tl in f.lines:
-            require(tl in set(sp.lines), "spread misses a tetrad line")
+            require(tl in set(sp.lines), "spread misses a tetrad line",
+                    direction=direction)
         for ln in sp.lines:
             require(
                 frozenset(apply(sp.generator, p) for p in ln) == ln,
                 "generator does not fix each spread line",
+                direction=direction,
             )
     expected = {1: 1, 2: 2, 3: 4, 4: 8}
     for r, want in expected.items():
@@ -688,7 +697,7 @@ def check_spreads(ctx):
             found=sorted(counts),
         )
     # zero-digit degeneracy: any sigma of weight below 4 has fixed points
-    for sigma, m in g81.maps.items():
+    for sigma, m in enumerate(g81):
         fixed = any(apply(m, p) == p for p in range(1, 256))
         require(
             fixed == (gf3.wt_std(sigma) < 4),
@@ -1091,16 +1100,16 @@ def check_caps(ctx):
 # ── runner ───────────────────────────────────────────────────────────────
 
 
-@dataclass
-class Certificate:
-    name: str
-    claim: str
-    status: str  # "pass" | "fail"
-    witness: dict
-    elapsed_ms: float
+class Certificate(
+    namedtuple("Certificate", "name claim status witness elapsed_ms")
+):
+    """One check's outcome: `status` is "pass" or "fail", `witness` a
+    JSON-safe dict and `elapsed_ms` the check's wall time."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(self._asdict())
 
 
 def _unsafe_key(witness: dict):

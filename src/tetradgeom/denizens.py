@@ -32,8 +32,7 @@ the tetrad without reference to the frame.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import reduce
 from itertools import combinations
 from operator import xor
@@ -54,13 +53,12 @@ SIGNATURES = {
 SECTION_TAGS = {4: "S2(2)", 6: "3-generator", 3: "fan"}
 
 
-@dataclass(frozen=True)
-class Denizen:
-    plane: gf3.Plane
-    shift: int  # coset representative, a vector of (F_3)^4
-    shift_index: int  # 0, 1, 2
-    points: frozenset
-    kind: str
+class Denizen(namedtuple("Denizen", "plane shift shift_index points kind")):
+    """The image `points` (a frozenset) of the coset `shift` + `plane`,
+    where `shift`, a vector of (F_3)^4, is the plane's `shift_index`-th
+    (0, 1, 2) coset representative; `kind` is "segre", "C1", "C2" or "C3"."""
+
+    __slots__ = ()
 
     @property
     def ident(self) -> str:
@@ -283,14 +281,14 @@ def fan_decompose(frame: Frame, points) -> tuple:
     return tuple(sorted(troikas, key=min)), centres.pop()
 
 
-@dataclass(frozen=True)
-class FanTriplet:
-    """Three parallel fans of a Segre denizen.  Each fan's three troikas
-    XOR to its centre, so `centre_line` holds the three fans' XORs;
-    the `fans-troikas` certificate decomposes every fan and so certifies it."""
-    weight3_pair: int  # canonical representative of the +-lambda pair
-    fans: tuple  # three frozensets of 9 points
-    centre_line: frozenset
+class FanTriplet(namedtuple("FanTriplet", "weight3_pair fans centre_line")):
+    """Three parallel fans of a Segre denizen: `fans` holds three
+    frozensets of 9 points, `weight3_pair` is the canonical representative
+    of the +-lambda pair.  Each fan's three troikas XOR to its centre, so
+    `centre_line` holds the three fans' XORs; the `fans-troikas`
+    certificate decomposes every fan and so certifies it."""
+
+    __slots__ = ()
 
 
 def fan_triplets(frame: Frame, den: Denizen) -> tuple:

@@ -31,7 +31,7 @@ points (kinds 1..7, census 6/24/16/12/16/48/8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 
@@ -175,27 +175,21 @@ def subspace_vectors(gens) -> frozenset:
     return frozenset(acc)
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(namedtuple("Line", "points vectors")):
     """A line of PG(3,3): 4 projective points, 9 vectors including zero."""
 
-    points: tuple
-    vectors: frozenset
+    __slots__ = ()
 
     def __repr__(self):
         return f"Line({'/'.join(trit_str(p) for p in self.points)})"
 
 
-@dataclass(frozen=True)
-class Plane:
+class Plane(namedtuple("Plane", "functional points vectors")):
     """A plane of PG(3,3), the kernel of the canonical functional.  Its
     13 2-subspaces are built by `plane_subspaces` on the first read of
-    `subspaces` and kept on the plane; they are not a field, so equality
-    and hash see only the functional, points and vectors."""
-
-    functional: Trit
-    points: tuple
-    vectors: frozenset
+    `subspaces` and kept in the plane's instance dict (the one record
+    without `__slots__`); they are not a field, so equality and hash see
+    only the functional, points and vectors."""
 
     @cached_property
     def subspaces(self) -> tuple:

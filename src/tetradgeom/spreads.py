@@ -20,34 +20,34 @@ pair on the quadric (see quadricgeom).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import gf3
-from .gf2 import LinMap, Mask, orbits, perm_table, span
-from .tetrad import Frame, Group81
+from .gf2 import Mask, orbits, perm_table, span
+from .tetrad import Frame
 
 
-@dataclass(frozen=True)
-class Spread:
-    direction: int  # the generating sigma = ijk1, one of gf3.DIRECTIONS
-    generator: LinMap
-    lines: tuple  # 85 frozensets, sorted by min point
-    line_of: dict  # point -> its line
+class Spread(namedtuple("Spread", "direction generator lines line_of")):
+    """The spread generated by A_sigma for `direction` sigma = ijk1, one of
+    `gf3.DIRECTIONS`: its map `generator`, its 85 `lines` as frozensets
+    sorted by min point, and `line_of`, point -> its line."""
+
+    __slots__ = ()
 
     def __repr__(self):
         return f"Spread({gf3.trit_str(self.direction)}, {len(self.lines)} lines)"
 
 
-def build_spread(g81: Group81, direction) -> Spread:
+def build_spread(g81: tuple, direction) -> Spread:
     if direction not in gf3.DIRECTIONS:
         raise ValueError(f"not a spread direction ijk1: {direction!r}")
-    gen = g81.maps[direction]
+    gen = g81[direction]
     lines = tuple(orbits(range(1, 256), [perm_table(gen).__getitem__]))
     line_of = {p: ln for ln in lines for p in ln}
     return Spread(direction, gen, lines, line_of)
 
 
-def all_spreads(g81: Group81) -> dict:
+def all_spreads(g81: tuple) -> dict:
     """The eight spreads, keyed by direction in `gf3.DIRECTIONS` order."""
     return {d: build_spread(g81, d) for d in gf3.DIRECTIONS}
 
@@ -71,14 +71,14 @@ def solid_pair(frame: Frame, spreads: dict, p: Mask) -> tuple:
     return tuple(flats)
 
 
-def orbit4_line_test(frame: Frame, g81: Group81, p: Mask, direction) -> bool:
+def orbit4_line_test(frame: Frame, g81: tuple, p: Mask, direction) -> bool:
     """Whether {p, A_sigma p, A_sigma^2 p} is a line inside the
     line-weight-4 orbit, for p in that orbit.  True exactly when the
     direction has standard weight 4 (i.e. +-direction is one of the eight
     spread directions)."""
     if frame.line_weight(p) != 4:
         raise ValueError("test point must have line weight 4")
-    t = perm_table(g81.maps[direction])
+    t = perm_table(g81[direction])
     q = t[p]
     r = t[q]
     return len({p, q, r}) == 3 and p ^ q ^ r == 0

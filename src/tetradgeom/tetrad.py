@@ -165,26 +165,14 @@ def build_frame(perturb: bool = False) -> Frame:
 # ── the normal subgroup of 81 diagonal maps ──────────────────────────────
 
 
-class Group81:
-    """A_sigma = zeta_a^i zeta_b^j zeta_c^k zeta_d^l, indexed by sigma."""
-
-    __slots__ = ("maps", "trit_of")
-
-    def __init__(self, frame: Frame):
-        pows = [
-            (IDENTITY, z, linmap_power(z, 2)) for z in frame.rotations
-        ]
-        self.maps = {}
-        for sigma in gf3.ALL81:
-            i, j, k, l = gf3.digits(sigma)
-            self.maps[sigma] = compose(
-                compose(pows[0][i], pows[1][j]), compose(pows[2][k], pows[3][l])
-            )
-        self.trit_of = {m: s for s, m in self.maps.items()}
-
-
-def build_group81(frame: Frame) -> Group81:
-    return Group81(frame)
+def build_group81(frame: Frame) -> tuple:
+    """The 81 maps A_sigma = zeta_a^i zeta_b^j zeta_c^k zeta_d^l, as a
+    tuple indexed by sigma."""
+    pows = [(IDENTITY, z, linmap_power(z, 2)) for z in frame.rotations]
+    return tuple(
+        compose(compose(pows[0][i], pows[1][j]), compose(pows[2][k], pows[3][l]))
+        for i, j, k, l in map(gf3.digits, gf3.ALL81)
+    )
 
 
 # ── the full stabilizer ──────────────────────────────────────────────────
@@ -275,19 +263,20 @@ def build_stabilizer(frame: Frame) -> frozenset:
 # ── the induced action on (F_3)^4 ────────────────────────────────────────
 
 
-def induced_matrix(g: LinMap, g81: Group81) -> tuple:
+def induced_matrix(g: LinMap, g81: tuple) -> tuple:
     """Columns (images of eps_1..eps_4) of the F_3-linear map phi_g with
     g A_sigma g^-1 = A_(phi_g sigma).  Raises ValueError if conjugation
     leaves the 81-group, i.e. if g does not normalize it, and if g is
     singular."""
     ginv = inverse(g)
-    cols = []
-    for e in gf3.BASIS:
-        sigma = g81.trit_of.get(compose(compose(g, g81.maps[e]), ginv))
-        if sigma is None:
-            raise ValueError("generator does not normalize the diagonal group")
-        cols.append(sigma)
-    return tuple(cols)
+    try:
+        return tuple(
+            g81.index(compose(compose(g, g81[e]), ginv)) for e in gf3.BASIS
+        )
+    except ValueError:
+        raise ValueError(
+            "generator does not normalize the diagonal group"
+        ) from None
 
 
 # ── orbit machinery ──────────────────────────────────────────────────────

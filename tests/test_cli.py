@@ -1,6 +1,5 @@
 """Tests for the command-line interface and the JSON report format."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -234,7 +233,7 @@ def test_quadric_violations_are_counted(ctx, monkeypatch):
     # The movers go first and last, so the sweep's packing is tested at
     # both ends.
     st = ctx.stabilizer
-    diagonal = set(ctx.g81.maps.values())
+    diagonal = set(ctx.g81)
     victims = sorted(g for g in st if g not in diagonal)[:2]
     first, last = linmap({1: E[0] ^ E[1]}), linmap({8: E[7] ^ E[2]})
     assert not {first, last} & st
@@ -289,7 +288,7 @@ def test_maps_outside_the_tetrad_stabilizer_are_found(ctx, monkeypatch):
     # quadric sweep passes, so only the sweep of every element against
     # the tetrad lines can object
     st = ctx.stabilizer
-    diagonal = set(ctx.g81.maps.values())
+    diagonal = set(ctx.g81)
     victims = sorted(g for g in st if g not in diagonal)[:2]
     first, last = transvection(E[0] ^ E[1] ^ E[2]), transvection(E[5] ^ E[6] ^ E[7])
     assert apply(first, E[7]) == 0x87 and apply(last, E[0]) == 0xE1
@@ -319,7 +318,7 @@ def test_tetrad_sweep_counts_every_kind_of_non_fixing_map(ctx, monkeypatch):
     ]
     assert not any(fixes_tetrad(m) for m in crafted)
     st = ctx.stabilizer
-    diagonal = set(ctx.g81.maps.values())
+    diagonal = set(ctx.g81)
     victims = sorted(g for g in st if g not in diagonal)[: len(crafted)]
     elements = st.difference(victims) | set(crafted)
     monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
@@ -511,7 +510,8 @@ def test_verify_all_imports_only_the_standard_library():
     code = (
         "import sys; from tetradgeom.cli import main; "
         "rc = main(['verify-all', '--only', 'stabilizer-group']); "
-        "assert 'numpy' not in sys.modules; sys.exit(rc)"
+        "assert 'numpy' not in sys.modules; "
+        "assert 'dataclasses' not in sys.modules; sys.exit(rc)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -549,7 +549,9 @@ QUERIES = {
     for sub, argvs in json.loads(GOLDEN_QUERIES.read_text()).items()
 }
 # what no query process loads, and what `orbits` leaves out besides
-NEVER_IN_QUERIES = {"tetradgeom.certificates", "concurrent.futures"}
+NEVER_IN_QUERIES = {
+    "tetradgeom.certificates", "concurrent.futures", "dataclasses",
+}
 NOT_IN_ORBITS = {
     "tetradgeom.anf", "tetradgeom.denizens", "tetradgeom.quadric",
     "tetradgeom.spreads",
@@ -614,7 +616,7 @@ def test_a_centre_line_off_the_tetrad_is_named(frame, monkeypatch):
     def skewed(frame, den):
         fts = build(frame, den)
         wrong = frozenset({0x81, 0x42, 0xC3})
-        return (dataclasses.replace(fts[0], centre_line=wrong), *fts[1:])
+        return (fts[0]._replace(centre_line=wrong), *fts[1:])
 
     monkeypatch.setattr(denizens, "fan_triplets", skewed)
     [cert] = run_certificates(Context(frame), names={"fans-troikas"})
@@ -644,6 +646,51 @@ def test_a_plane_whose_subspaces_fail_is_named(ctx, monkeypatch):
     assert cert.witness == {
         "message": "expected 13 subspaces, found 12",
         "plane": gf3.point_strs(broken),
+    }
+
+
+def test_a_line_of_five_points_is_named(ctx, monkeypatch):
+    # fresh planes, so that their line tables are read off the listing below
+    planes = tuple(
+        gf3.Plane(pl.functional, pl.points, pl.vectors) for pl in gf3.all_planes()
+    )
+    lines = list(gf3.all_lines())
+    ln = lines[7]
+    extra = next(p for p in gf3.all_points() if p not in ln.points)
+    lines[7] = five = gf3.Line(ln.points + (extra,), ln.vectors)
+    monkeypatch.setattr(gf3, "all_planes", lambda: planes)
+    monkeypatch.setattr(gf3, "all_lines", lambda: tuple(lines))
+    [cert] = run_certificates(ctx, names={"gf3-taxonomy"})
+    assert cert.witness == {
+        "message": "line has wrong point count",
+        "line": gf3.point_strs(five),
+    }
+
+
+def test_a_line_on_the_wrong_number_of_planes_is_named(ctx, monkeypatch):
+    # one plane's 13-line table swaps one of its lines for a line outside
+    # it: the line it drops lies on 3 planes, the line it takes on 5
+    planes = tuple(
+        gf3.Plane(pl.functional, pl.points, pl.vectors) for pl in gf3.all_planes()
+    )
+    broken = planes[0]
+    lines = gf3.all_lines()
+    dropped = gf3.plane_subspaces(broken)[0]
+    taken = next(ln for ln in lines if not ln.vectors <= broken.vectors)
+    build = gf3.plane_subspaces
+
+    def swapped(pl):
+        subs = build(pl)
+        return (taken, *subs[1:]) if pl == broken else subs
+
+    monkeypatch.setattr(gf3, "all_planes", lambda: planes)
+    monkeypatch.setattr(gf3, "plane_subspaces", swapped)
+    [cert] = run_certificates(ctx, names={"gf3-taxonomy"})
+    first = min(dropped, taken, key=lines.index)
+    assert cert.witness == {
+        "message": "line lies on wrong number of planes",
+        "line": gf3.point_strs(first),
+        "planes": 3 if first == dropped else 5,
     }
 
 

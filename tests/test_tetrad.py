@@ -116,35 +116,42 @@ def test_trit_point_round_trip(frame):
 
 def test_group81_shift_action(frame):
     g81 = build_group81(frame)
-    assert len(g81.maps) == 81 and len(g81.trit_of) == 81
-    assert g81.maps[gf3.ZERO] == IDENTITY
+    assert len(g81) == 81 and len(set(g81)) == 81
+    assert g81[gf3.ZERO] == IDENTITY
     # A_sigma shifts every label by sigma
     for sigma in gf3.ALL81:
-        m = g81.maps[sigma]
+        m = g81[sigma]
         for tau in gf3.ALL81[::7]:
             assert apply(m, frame.point_from_trits(tau)) == frame.point_from_trits(
                 gf3.t_add(tau, sigma)
             )
     # the group is elementary abelian of exponent 3
     for sigma in gf3.ALL81[::5]:
-        m = g81.maps[sigma]
+        m = g81[sigma]
         assert linmap_power(m, 3) == IDENTITY
-        assert compose(m, g81.maps[gf3.t_neg(sigma)]) == IDENTITY
+        assert compose(m, g81[gf3.t_neg(sigma)]) == IDENTITY
 
 
 def test_stabilizer_order_and_normality(frame):
     st = build_stabilizer(frame)
     assert len(st) == 31104  # 6^4 * 24
     g81 = build_group81(frame)
-    for m in g81.maps.values():
+    for m in g81:
         assert m in st
     # conjugation by each generator permutes the 81 diagonal maps linearly
     for g in stabilizer_generators(frame).values():
         mat = induced_matrix(g, g81)
         ginv = inverse(g)
         for sigma in gf3.ALL81[::11]:
-            conj = compose(compose(g, g81.maps[sigma]), ginv)
-            assert conj == g81.maps[mat3_apply(mat, sigma)]
+            conj = compose(compose(g, g81[sigma]), ginv)
+            assert conj == g81[mat3_apply(mat, sigma)]
+
+
+def test_induced_matrix_rejects_a_map_off_the_normalizer(frame):
+    g81 = build_group81(frame)
+    transvection = linmap({1: E[0] ^ E[1]})  # e1 -> e1 + e2
+    with pytest.raises(ValueError, match="does not normalize"):
+        induced_matrix(transvection, g81)
 
 
 def test_listing_is_the_generated_stabilizer(frame):

@@ -19,7 +19,7 @@ import json
 import threading
 import time
 from collections import Counter, namedtuple
-from itertools import combinations
+from itertools import combinations, repeat
 
 from . import anf, denizens, gf3, quadric, spreads
 from .gf2 import (
@@ -29,7 +29,6 @@ from .gf2 import (
     UNIT,
     after,
     apply,
-    compose,
     linmap_power,
     mulclose,
     perp,
@@ -179,11 +178,11 @@ def check_frame(ctx):
     f = ctx.frame
     allpts = set()
     for ln in f.lines:
-        require(len(ln) == 3, "line does not have 3 points")
+        line = [point_str(p) for p in sorted(ln)]
+        require(len(ln) == 3, "line does not have 3 points", line=line)
         a, b, c = sorted(ln)
-        require(a ^ b == c, "line is not closed under XOR",
-                line=[point_str(p) for p in sorted(ln)])
-        require(not (allpts & ln), "lines are not pairwise disjoint")
+        require(a ^ b == c, "line is not closed under XOR", line=line)
+        require(not (allpts & ln), "lines are not pairwise disjoint", line=line)
         allpts |= ln
     require(rank(span(allpts)) == 8, "tetrad does not span the space")
     for h in range(4):
@@ -262,9 +261,13 @@ def xor_shift(table: int, z: int) -> int:
 )
 def check_form(ctx):
     # 256-bit truth tables: bit x of b_tabs[z] is B(x, z), bit x of q_tab
-    # is Q(x), both evaluated pointwise so the routes stay independent
+    # is Q(x), both evaluated pointwise so the routes stay independent.  A
+    # row of values 0 or 1 from x = 255 down, spelled as digits by one
+    # `translate`, is its table as a binary numeral
+    down, digits = range(255, -1, -1), b"01" + bytes(254)
     b_tabs = [
-        sum(symplectic_product(x, z) << x for x in range(256)) for z in range(256)
+        int(bytes(map(symplectic_product, down, repeat(z))).translate(digits), 2)
+        for z in range(256)
     ]
     for i in range(1, 9):
         for j in range(1, 9):
@@ -407,8 +410,8 @@ def check_stabilizer(ctx):
     the tetrad, so <gens> lies in G(tetrad).  G(tetrad) is one GL(2,2)
     map per line after a line shuffle, and each of those factor sets is the
     closure of two generators, so G(tetrad) lies in <gens>.  The artifact
-    has 31104 = |G(tetrad)| elements, each fixing the tetrad, so it is
-    G(tetrad)."""
+    lists 31104 = |G(tetrad)| distinct elements, each fixing the tetrad, so
+    they are G(tetrad)."""
     gens = stabilizer_generators(ctx.frame)
     for name, g in gens.items():
         require(fixes_tetrad(g), "generator does not fix the tetrad lines",
@@ -424,44 +427,43 @@ def check_stabilizer(ctx):
                 "a factor of the stabilizer is not generated by its generators",
                 factor=name)
     st = ctx.stabilizer
-    order = len(st)
+    # each element's 8-byte record read as one native 64-bit int: the
+    # distinct records are the group's elements
+    members = set(memoryview(st).cast("Q"))
+    order = len(members)
     require(order == 31104, "stabilizer order wrong", order=order)
-    members = frozenset(st)  # the same object when it is one
     g81 = ctx.g81
-    for sigma, m in enumerate(g81):
+    for sigma, m in enumerate(memoryview(b"".join(g81)).cast("Q")):
         require(m in members, "diagonal map missing from stabilizer",
                 sigma=gf3.trit_str(sigma))
+    del members
     for name, g in gens.items():
         mat = _where(induced_matrix, g, g81, generator=name)
-        # g A_sigma g^-1 = A_(phi_g sigma), multiplied out by g on the right
+        # g A_sigma g^-1 = A_(phi_g sigma), multiplied out by g on the right,
+        # both sides one `translate` through a cached table
         g_after = after(g)
         for sigma, a in enumerate(g81):
             require(
-                g_after(a) == compose(g81[gf3.mat3_apply(mat, sigma)], g),
+                g_after(a) == after(g81[gf3.mat3_apply(mat, sigma)])(g),
                 f"conjugation by {name} is not the induced linear map",
                 sigma=gf3.trit_str(sigma),
             )
     # every element against every vector at once: byte k of cols[i] is
-    # column i of the k-th element, so XOR-ing the columns v selects packs
-    # all images of v, and one `translate` reads them through a table.
-    # Appended rather than `b"".join`-ed: join keeps an 80-byte buffer
-    # record per element, 2.5 MB for 31104 maps, which set the peak memory
-    # of `verify-all`
-    flat = bytearray()
-    for m in st:
-        flat += m
-    cols = [int.from_bytes(flat[i::8], "little") for i in range(8)]
-    del flat
+    # column i of the k-th record, so XOR-ing the columns v selects packs
+    # all images of v, and one `translate` reads them through a table
+    count = len(st) // 8
+    cols = [int.from_bytes(st[i::8], "little") for i in range(8)]
 
-    def images(v, table):
+    def images(v):
         packed = 0
         for i in range(8):
             if v >> i & 1:
                 packed ^= cols[i]
-        return packed.to_bytes(order, "little").translate(table)
+        return packed.to_bytes(count, "little")
 
-    on_quadric = bytes(map(quadric_value, range(256)))
-    bad = sum(order - images(p, on_quadric).count(0) for p in ctx.quadric_points)
+    # deleting the images on the quadric leaves those off it
+    singular = bytes(v for v in range(256) if not quadric_value(v))
+    bad = sum(len(images(p).translate(None, singular)) for p in ctx.quadric_points)
     require(bad == 0, "some element moves the quadric", violations=bad)
     # `fixes_tetrad` for every element at once: on_line[v] has bit h when
     # v is a point of line h, so ANDing the flags of a line's two basis
@@ -475,11 +477,11 @@ def check_stabilizer(ctx):
     hit = 0
     for pm in PAIR_MASKS:
         lo, hi, both = (
-            int.from_bytes(images(v, on_line), "little")
+            int.from_bytes(images(v).translate(on_line), "little")
             for v in (pm & -pm, pm & (pm - 1), pm)
         )
         hit |= lo & hi & both
-    bad = order - hit.to_bytes(order, "little").count(0b1111)
+    bad = count - hit.to_bytes(count, "little").count(0b1111)
     require(bad == 0, "some element does not fix the tetrad lines",
             violations=bad)
     return {
@@ -524,7 +526,9 @@ def check_gf3(ctx):
         require(lines_on[p] == 13, "point lies on wrong number of lines",
                 point=gf3.trit_str(p), lines=lines_on[p])
     for pair in combinations(sorted(pts), 2):
-        require(lines_through[pair] == 1, "point pair not on a unique line")
+        if lines_through[pair] != 1:
+            raise CheckFailed("point pair not on a unique line",
+                              pair=[gf3.trit_str(p) for p in pair])
 
     pkinds = Counter(gf3.plane_kind(pl) for pl in pls)
     require(
@@ -567,11 +571,13 @@ def check_gf3(ctx):
             )
     require(fam_count == Counter({0: 4, 1: 4}), "family split of Segre planes wrong")
 
-    # conjugation orbits
-    mats = [
+    # conjugation orbits, under the distinct induced matrices other than
+    # the identity (the rotations induce it): the rest move no subspace
+    mats = dict.fromkeys(
         _where(induced_matrix, g, ctx.g81, generator=name)
         for name, g in stabilizer_generators(ctx.frame).items()
-    ]
+    )
+    mats.pop(gf3.BASIS, None)
     orbit_sizes = {}
     for what, spaces, kind_of, classes in (
         ("plane", pls, gf3.plane_kind, "vertex-count"),
@@ -778,14 +784,30 @@ def check_solids(ctx):
         "system sizes wrong",
         sizes=sorted(sizes.values()),
     )
-    # every pair, on point masks: bit p of a mask is set when p is in the solid
-    masks = [sum(1 << p for p in s) for s in solids]
-    meets = quadric.SAME_SYSTEM_MEETS
-    for (a, ta), (b, tb) in combinations(zip(masks, tags), 2):
-        require(
-            ((a & b).bit_count() in meets) == (ta == tb),
-            "parity relation is not the two-class equivalence",
-        )
+    # every pair, bit-sliced: bit b of through[p] is set when solid b
+    # contains p, so adding the masks of a's 15 points into the counter
+    # bits c0..c3 counts |a & b| for every b at once.  Bit b of `meets` is
+    # set when that count is a same-system size, 15, 3 or 0 (binary 1111,
+    # 0011, 0000), which must agree with b's tag for every b after a
+    everything = (1 << len(solids)) - 1
+    through = dict.fromkeys(qp, 0)
+    system = [0, 0]
+    for b, (s, tg) in enumerate(zip(solids, tags)):
+        system[tg] |= 1 << b
+        for p in s:
+            through[p] |= 1 << b
+    for a, (s, tg) in enumerate(zip(solids, tags)):
+        c0 = c1 = c2 = c3 = 0
+        for p in s:
+            carry = through[p]
+            c0, carry = c0 ^ carry, c0 & carry
+            c1, carry = c1 ^ carry, c1 & carry
+            c2, carry = c2 ^ carry, c2 & carry
+            c3 ^= carry
+        low = c0 & c1
+        meets = low & c2 & c3 | low & ~(c2 | c3) | everything ^ (c0 | c1 | c2 | c3)
+        require(not (meets ^ system[tg]) >> a + 1,
+                "parity relation is not the two-class equivalence")
     tag_of = {s: tg for s, tg in zip(solids, tags)}
     for p in sorted(f.orbit(4)):
         se, so = spreads.solid_pair(f, ctx.spreads, p)
@@ -1007,40 +1029,31 @@ def check_recovery(ctx):
 def check_enneads(ctx):
     f = ctx.frame
     omega4 = f.orbit(4)
-    labels = {}  # each distinct meet -> its nine cosets as a label table
+    cosets = {}  # each distinct meet -> its nine coset images as point masks
     pairs = 0
     for t1, t2 in combinations(ctx.triplets, 2):
         cells = denizens.ennead(f, t1, t2)
         plane = t1[0].plane.vectors
         meet = plane & t2[0].plane.vectors
-        table = labels.get(meet)
-        if table is None:
+        want = cosets.get(meet)
+        if want is None:
             # the meet's three cosets inside each of the first plane's
             # (the shifts of its denizens): nine images of the meet, which
             # must partition the orbit
             steps = gf3.coset_shifts(plane, meet)
-            images = [
-                f.coset_points(meet, gf3.t_add(d.shift, step))
-                for d in t1
-                for step in steps
-            ]
+            images = [f.coset_points(meet, gf3.t_add(d.shift, step))
+                      for d in t1 for step in steps]
             _partition(images, omega4, "ennead cells overlap",
                        "ennead does not cover the orbit",
                        pair=[t1[0].ident, t2[0].ident])
-            table = bytearray(b"\xff" * 256)  # k at each point of image k
-            for k, image in enumerate(images):
-                for p in image:
-                    table[p] = k
-            table = labels[meet] = bytes(table)
-        # a cell read through the table is nine copies of one label
-        # exactly when it is that coset
-        if len(cells) != 9 or (
-            {bytes(cell).translate(table) for cell in cells} != _EACH_COSET
-        ):
+            want = cosets[meet] = {sum(1 << p for p in image) for image in images}
+        # nine distinct images, so nine cells that are all of them are each
+        # one coset, once
+        if len(cells) != 9 or set(cells) != want:
             require(len(cells) == 9, "ennead does not have nine cells")
             for cell in cells:
-                require(len(cell) == 9, "ennead cell size wrong")
-                require(bytes(cell).translate(table) in _EACH_COSET,
+                require(cell.bit_count() == 9, "ennead cell size wrong")
+                require(cell in want,
                         "ennead cell is not a coset of the intersection")
             # nine cosets, so two of them are the same
             raise CheckFailed("ennead cells overlap",
@@ -1048,11 +1061,6 @@ def check_enneads(ctx):
         pairs += 1
     require(pairs == 780, "triplet pair count wrong", count=pairs)
     return {"pairs": pairs, "cells_per_pair": 9}
-
-
-#: each of the nine cosets as a row of the label table reads it: nine
-#: copies of its label
-_EACH_COSET = frozenset(bytes([k]) * 9 for k in range(9))
 
 
 # ── 19 nine-caps ─────────────────────────────────────────────────────────

@@ -53,10 +53,11 @@ SIGNATURES = {
 SECTION_TAGS = {4: "S2(2)", 6: "3-generator", 3: "fan"}
 
 
-class Denizen(namedtuple("Denizen", "plane shift shift_index points kind")):
+class Denizen(namedtuple("Denizen", "plane shift shift_index points mask kind")):
     """The image `points` (a frozenset) of the coset `shift` + `plane`,
     where `shift`, a vector of (F_3)^4, is the plane's `shift_index`-th
-    (0, 1, 2) coset representative; `kind` is "segre", "C1", "C2" or "C3"."""
+    (0, 1, 2) coset representative; `mask` is the same points as a 256-bit
+    int, bit p for point p; `kind` is "segre", "C1", "C2" or "C3"."""
 
     __slots__ = ()
 
@@ -74,7 +75,8 @@ def triplet_from_plane(frame: Frame, plane: gf3.Plane) -> tuple:
     vector outside the plane."""
     kind = PLANE_KIND_TO_DENIZEN[gf3.plane_kind(plane)]
     return tuple(
-        Denizen(plane, s, j, frame.coset_points(plane.vectors, s), kind)
+        Denizen(plane, s, j, pts := frame.coset_points(plane.vectors, s),
+                sum(1 << p for p in pts), kind)
         for j, s in enumerate(gf3.coset_shifts(gf3.ALL81, plane.vectors))
     )
 
@@ -326,12 +328,10 @@ def fans_per_point(fts) -> dict:
 
 
 def ennead(frame: Frame, triplet1, triplet2) -> tuple:
-    """The nine pairwise intersections of two distinct triplets; each has
-    nine points and together they partition the weight-4 orbit.  They are
-    the coset images of the 9-element intersection of the two planes."""
+    """The nine pairwise intersections of two distinct triplets, as point
+    masks (bit p for point p); each has nine points and together they
+    partition the weight-4 orbit.  They are the coset images of the
+    9-element intersection of the two planes."""
     if triplet1[0].plane.vectors == triplet2[0].plane.vectors:
         raise ValueError("ennead needs two distinct triplets")
-    cells = tuple(
-        d1.points & d2.points for d1 in triplet1 for d2 in triplet2
-    )
-    return cells
+    return tuple(d1.mask & d2.mask for d1 in triplet1 for d2 in triplet2)

@@ -21,7 +21,7 @@ partitioning the weight-4 orbit.
 from __future__ import annotations
 
 from . import gf3
-from .gf2 import PAIR_MASKS, quadric_value, symplectic_product
+from .gf2 import PAIR_MASKS, quadric_value
 from .tetrad import Frame
 
 
@@ -64,30 +64,35 @@ def singular_solids(qpoints) -> tuple:
     with pivots ascending, and every totally singular subspace has exactly
     one such basis, so no subspace is reached twice.  Pairwise orthogonal
     singular points span a totally singular subspace, so the fourth row
-    closes a solid."""
-    qlist = sorted(qpoints)
-    perp_sing = {
-        p: sum(1 << q for q in qlist if q != p and symplectic_product(p, q) == 0)
-        for p in qlist
-    }
+    closes a solid.
+
+    Candidate sets are 256-bit truth tables, bit q for point q, so each
+    condition is one AND.  `coords[k]` is the table of x -> bit k of x, and
+    `forms[p]` the table of B(., p), XOR-doubled over the bits of p: bit k
+    of p adds coordinate 7 - k, its partner."""
+    coords = [sum(1 << x for x in range(256) if x >> k & 1) for k in range(8)]
+    forms = [0]
+    for coord in reversed(coords):
+        forms += [t ^ coord for t in forms]
+    qmask = sum(1 << q for q in qpoints)
+    perp_sing = {p: qmask & ~forms[p] & ~(1 << p) for p in qpoints}
     solids = []
 
-    def extend(pts, pivots, cand, rows):
+    def extend(pts, cand, rows):
         while cand:
             low = cand & -cand
             cand ^= low
             q = low.bit_length() - 1
-            if q & pivots:
-                continue
             span = pts + [q] + [s ^ q for s in pts]
             if rows == 3:
                 solids.append(frozenset(span))
             else:
-                # keep only candidates above q, orthogonal to q as well
-                extend(span, pivots | 1 << q.bit_length() - 1,
-                       cand & perp_sing[q], rows + 1)
+                # keep only candidates above q, orthogonal to q as well,
+                # and free of its pivot
+                extend(span, cand & perp_sing[q] & ~coords[q.bit_length() - 1],
+                       rows + 1)
 
-    extend([], 0, sum(1 << q for q in qlist), 0)
+    extend([], qmask, 0)
     return tuple(sorted(solids, key=sorted))
 
 

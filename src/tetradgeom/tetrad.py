@@ -37,7 +37,6 @@ from .gf2 import (
     LinMap,
     Mask,
     PAIR_MASKS,
-    after,
     apply,
     compose,
     inverse,
@@ -233,31 +232,19 @@ def line_shuffles() -> tuple:
     return tuple(shuffles)
 
 
-def tetrad_stabilizer_maps():
-    """Every linear map that fixes the four coordinate-pair lines as a
-    set, G(tetrad) = GL(2,2) wr S_4, listed from that definition: one
+def build_stabilizer(frame: Frame) -> bytes:
+    """G(tetrad), every linear map that fixes the four coordinate-pair
+    lines as a set, GL(2,2) wr S_4, listed from that definition: one
     product of the four `line_maps` factors after one line shuffle,
-    6^4 * 24 = 31104 maps.  Streamed.
-
-    The factors, not the shuffles, are applied by table lookup: each
-    factor's table is built once, most of them already for the frame's
-    generators, and the shuffles need none."""
-    *first, last = line_maps()
-    maps = line_shuffles()
-    for factor in first:
-        maps = [m(g) for m in map(after, factor) for g in maps]
-    for m in map(after, last):
-        yield from map(m, maps)
-
-
-def build_stabilizer(frame: Frame) -> frozenset:
-    """G(tetrad), the listing of `tetrad_stabilizer_maps` as a set of maps.
-    It does not depend on the frame: the tetrad is the four coordinate-pair
-    lines whatever the rotations.  That the frame's stabilizer generators
+    6^4 * 24 = 31104 maps, packed as one string of 8 column bytes each.
+    A factor map composes after the whole listing in one `translate`, the
+    maps of a factor in sorted order, so the listing is the same in every
+    process.  It does not depend on the frame; that the frame's generators
     generate it is `stabilizer-group`'s to prove."""
-    # via a dict, whose table grows in smaller steps than a set's: frozen
-    # from either, the frozenset gets the smallest table that fits
-    return frozenset(dict.fromkeys(tetrad_stabilizer_maps()))
+    flat = b"".join(line_shuffles())
+    for factor in line_maps():
+        flat = b"".join(flat.translate(perm_table(g)) for g in sorted(factor))
+    return flat
 
 
 # ── the induced action on (F_3)^4 ────────────────────────────────────────

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from tetradgeom.certificates import (
     CheckFailed,
     Context,
     check_form,
+    check_frame,
     check_stabilizer,
     run_certificates,
     xor_shift,
@@ -227,20 +230,35 @@ def test_form_check_rejects_a_degenerate_form_at_the_gram_step(monkeypatch):
     assert str(exc.value) == "Gram entry (4,5) wrong"
 
 
+def records(listing) -> list:
+    """The maps of a packed stabilizer listing, 8 column bytes each."""
+    return [listing[i:i + 8] for i in range(0, len(listing), 8)]
+
+
+def stand_ins(ctx, first, last) -> tuple:
+    """The stabilizer listing with its least non-diagonal maps traded for
+    the crafted maps `first` and `last`, packed before and after the rest;
+    returned with the maps traded away."""
+    maps = records(ctx.stabilizer)
+    assert not set(first + last) & set(maps)
+    diagonal = set(ctx.g81)
+    victims = sorted(g for g in maps if g not in diagonal)[:len(first + last)]
+    rest = [g for g in maps if g not in victims]
+    elements = b"".join(first + rest + last)
+    assert len(elements) == 31104 * 8 and len(set(records(elements))) == 31104
+    return elements, victims
+
+
 def test_quadric_violations_are_counted(ctx, monkeypatch):
     # swap two non-diagonal elements for invertible maps that move quadric
     # points; the order stays 31104, so only the quadric sweep can object.
     # The movers go first and last, so the sweep's packing is tested at
     # both ends.
-    st = ctx.stabilizer
-    diagonal = set(ctx.g81)
-    victims = sorted(g for g in st if g not in diagonal)[:2]
     first, last = linmap({1: E[0] ^ E[1]}), linmap({8: E[7] ^ E[2]})
-    assert not {first, last} & st
-    elements = (first, *st.difference(victims), last)
+    elements, victims = stand_ins(ctx, [first], [last])
+    assert elements[:8] == first and elements[-8:] == last
     monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
     bad_ctx = Context(ctx.frame)
-    assert len(bad_ctx.stabilizer) == 31104
     # the genuine elements preserve Q, so the violations are the movers'
     points = bad_ctx.quadric_points
     expected = sum(quadric_value(apply(g, p)) for g in (first, last) for p in points)
@@ -252,12 +270,38 @@ def test_quadric_violations_are_counted(ctx, monkeypatch):
     assert exc.value.data == {"violations": expected}
 
 
+def test_a_repeated_record_lowers_the_order(ctx, monkeypatch):
+    # the last record replaced by a copy of the first: the listing keeps
+    # its 31104 records, but only 31103 distinct maps
+    maps = records(ctx.stabilizer)
+    elements = b"".join(maps[:-1] + maps[:1])
+    assert len(elements) == len(ctx.stabilizer)
+    monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
+    with pytest.raises(CheckFailed) as exc:
+        check_stabilizer(Context(ctx.frame))
+    assert str(exc.value) == "stabilizer order wrong"
+    assert exc.value.data == {"order": 31103}
+
+
 def test_swapped_system_tags_break_the_parity_sweep(ctx, monkeypatch):
     # swap the tags of one solid from each system: both systems keep 135
     # solids, so only the sweep over all pairs can object
     tags = list(ctx.system_tags)
     a, b = tags.index(0), tags.index(1)
     tags[a], tags[b] = 1, 0
+    monkeypatch.setattr(certificates.quadric, "system_tags", lambda s: tuple(tags))
+    with pytest.raises(CheckFailed) as exc:
+        certificates.check_solids(Context(ctx.frame))
+    assert str(exc.value) == "parity relation is not the two-class equivalence"
+
+
+def test_swapped_end_tags_break_the_parity_sweep(ctx, monkeypatch):
+    # the first and the last solid, bits 0 and 269 of the sweep's masks,
+    # trade their tags: the first solid's row and the last solid's column
+    # are the ones that must object
+    tags = list(ctx.system_tags)
+    assert (tags[0], tags[-1]) == (0, 1)
+    tags[0], tags[-1] = tags[-1], tags[0]
     monkeypatch.setattr(certificates.quadric, "system_tags", lambda s: tuple(tags))
     with pytest.raises(CheckFailed) as exc:
         certificates.check_solids(Context(ctx.frame))
@@ -286,22 +330,17 @@ def test_maps_outside_the_tetrad_stabilizer_are_found(ctx, monkeypatch):
     # as above, but the two stand-ins preserve Q and move a tetrad point
     # (e8 and e1 respectively) off its line; the order stays 31104 and the
     # quadric sweep passes, so only the sweep of every element against
-    # the tetrad lines can object
-    st = ctx.stabilizer
-    diagonal = set(ctx.g81)
-    victims = sorted(g for g in st if g not in diagonal)[:2]
+    # the tetrad lines can object.  They go first and last as well
     first, last = transvection(E[0] ^ E[1] ^ E[2]), transvection(E[5] ^ E[6] ^ E[7])
     assert apply(first, E[7]) == 0x87 and apply(last, E[0]) == 0xE1
     points = ctx.quadric_points
     assert all(
         quadric_value(apply(g, p)) == 0 for g in (first, last) for p in points
     )
-    elements = st.difference(victims) | {first, last}
+    elements, _ = stand_ins(ctx, [first], [last])
     monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
-    bad_ctx = Context(ctx.frame)
-    assert len(bad_ctx.stabilizer) == 31104
     with pytest.raises(CheckFailed) as exc:
-        check_stabilizer(bad_ctx)
+        check_stabilizer(Context(ctx.frame))
     assert str(exc.value) == "some element does not fix the tetrad lines"
     assert exc.value.data == {"violations": 2}
 
@@ -317,10 +356,7 @@ def test_tetrad_sweep_counts_every_kind_of_non_fixing_map(ctx, monkeypatch):
         linmap({2: E[0], 7: E[7]}),  # L_b onto L_a, so L_b is never hit
     ]
     assert not any(fixes_tetrad(m) for m in crafted)
-    st = ctx.stabilizer
-    diagonal = set(ctx.g81)
-    victims = sorted(g for g in st if g not in diagonal)[: len(crafted)]
-    elements = st.difference(victims) | set(crafted)
+    elements, _ = stand_ins(ctx, crafted[:2], crafted[2:])
     monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
     monkeypatch.setattr(certificates.quadric, "build_quadric", frozenset)
     with pytest.raises(CheckFailed) as exc:
@@ -374,9 +410,10 @@ def test_a_swapped_ennead_point_is_found(ctx, monkeypatch):
     def swapped(frame, t1, t2):
         cells = list(original(frame, t1, t2))
         if (t1, t2) == first:
-            a, b = min(cells[0]), min(cells[1])
-            cells[0] = cells[0] - {a} | {b}
-            cells[1] = cells[1] - {b} | {a}
+            # the least point of each cell, as a one-bit mask
+            a, b = cells[0] & -cells[0], cells[1] & -cells[1]
+            cells[0] ^= a | b
+            cells[1] ^= a | b
         return tuple(cells)
 
     monkeypatch.setattr(certificates.denizens, "ennead", swapped)
@@ -441,7 +478,7 @@ def mutated_first_ennead(ctx, monkeypatch, mutate):
 
 def test_an_ennead_cell_of_eight_points_is_found(ctx, monkeypatch):
     def short(cells):
-        cells[4] = cells[4] - {min(cells[4])}
+        cells[4] &= cells[4] - 1  # without its least point
         return cells
 
     failure = mutated_first_ennead(ctx, monkeypatch, short)
@@ -692,6 +729,55 @@ def test_a_line_on_the_wrong_number_of_planes_is_named(ctx, monkeypatch):
         "line": gf3.point_strs(first),
         "planes": 3 if first == dropped else 5,
     }
+
+
+def test_a_point_pair_on_two_lines_is_named(ctx, monkeypatch):
+    # two disjoint lines trade their last points: every line keeps four
+    # points on four planes and every point its 13 lines, but pairs across
+    # the trade now lie on two lines or on none
+    planes = tuple(
+        gf3.Plane(pl.functional, pl.points, pl.vectors) for pl in gf3.all_planes()
+    )
+    lines = list(gf3.all_lines())
+    j = next(j for j, ln in enumerate(lines) if not {*ln.points} & {*lines[0].points})
+    (*a, d), (*b, h) = lines[0].points, lines[j].points
+    lines[0] = lines[0]._replace(points=tuple(sorted((*a, h))))
+    lines[j] = lines[j]._replace(points=tuple(sorted((*b, d))))
+    now = Counter(pair for ln in lines for pair in combinations(ln.points, 2))
+    broken = [pair for pair in combinations(gf3.all_points(), 2) if now[pair] != 1]
+    monkeypatch.setattr(gf3, "all_planes", lambda: planes)
+    monkeypatch.setattr(gf3, "all_lines", lambda: tuple(lines))
+    [cert] = run_certificates(ctx, names={"gf3-taxonomy"})
+    assert cert.witness == {
+        "message": "point pair not on a unique line",
+        "pair": [gf3.trit_str(p) for p in broken[0]],
+    }
+
+
+def frame_with_line(index, line):
+    """A new frame whose `index`-th line is replaced by `line`."""
+    frame = build_frame()
+    lines = list(frame.lines)
+    lines[index] = frozenset(line)
+    frame.lines = tuple(lines)
+    return frame
+
+
+def test_a_line_of_four_points_is_named():
+    frame = frame_with_line(0, {0x01, 0x02, 0x80, 0x81})
+    with pytest.raises(CheckFailed) as exc:
+        check_frame(Context(frame))
+    assert str(exc.value) == "line does not have 3 points"
+    assert exc.value.data == {"line": ["1", "2", "8", "18"]}
+
+
+def test_a_line_meeting_an_earlier_line_is_named():
+    # closed under XOR, but it shares e1 with L_a
+    frame = frame_with_line(1, {0x01, 0x02, 0x03})
+    with pytest.raises(CheckFailed) as exc:
+        check_frame(Context(frame))
+    assert str(exc.value) == "lines are not pairwise disjoint"
+    assert exc.value.data == {"line": ["1", "2", "12"]}
 
 
 def test_query_outputs_match_golden(capsys):

@@ -294,9 +294,20 @@ def test_fan_decompose_rejects_non_fans(frame):
         denizens.fan_decompose(frame, grid)
 
 
+def points_of(mask) -> frozenset:
+    """The points whose bits are set in a 256-bit point mask."""
+    return frozenset(p for p in range(256) if mask >> p & 1)
+
+
+def test_denizen_masks_are_their_points(ctx):
+    for t in ctx.triplets:
+        for d in t:
+            assert points_of(d.mask) == d.points
+
+
 def test_ennead(ctx):
     t1, t2 = ctx.triplets[0], ctx.triplets[1]
-    cells = denizens.ennead(ctx.frame, t1, t2)
+    cells = [points_of(c) for c in denizens.ennead(ctx.frame, t1, t2)]
     assert len(cells) == 9
     assert all(len(c) == 9 for c in cells)
     assert frozenset().union(*cells) == ctx.frame.orbit(4)
@@ -312,7 +323,7 @@ def test_every_ennead_cell_is_the_coset_of_its_least_point(ctx):
     pairs = 0
     for t1, t2 in combinations(ctx.triplets, 2):
         meet = t1[0].plane.vectors & t2[0].plane.vectors
-        cells = denizens.ennead(frame, t1, t2)
+        cells = [points_of(c) for c in denizens.ennead(frame, t1, t2)]
         for cell in cells:
             assert cell == frame.coset_points(
                 meet, frame.trits_from_point(min(cell))

@@ -1,7 +1,11 @@
 """The frame: four lines, rotations, labelling, groups."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -29,8 +33,14 @@ from tetradgeom.tetrad import (
     line_shuffles,
     point_orbits,
     stabilizer_generators,
-    tetrad_stabilizer_maps,
 )
+
+
+
+def records(listing) -> list:
+    """The maps of a packed stabilizer listing, 8 column bytes each."""
+    return [listing[i:i + 8] for i in range(0, len(listing), 8)]
+
 
 LINES = (
     frozenset({0x01, 0x80, 0x81}),
@@ -133,7 +143,9 @@ def test_group81_shift_action(frame):
 
 
 def test_stabilizer_order_and_normality(frame):
-    st = build_stabilizer(frame)
+    listing = build_stabilizer(frame)
+    assert len(listing) == 31104 * 8
+    st = set(records(listing))
     assert len(st) == 31104  # 6^4 * 24
     g81 = build_group81(frame)
     for m in g81:
@@ -155,15 +167,14 @@ def test_induced_matrix_rejects_a_map_off_the_normalizer(frame):
 
 
 def test_listing_is_the_generated_stabilizer(frame):
-    maps = list(tetrad_stabilizer_maps())
+    maps = records(build_stabilizer(frame))
     assert len(maps) == 31104 and len(set(maps)) == 31104  # 24 * 6^4
     assert all(fixes_tetrad(m) for m in maps)
     # the breadth-first closure of all ten generators, an independent route
     assert set(maps) == mulclose(stabilizer_generators(frame).values())
-    assert build_stabilizer(frame) == set(maps)
 
 
-def test_listing_is_the_product_of_its_factors():
+def test_listing_is_the_product_of_its_factors(frame):
     per_line = line_maps()
     assert [len(maps) for maps in per_line] == [6, 6, 6, 6]
     shuffles = line_shuffles()
@@ -172,7 +183,28 @@ def test_listing_is_the_product_of_its_factors():
         compose(compose(a, b), compose(c, d)) for a, b, c, d in product(*per_line)
     ]
     products = {after(s)(m) for s in shuffles for m in fixing}
-    assert products == set(tetrad_stabilizer_maps())
+    listing = records(build_stabilizer(frame))
+    assert len(listing) == len(products) == 31104
+    assert products == set(listing)
+
+
+def test_listing_is_the_same_in_every_process():
+    # a factor is a frozenset of bytes, iterated in an order that follows
+    # each process's string hash seed
+    code = (
+        "import hashlib; from tetradgeom.tetrad import build_stabilizer; "
+        "print(hashlib.sha256(build_stabilizer(None)).hexdigest())"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert len(digests) == 1
 
 
 def test_fixes_tetrad(frame):

@@ -23,26 +23,18 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .gf2 import span
+from .gf2 import COORDS, FULL, mask, span
 
 #: partner coordinate under the pairing i <-> 9-i
 PARTNER = {i: 9 - i for i in range(1, 9)}
-
-#: for each variable index i (0-based), the 256-bit mask of truth-table
-#: positions x whose bit i is clear; drives the butterflies over a table
-HALF_MASKS = tuple(
-    sum(1 << x for x in range(256) if not x >> i & 1) for i in range(8)
-)
-
-_FULL = (1 << 256) - 1
 
 
 def mobius(table: int) -> int:
     """Subset-sum transform of a 256-bit table over GF(2).  Involutory:
     applied to ANF coefficients it yields the truth table and vice versa."""
-    for i in range(8):
-        table ^= (table & HALF_MASKS[i]) << (1 << i)
-    return table & _FULL
+    for i, coord in enumerate(COORDS):
+        table ^= (table << (1 << i)) & coord
+    return table
 
 
 def _monomial_masks(coeffs: int):
@@ -56,7 +48,7 @@ class Anf8:
     __slots__ = ("coeffs", "_tt")
 
     def __init__(self, coeffs: int):
-        self.coeffs = coeffs & _FULL
+        self.coeffs = coeffs & FULL
         self._tt = None
 
     # construction -------------------------------------------------------
@@ -144,7 +136,7 @@ class Anf8:
 def flat_indicator(flat: frozenset) -> Anf8:
     """Indicator polynomial of a flat, given as its points: value 1
     exactly on the flat and at the zero vector."""
-    return Anf8.from_truth_table(sum(1 << p for p in flat) | 1)
+    return Anf8.from_truth_table(mask(flat) | 1)
 
 
 class InvariantPolys(namedtuple("InvariantPolys", "q2 q4 q6 q_lw4")):

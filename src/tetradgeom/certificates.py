@@ -19,17 +19,21 @@ import json
 import threading
 import time
 from collections import Counter, namedtuple
-from itertools import combinations, repeat
+from itertools import combinations
 
 from . import anf, denizens, gf3, quadric, spreads
 from .gf2 import (
+    COORDS,
     E,
+    FULL,
     IDENTITY,
     PAIR_MASKS,
     UNIT,
     after,
     apply,
     linmap_power,
+    low_bit,
+    mask,
     mulclose,
     perp,
     point_str,
@@ -37,11 +41,12 @@ from .gf2 import (
     rank,
     span,
     symplectic_product,
+    table,
+    xor_shift,
 )
 from .tetrad import (
     LINE_NAMES,
     Frame,
-    build_frame,
     build_group81,
     build_stabilizer,
     fixes_tetrad,
@@ -66,11 +71,27 @@ def require(cond, message: str, **data):
         raise CheckFailed(message, **data)
 
 
+class _artifact:
+    """A `Context` artifact: `build(ctx)` on its first read, kept in the
+    context's cache under the attribute's own name."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, ctx, owner=None):
+        if ctx is None:  # read off the class itself
+            return self
+        return ctx._get(self.name, lambda: self.build(ctx))
+
+
 class Context:
     """Lazily built shared artifacts, safe to read from worker threads."""
 
-    def __init__(self, frame: Frame | None = None):
-        self.frame = frame if frame is not None else build_frame()
+    def __init__(self, frame: Frame):
+        self.frame = frame
         self._lock = threading.RLock()
         self._cache = {}
 
@@ -80,58 +101,21 @@ class Context:
                 self._cache[name] = builder()
             return self._cache[name]
 
-    @property
-    def g81(self):
-        return self._get("g81", lambda: build_group81(self.frame))
-
-    @property
-    def invariants(self):
-        return self._get("invariants", lambda: anf.build_invariants(self.frame))
-
-    @property
-    def quadric_points(self):
-        return self._get("quadric_points", quadric.build_quadric)
-
-    @property
-    def solids(self):
-        return self._get(
-            "solids", lambda: quadric.singular_solids(self.quadric_points)
-        )
-
-    @property
-    def system_tags(self):
-        return self._get("system_tags", lambda: quadric.system_tags(self.solids))
-
-    @property
-    def stabilizer(self):
-        return self._get("stabilizer", lambda: build_stabilizer(self.frame))
-
-    @property
-    def spreads(self):
-        return self._get("spreads", lambda: spreads.all_spreads(self.g81))
-
-    @property
-    def triplets(self):
-        return self._get("triplets", lambda: denizens.all_triplets(self.frame))
-
-    @property
-    def segres(self):
-        return self._get(
-            "segres",
-            lambda: tuple(
-                d for t in self.triplets for d in t if d.kind == "segre"
-            ),
-        )
-
-    @property
-    def fan_triplets(self):
-        """The fan triplets of each Segre denizen, aligned with `segres`."""
-        return self._get(
-            "fan_triplets",
-            lambda: tuple(
-                denizens.fan_triplets(self.frame, d) for d in self.segres
-            ),
-        )
+    g81 = _artifact(lambda c: build_group81(c.frame))
+    invariants = _artifact(lambda c: anf.build_invariants(c.frame))
+    quadric_points = _artifact(lambda c: quadric.build_quadric())
+    solids = _artifact(lambda c: quadric.singular_solids(c.quadric_points))
+    system_tags = _artifact(lambda c: quadric.system_tags(c.solids))
+    stabilizer = _artifact(lambda c: build_stabilizer(c.frame))
+    spreads = _artifact(lambda c: spreads.all_spreads(c.g81))
+    triplets = _artifact(lambda c: denizens.all_triplets(c.frame))
+    segres = _artifact(
+        lambda c: tuple(d for t in c.triplets for d in t if d.kind == "segre")
+    )
+    # the fan triplets of each Segre denizen, aligned with `segres`
+    fan_triplets = _artifact(
+        lambda c: tuple(denizens.fan_triplets(c.frame, d) for d in c.segres)
+    )
 
 
 def _where(fn, *args, **where):
@@ -240,35 +224,15 @@ def check_orbits(ctx):
 # ── 3 symplectic form ────────────────────────────────────────────────────
 
 
-def _low_bit(diff: int) -> int:
-    """The least x whose bit is set in a nonzero truth table."""
-    return (diff & -diff).bit_length() - 1
-
-
-def xor_shift(table: int, z: int) -> int:
-    """The truth table of x -> table(x ^ z): for each set bit i of z,
-    swap the two halves of every block of 2^(i+1) entries."""
-    for i, m in enumerate(anf.HALF_MASKS):
-        if z >> i & 1:
-            table = (table >> (1 << i) & m) | (table & m) << (1 << i)
-    return table
-
-
 @check(
     "symplectic-form",
     "the form is alternating and nondegenerate with Gram matrix pairing "
     "coordinate i with 9-i, and the quadratic form polarizes to it",
 )
 def check_form(ctx):
-    # 256-bit truth tables: bit x of b_tabs[z] is B(x, z), bit x of q_tab
-    # is Q(x), both evaluated pointwise so the routes stay independent.  A
-    # row of values 0 or 1 from x = 255 down, spelled as digits by one
-    # `translate`, is its table as a binary numeral
-    down, digits = range(255, -1, -1), b"01" + bytes(254)
-    b_tabs = [
-        int(bytes(map(symplectic_product, down, repeat(z))).translate(digits), 2)
-        for z in range(256)
-    ]
+    # tables (gf2): bit x of b_tabs[z] is B(x, z), bit x of q_tab is Q(x),
+    # both evaluated pointwise so the routes stay independent
+    b_tabs = [table(symplectic_product, z) for z in range(256)]
     for i in range(1, 9):
         for j in range(1, 9):
             require(
@@ -277,24 +241,22 @@ def check_form(ctx):
             )
     for x in range(256):
         require(not b_tabs[x] >> x & 1, "form is not alternating", x=x)
-    full = (1 << 256) - 1
-    q_tab = sum(quadric_value(x) << x for x in range(256))
+    q_tab = table(quadric_value)
     for z, b_tab in enumerate(b_tabs):
-        pol = xor_shift(q_tab, z) ^ q_tab ^ (full if quadric_value(z) else 0)
+        pol = xor_shift(q_tab, z) ^ q_tab ^ (FULL if quadric_value(z) else 0)
         if pol != b_tab:
             raise CheckFailed(
-                "polarization identity fails", x=_low_bit(pol ^ b_tab), y=z
+                "polarization identity fails", x=low_bit(pol ^ b_tab), y=z
             )
     # linearity in the first argument: B(., z) is the XOR of the
     # coordinate tables of the e_i with B(e_i, z) = 1
-    coords = [full ^ m for m in anf.HALF_MASKS]
     for z, b_tab in enumerate(b_tabs):
         lin = 0
-        for e, coord in zip(E, coords):
+        for e, coord in zip(E, COORDS):
             if b_tab >> e & 1:
                 lin ^= coord
         if lin != b_tab:
-            raise CheckFailed("form is not linear", x=_low_bit(lin ^ b_tab), z=z)
+            raise CheckFailed("form is not linear", x=low_bit(lin ^ b_tab), z=z)
     # nondegeneracy needs no step of its own: polarization makes B
     # symmetric, so linearity in the first argument makes it bilinear, and
     # a bilinear form with the invertible Gram matrix above is nondegenerate
@@ -360,11 +322,8 @@ def check_invariants(ctx):
         require(row == expected, f"value row for orbit {r} wrong",
                 orbit=r, row=list(row), expected=list(expected))
     # dual route: the ANF of the closed-form quadratic equals q2
-    tt = 0
-    for x in range(256):
-        tt |= quadric_value(x) << x
     require(
-        anf.Anf8.from_truth_table(tt) == inv.q2,
+        anf.Anf8.from_truth_table(table(quadric_value)) == inv.q2,
         "q2 differs from the ANF of the quadratic form",
     )
     require(
@@ -684,9 +643,8 @@ def check_spreads(ctx):
             require(a ^ b == c, "spread line not closed", direction=direction)
         _partition(sp.lines, points, "spread lines overlap",
                    "spread does not cover the points", direction=direction)
-        for tl in f.lines:
-            require(tl in set(sp.lines), "spread misses a tetrad line",
-                    direction=direction)
+        require(set(f.lines) <= set(sp.lines), "spread misses a tetrad line",
+                direction=direction)
         for ln in sp.lines:
             require(
                 frozenset(apply(sp.generator, p) for p in ln) == ln,
@@ -809,7 +767,8 @@ def check_solids(ctx):
         require(not (meets ^ system[tg]) >> a + 1,
                 "parity relation is not the two-class equivalence")
     tag_of = {s: tg for s, tg in zip(solids, tags)}
-    for p in sorted(f.orbit(4)):
+    omega2, omega4 = f.orbit(2), f.orbit(4)
+    for p in sorted(omega4):
         se, so = spreads.solid_pair(f, ctx.spreads, p)
         require(se in solid_set and so in solid_set, "family span is not a solid",
                 point=point_str(p))
@@ -817,12 +776,10 @@ def check_solids(ctx):
                 point=point_str(p))
         require(tag_of[se] != tag_of[so], "solid pair lies in one system",
                 point=point_str(p))
-        wts = Counter(f.line_weight(q) for q in se)
-        require(
-            wts == Counter({4: 9, 2: 6}),
-            "solid weight profile wrong",
-            point=point_str(p),
-        )
+        # se is one of the solids, which all have 15 points (checked above),
+        # so 9 of weight 4 and 6 of weight 2 is its whole weight profile
+        require(len(se & omega4) == 9 and len(se & omega2) == 6,
+                "solid weight profile wrong", point=point_str(p))
         comps = [p & pm for pm in PAIR_MASKS]
         small = {comps[h] ^ comps[k] for h, k in combinations(range(4), 2)}
         require(
@@ -1046,7 +1003,7 @@ def check_enneads(ctx):
             _partition(images, omega4, "ennead cells overlap",
                        "ennead does not cover the orbit",
                        pair=[t1[0].ident, t2[0].ident])
-            want = cosets[meet] = {sum(1 << p for p in image) for image in images}
+            want = cosets[meet] = set(map(mask, images))
         # nine distinct images, so nine cells that are all of them are each
         # one coset, once
         if len(cells) != 9 or set(cells) != want:
@@ -1117,7 +1074,7 @@ class Certificate(
     __slots__ = ()
 
     def to_json(self) -> dict:
-        return dict(self._asdict())
+        return self._asdict()
 
 
 def _unsafe_key(witness: dict):

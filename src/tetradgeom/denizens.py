@@ -38,7 +38,7 @@ from itertools import combinations
 from operator import xor
 
 from . import gf3
-from .gf2 import lines_inside, perp, rank, span
+from .gf2 import lines_inside, mask, perp, rank, span
 from .tetrad import Frame
 
 PLANE_KIND_TO_DENIZEN = {0: "segre", 1: "C1", 2: "C2", 3: "C3"}
@@ -56,8 +56,8 @@ SECTION_TAGS = {4: "S2(2)", 6: "3-generator", 3: "fan"}
 class Denizen(namedtuple("Denizen", "plane shift shift_index points mask kind")):
     """The image `points` (a frozenset) of the coset `shift` + `plane`,
     where `shift`, a vector of (F_3)^4, is the plane's `shift_index`-th
-    (0, 1, 2) coset representative; `mask` is the same points as a 256-bit
-    int, bit p for point p; `kind` is "segre", "C1", "C2" or "C3"."""
+    (0, 1, 2) coset representative; `mask` is their table (`gf2.mask`);
+    `kind` is "segre", "C1", "C2" or "C3"."""
 
     __slots__ = ()
 
@@ -76,7 +76,7 @@ def triplet_from_plane(frame: Frame, plane: gf3.Plane) -> tuple:
     kind = PLANE_KIND_TO_DENIZEN[gf3.plane_kind(plane)]
     return tuple(
         Denizen(plane, s, j, pts := frame.coset_points(plane.vectors, s),
-                sum(1 << p for p in pts), kind)
+                mask(pts), kind)
         for j, s in enumerate(gf3.coset_shifts(gf3.ALL81, plane.vectors))
     )
 
@@ -329,7 +329,7 @@ def fans_per_point(fts) -> dict:
 
 def ennead(frame: Frame, triplet1, triplet2) -> tuple:
     """The nine pairwise intersections of two distinct triplets, as point
-    masks (bit p for point p); each has nine points and together they
+    tables (`gf2.mask`); each has nine points and together they
     partition the weight-4 orbit.  They are the coset images of the
     9-element intersection of the two planes."""
     if triplet1[0].plane.vectors == triplet2[0].plane.vectors:

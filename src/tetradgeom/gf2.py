@@ -19,6 +19,11 @@ frozen test fixtures:
   coordinate-pair lines.
 * A linear map is an 8-byte `bytes` of column masks, the images of
   e_1..e_8.  Only this module builds maps.
+* A table is a 256-bit int: bit x holds the value 0 or 1 at the vector x,
+  so the table of a point set is its mask (`mask`) and the tables of two
+  functions combine by one AND, OR or XOR.  `FULL` is the table of 1,
+  `COORDS[k]` the table of x -> bit k of x, and `table(f)` evaluates f at
+  every vector.  Only this module spells the format out.
 
 Everything here is immutable and exact; there is no floating point
 anywhere in the package.
@@ -27,7 +32,7 @@ anywhere in the package.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 
 Mask = int
 LinMap = bytes  # 8 column masks, the images of e_1..e_8
@@ -70,6 +75,41 @@ def quadric_value(x: Mask) -> int:
         if x & pm == pm:
             s += 1
     return s & 1
+
+
+# ── tables ───────────────────────────────────────────────────────────────
+
+FULL = (1 << 256) - 1
+#: COORDS[k] is the table of x -> bit k of x: runs of 2^k clear and 2^k
+#: set bits, the complement of FULL's quotient by 2^(2^k) + 1
+COORDS = tuple(FULL ^ FULL // ((1 << (1 << k)) + 1) for k in range(8))
+
+_DOWN, _DIGITS = range(255, -1, -1), b"01" + bytes(254)
+
+
+def table(f, *args) -> int:
+    """The table of x -> f(x, *args), f valued 0 or 1: its values from
+    x = 255 down, spelled as digits by one `translate`, as a binary numeral."""
+    return int(bytes(map(f, _DOWN, *map(repeat, args))).translate(_DIGITS), 2)
+
+
+def mask(points) -> int:
+    """The table of a point set: bit p set for each point p."""
+    return sum(1 << p for p in points)
+
+
+def low_bit(t: int) -> int:
+    """The least x whose bit is set in a nonzero table."""
+    return (t & -t).bit_length() - 1
+
+
+def xor_shift(t: int, z: int) -> int:
+    """The table of x -> t(x ^ z): for each set bit k of z, swap the two
+    halves of every block of 2^(k+1) entries."""
+    for k, coord in enumerate(COORDS):
+        if z >> k & 1:
+            t = (t & coord) >> (1 << k) | (t << (1 << k)) & coord
+    return t
 
 
 # ── linear maps ──────────────────────────────────────────────────────────

@@ -21,7 +21,7 @@ partitioning the weight-4 orbit.
 from __future__ import annotations
 
 from . import gf3
-from .gf2 import PAIR_MASKS, quadric_value
+from .gf2 import COORDS, PAIR_MASKS, mask, quadric_value
 from .tetrad import Frame
 
 
@@ -66,15 +66,13 @@ def singular_solids(qpoints) -> tuple:
     singular points span a totally singular subspace, so the fourth row
     closes a solid.
 
-    Candidate sets are 256-bit truth tables, bit q for point q, so each
-    condition is one AND.  `coords[k]` is the table of x -> bit k of x, and
-    `forms[p]` the table of B(., p), XOR-doubled over the bits of p: bit k
-    of p adds coordinate 7 - k, its partner."""
-    coords = [sum(1 << x for x in range(256) if x >> k & 1) for k in range(8)]
+    Candidate sets are tables (gf2), so each condition is one AND.
+    `forms[p]` is the table of B(., p), XOR-doubled over the bits of p:
+    bit k of p adds coordinate 7 - k, its partner."""
     forms = [0]
-    for coord in reversed(coords):
+    for coord in reversed(COORDS):
         forms += [t ^ coord for t in forms]
-    qmask = sum(1 << q for q in qpoints)
+    qmask = mask(qpoints)
     perp_sing = {p: qmask & ~forms[p] & ~(1 << p) for p in qpoints}
     solids = []
 
@@ -89,7 +87,7 @@ def singular_solids(qpoints) -> tuple:
             else:
                 # keep only candidates above q, orthogonal to q as well,
                 # and free of its pivot
-                extend(span, cand & perp_sing[q] & ~coords[q.bit_length() - 1],
+                extend(span, cand & perp_sing[q] & ~COORDS[q.bit_length() - 1],
                        rows + 1)
 
     extend([], qmask, 0)

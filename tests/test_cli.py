@@ -5,13 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from conftest import records
 
-from tetradgeom import certificates, denizens, gf3
+from tetradgeom import certificates, denizens, gf2, gf3
 from tetradgeom.certificates import (
     CheckFailed,
     Context,
@@ -19,7 +22,6 @@ from tetradgeom.certificates import (
     check_frame,
     check_stabilizer,
     run_certificates,
-    xor_shift,
 )
 from tetradgeom.cli import main
 from tetradgeom.gf2 import (
@@ -29,6 +31,7 @@ from tetradgeom.gf2 import (
     linmap,
     quadric_value,
     symplectic_product,
+    xor_shift,
 )
 from tetradgeom.tetrad import Frame, build_frame, fixes_tetrad
 
@@ -36,6 +39,8 @@ REPORT_KEYS = {"name", "claim", "status", "witness", "elapsed_ms"}
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_REPORT = ROOT / "perfbench" / "golden" / "verify-report.json"
 GOLDEN_QUERIES = ROOT / "perfbench" / "golden" / "queries.json"
+# `verify-all --perturb --report` without its elapsed_ms fields
+PERTURBED_REPORT = ROOT / "tests" / "fixtures" / "perturb-report.json"
 # every child process finds the package through one absolute path, from
 # whatever directory the suite runs in
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -142,6 +147,101 @@ def test_non_normalizing_generator_is_named(perturbed_ctx, name):
         assert cert.witness[field] == where
 
 
+def test_perturbed_report_is_pinned(perturbed_ctx):
+    certs = run_certificates(perturbed_ctx)
+    assert sum(c.status == "fail" for c in certs) == 16
+    assert without_timings([c.to_json() for c in certs]) == (
+        PERTURBED_REPORT.read_text()
+    )
+
+
+#: the artifacts a Context declares, each built once and cached by name
+ARTIFACTS = (
+    "g81", "invariants", "quadric_points", "solids", "system_tags",
+    "stabilizer", "spreads", "triplets", "segres", "fan_triplets",
+)
+
+
+def test_context_declares_each_artifact_under_its_own_name():
+    declared = {
+        name: attr.name
+        for name, attr in vars(Context).items()
+        if isinstance(attr, certificates._artifact)
+    }
+    assert declared == {name: name for name in ARTIFACTS}
+    # read off the class, an artifact is its declaration
+    assert all(getattr(Context, name) is vars(Context)[name] for name in ARTIFACTS)
+
+
+def test_an_artifact_is_built_once_by_concurrent_readers(frame, monkeypatch):
+    calls = []
+
+    def slow_build(fr):
+        calls.append(fr)
+        time.sleep(0.05)  # long enough for the second reader to arrive
+        return object()
+
+    monkeypatch.setattr(certificates, "build_group81", slow_build)
+    ctx = Context(frame)
+    got = []
+    readers = [threading.Thread(target=lambda: got.append(ctx.g81)) for _ in range(4)]
+    for r in readers:
+        r.start()
+    for r in readers:
+        r.join(timeout=10)
+        assert not r.is_alive()
+    assert len(got) == 4 and all(g is got[0] for g in got)
+    assert ctx.g81 is got[0]
+    assert calls == [frame]
+    assert ctx._cache == {"g81": got[0]}
+
+
+def bind_everywhere(monkeypatch, original, mutant):
+    """Bind `mutant` under every name that binds `original` in a loaded
+    tetradgeom module, as `from .gf2 import ...` copies the binding."""
+    mods = [m for n, m in sys.modules.items() if n.split(".")[0] == "tetradgeom"]
+    for mod in mods:
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, mutant)
+
+
+def reversed_table(f, *args, table=gf2.table):
+    """Bit x holds f(255 - x, *args)."""
+    return int(f"{table(f, *args):0256b}"[::-1], 2)
+
+
+def without_least_point(points, mask=gf2.mask):
+    m = mask(points)
+    return m & (m - 1)
+
+
+# each mutant of the table format, and the certificates it fails
+TABLE_MUTANTS = {
+    "coord3-flipped": (
+        gf2.COORDS, (*gf2.COORDS[:3], gf2.COORDS[3] ^ 1 << 9, *gf2.COORDS[4:]),
+        {"symplectic-form", "invariant-polynomials"},
+    ),
+    "table-reversed": (
+        gf2.table, reversed_table, {"symplectic-form", "invariant-polynomials"},
+    ),
+    "mask-short": (
+        gf2.mask, without_least_point,
+        {"invariant-polynomials", "generator-solids", "enneads"},
+    ),
+    "full-short": (gf2.FULL, gf2.FULL >> 1, {"symplectic-form"}),
+}
+
+
+@pytest.mark.parametrize("mutant", TABLE_MUTANTS)
+def test_a_table_mutant_fails_a_certificate(frame, monkeypatch, mutant):
+    original, replacement, fails = TABLE_MUTANTS[mutant]
+    bind_everywhere(monkeypatch, original, replacement)
+    failed = [c for c in run_certificates(Context(frame)) if c.status == "fail"]
+    assert {c.name for c in failed} == fails
+    assert not any("error" in c.witness for c in failed)
+
+
 def test_partition_failures_are_located():
     partition = certificates._partition
     partition([{1}, {2, 3}], {1, 2, 3}, "overlap", "cover", at=0)
@@ -228,11 +328,6 @@ def test_form_check_rejects_a_degenerate_form_at_the_gram_step(monkeypatch):
     with pytest.raises(CheckFailed) as exc:
         check_form(None)
     assert str(exc.value) == "Gram entry (4,5) wrong"
-
-
-def records(listing) -> list:
-    """The maps of a packed stabilizer listing, 8 column bytes each."""
-    return [listing[i:i + 8] for i in range(0, len(listing), 8)]
 
 
 def stand_ins(ctx, first, last) -> tuple:

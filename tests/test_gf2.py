@@ -8,7 +8,9 @@ from random import Random
 import pytest
 
 from tetradgeom.gf2 import (
+    COORDS,
     E,
+    FULL,
     IDENTITY,
     PAIR_MASKS,
     UNIT,
@@ -18,6 +20,8 @@ from tetradgeom.gf2 import (
     linmap,
     linmap_power,
     lines_inside,
+    low_bit,
+    mask,
     mulclose,
     perm_table,
     perp,
@@ -26,6 +30,7 @@ from tetradgeom.gf2 import (
     rank,
     span,
     symplectic_product,
+    table,
 )
 from tetradgeom.tetrad import stabilizer_generators
 
@@ -76,6 +81,27 @@ def test_quadric_value_polarizes_to_form():
         x, y = rng.randrange(256), rng.randrange(256)
         pol = quadric_value(x ^ y) ^ quadric_value(x) ^ quadric_value(y)
         assert pol == symplectic_product(x, y)
+
+
+def test_coords_are_the_coordinate_tables():
+    assert FULL == sum(1 << x for x in range(256))
+    for k, coord in enumerate(COORDS):
+        assert coord == sum(1 << x for x in range(256) if x >> k & 1)
+
+
+def test_table_is_the_pointwise_sum():
+    assert table(quadric_value) == sum(quadric_value(x) << x for x in range(256))
+    for z in range(256):
+        assert table(symplectic_product, z) == sum(
+            symplectic_product(x, z) << x for x in range(256)
+        )
+
+
+def test_mask_and_low_bit_at_both_ends():
+    assert mask({1}) == 2 and low_bit(mask({1})) == 1
+    assert mask({255}) == 1 << 255 and low_bit(mask({255})) == 255
+    assert mask({1, 255}) == 2 | 1 << 255 and low_bit(mask({1, 255})) == 1
+    assert mask(()) == 0
 
 
 def test_linmap_and_apply():

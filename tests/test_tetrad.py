@@ -8,6 +8,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from conftest import records
 
 from tetradgeom import gf3
 from tetradgeom.gf2 import (
@@ -35,11 +36,6 @@ from tetradgeom.tetrad import (
     stabilizer_generators,
 )
 
-
-
-def records(listing) -> list:
-    """The maps of a packed stabilizer listing, 8 column bytes each."""
-    return [listing[i:i + 8] for i in range(0, len(listing), 8)]
 
 
 LINES = (

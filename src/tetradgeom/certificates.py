@@ -29,8 +29,8 @@ from .gf2 import (
     IDENTITY,
     PAIR_MASKS,
     UNIT,
-    after,
-    apply,
+    columns,
+    compose,
     linmap_power,
     low_bit,
     mask,
@@ -175,16 +175,13 @@ def check_frame(ctx):
         require(z != IDENTITY, f"rotation {h} is the identity")
         u0, u1, u2 = f.points[h]
         require(
-            apply(z, u0) == u1 and apply(z, u1) == u2 and apply(z, u2) == u0,
+            z[u0] == u1 and z[u1] == u2 and z[u2] == u0,
             f"rotation {h} does not cycle its line",
         )
         for k in range(4):
             if k != h:
                 for p in f.lines[k]:
-                    require(
-                        apply(z, p) == p,
-                        f"rotation {h} moves a point of line {k}",
-                    )
+                    require(z[p] == p, f"rotation {h} moves a point of line {k}")
     require(
         not f.label_collisions and len(f.label_table()) == 255,
         "labels are not bijective",
@@ -392,18 +389,16 @@ def check_stabilizer(ctx):
     order = len(members)
     require(order == 31104, "stabilizer order wrong", order=order)
     g81 = ctx.g81
-    for sigma, m in enumerate(memoryview(b"".join(g81)).cast("Q")):
+    for sigma, m in enumerate(memoryview(b"".join(map(columns, g81))).cast("Q")):
         require(m in members, "diagonal map missing from stabilizer",
                 sigma=gf3.trit_str(sigma))
     del members
     for name, g in gens.items():
         mat = _where(induced_matrix, g, g81, generator=name)
-        # g A_sigma g^-1 = A_(phi_g sigma), multiplied out by g on the right,
-        # both sides one `translate` through a cached table
-        g_after = after(g)
+        # g A_sigma g^-1 = A_(phi_g sigma), multiplied out by g on the right
         for sigma, a in enumerate(g81):
             require(
-                g_after(a) == after(g81[gf3.mat3_apply(mat, sigma)])(g),
+                compose(g, a) == compose(g81[gf3.mat3_apply(mat, sigma)], g),
                 f"conjugation by {name} is not the induced linear map",
                 sigma=gf3.trit_str(sigma),
             )
@@ -647,7 +642,7 @@ def check_spreads(ctx):
                 direction=direction)
         for ln in sp.lines:
             require(
-                frozenset(apply(sp.generator, p) for p in ln) == ln,
+                frozenset(sp.generator[p] for p in ln) == ln,
                 "generator does not fix each spread line",
                 direction=direction,
             )
@@ -662,7 +657,7 @@ def check_spreads(ctx):
         )
     # zero-digit degeneracy: any sigma of weight below 4 has fixed points
     for sigma, m in enumerate(g81):
-        fixed = any(apply(m, p) == p for p in range(1, 256))
+        fixed = any(m[p] == p for p in range(1, 256))
         require(
             fixed == (gf3.wt_std(sigma) < 4),
             "fixed-point-freeness does not match all-nonzero digits",
@@ -688,14 +683,8 @@ def check_orbit4_lines(ctx):
     f = ctx.frame
     g81 = ctx.g81
     omega4 = f.orbit(4)
-    seen_pairs = set()
-    for lam in gf3.ALL81:
-        if lam == gf3.ZERO:
-            continue
-        pair = frozenset((lam, gf3.t_neg(lam)))
-        if pair in seen_pairs:
-            continue
-        seen_pairs.add(pair)
+    directions = gf3.all_points()  # one of each +-pair, the first in int order
+    for lam in directions:
         want = gf3.wt_std(lam) == 4
         for p in omega4:
             got = spreads.orbit4_line_test(f, g81, p, lam)
@@ -705,7 +694,7 @@ def check_orbit4_lines(ctx):
                 direction=gf3.trit_str(lam),
                 point=point_str(p),
             )
-    require(len(seen_pairs) == 40, "direction pair count wrong")
+    require(len(directions) == 40, "direction pair count wrong")
     for d, sp in sorted(ctx.spreads.items()):
         inside = [ln for ln in sp.lines if ln <= omega4]
         require(len(inside) == 27, "parallel class size wrong",

@@ -17,8 +17,10 @@ frozen test fixtures:
 * The quadratic form Q(x) = x1 x8 + x2 x7 + x3 x6 + x4 x5 + sum_i x_i
   polarizes to B and takes the value 1 on all twelve points of the four
   coordinate-pair lines.
-* A linear map is an 8-byte `bytes` of column masks, the images of
-  e_1..e_8.  Only this module builds maps.
+* A linear map is the 256-byte `bytes` of its images: byte v is the
+  image of the vector v, so m(v) is `m[v]` and m after n is
+  `n.translate(m)`.  `columns(m)`, the images of e_1..e_8, is a map's
+  8-byte record in a packed listing.  Only this module builds maps.
 * A table is a 256-bit int: bit x holds the value 0 or 1 at the vector x,
   so the table of a point set is its mask (`mask`) and the tables of two
   functions combine by one AND, OR or XOR.  `FULL` is the table of 1,
@@ -31,14 +33,13 @@ anywhere in the package.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations, repeat
 
 Mask = int
-LinMap = bytes  # 8 column masks, the images of e_1..e_8
+LinMap = bytes  # 256 images: byte v is the image of v
 
 E = tuple(1 << i for i in range(8))  # E[i] is the mask of e_{i+1}
-IDENTITY: LinMap = bytes(E)
+IDENTITY: LinMap = bytes(range(256))
 UNIT: Mask = 0xFF  # u = e_1 + ... + e_8
 
 #: the four coordinate pairs {i, 9-i} as masks; these are the frame lines'
@@ -115,51 +116,27 @@ def xor_shift(t: int, z: int) -> int:
 # ── linear maps ──────────────────────────────────────────────────────────
 
 
-def apply(m: LinMap, v: Mask) -> Mask:
-    """Image of the vector v under the linear map m."""
-    r = 0
-    i = 0
-    while v:
-        if v & 1:
-            r ^= m[i]
-        v >>= 1
-        i += 1
-    return r
-
-
-def compose(m: LinMap, n: LinMap) -> LinMap:
-    """m after n: (compose(m, n))(v) == apply(m, apply(n, v)).
-
-    Eight `apply` calls rather than `n.translate(perm_table(m))`: the
-    table would be built, and cached, for every new m."""
-    return bytes(apply(m, c) for c in n)
-
-
 def linmap(images: dict) -> LinMap:
-    """The identity map with the given basis images overridden.
+    """The identity map with the given basis images overridden, its 256
+    images doubled by XOR over the eight columns.
 
     `images` maps 1-based coordinate indices to image masks.
     """
-    cols = list(E)
-    for i, img in images.items():
-        cols[i - 1] = img
-    return bytes(cols)
-
-
-@lru_cache(maxsize=None)
-def perm_table(m: LinMap) -> bytes:
-    """256-entry lookup table of apply(m, v), doubled by XOR per column."""
     t = [0]
-    for c in m:
+    for i, e in enumerate(E, 1):
+        c = images.get(i, e)
         t += [x ^ c for x in t]
     return bytes(t)
 
 
-def after(g: LinMap):
-    """The function m -> g after m.  Its columns are m's columns looked up
-    in g's table, one `bytes.translate`."""
-    t = perm_table(g)
-    return lambda m: m.translate(t)
+def columns(m: LinMap) -> bytes:
+    """The images of e_1..e_8: the map's 8-byte record in a packed listing."""
+    return bytes(m[e] for e in E)
+
+
+def compose(m: LinMap, n: LinMap) -> LinMap:
+    """m after n: compose(m, n)[v] == m[n[v]], one `translate`."""
+    return n.translate(m)
 
 
 def linmap_power(m: LinMap, k: int) -> LinMap:
@@ -170,13 +147,11 @@ def linmap_power(m: LinMap, k: int) -> LinMap:
 
 
 def inverse(m: LinMap) -> LinMap:
-    """Inverse map, read off the lookup table: column i is the preimage
-    of e_i, which exists for every i exactly when m is invertible."""
-    t = perm_table(m)
-    try:
-        return bytes(t.index(e) for e in E)
-    except ValueError:
-        raise ValueError("map is singular") from None
+    """Inverse map: the vectors sorted by their images, which exists
+    exactly when the 256 images are distinct."""
+    if len(set(m)) < 256:
+        raise ValueError("map is singular")
+    return bytes(sorted(range(256), key=m.__getitem__))
 
 
 def closure(seeds, moves) -> frozenset:
@@ -213,8 +188,7 @@ def mulclose(gens) -> frozenset:
     """Closure of a generating set of linear maps under composition: the
     set of all products."""
     gens = [bytes(g) for g in gens]
-    moves = [after(g) for g in gens]
-    return closure([IDENTITY, *gens], moves)
+    return closure([IDENTITY, *gens], [g.translate for g in gens])
 
 
 # ── flats (projective subspaces) ─────────────────────────────────────────

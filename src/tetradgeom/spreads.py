@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import gf3
-from .gf2 import Mask, orbits, perm_table, span
+from .gf2 import Mask, orbits, span
 from .tetrad import Frame
 
 
@@ -42,7 +42,7 @@ def build_spread(g81: tuple, direction) -> Spread:
     if direction not in gf3.DIRECTIONS:
         raise ValueError(f"not a spread direction ijk1: {direction!r}")
     gen = g81[direction]
-    lines = tuple(orbits(range(1, 256), [perm_table(gen).__getitem__]))
+    lines = tuple(orbits(range(1, 256), [gen.__getitem__]))
     line_of = {p: ln for ln in lines for p in ln}
     return Spread(direction, gen, lines, line_of)
 
@@ -78,7 +78,7 @@ def orbit4_line_test(frame: Frame, g81: tuple, p: Mask, direction) -> bool:
     spread directions)."""
     if frame.line_weight(p) != 4:
         raise ValueError("test point must have line weight 4")
-    t = perm_table(g81[direction])
-    q = t[p]
-    r = t[q]
+    a = g81[direction]
+    q = a[p]
+    r = a[q]
     return len({p, q, r}) == 3 and p ^ q ^ r == 0

@@ -37,13 +37,12 @@ from .gf2 import (
     LinMap,
     Mask,
     PAIR_MASKS,
-    apply,
+    columns,
     compose,
     inverse,
     linmap,
     linmap_power,
     orbits,
-    perm_table,
     point_str,
 )
 
@@ -82,8 +81,8 @@ class Frame:
         pts = []
         for h in range(4):
             u0 = PAIR_MASKS[h]
-            u1 = apply(self.rotations[h], u0)
-            u2 = apply(self.rotations[h], u1)
+            u1 = self.rotations[h][u0]
+            u2 = self.rotations[h][u1]
             pts.append((u0, u1, u2))
         self.points = tuple(pts)
         self.lines = tuple(frozenset(tri) for tri in pts)
@@ -200,7 +199,7 @@ def fixes_tetrad(m: LinMap) -> bool:
     line, and every line is hit."""
     hit = set()
     for pm in PAIR_MASKS:
-        a, b = apply(m, pm & -pm), apply(m, pm & (pm - 1))
+        a, b = m[pm & -pm], m[pm & (pm - 1)]
         if not (a and b and a != b):
             return False
         hit.add(a | b)
@@ -236,14 +235,14 @@ def build_stabilizer(frame: Frame) -> bytes:
     """G(tetrad), every linear map that fixes the four coordinate-pair
     lines as a set, GL(2,2) wr S_4, listed from that definition: one
     product of the four `line_maps` factors after one line shuffle,
-    6^4 * 24 = 31104 maps, packed as one string of 8 column bytes each.
+    6^4 * 24 = 31104 maps, packed as one string of their 8-byte `columns`.
     A factor map composes after the whole listing in one `translate`, the
     maps of a factor in sorted order, so the listing is the same in every
     process.  It does not depend on the frame; that the frame's generators
     generate it is `stabilizer-group`'s to prove."""
-    flat = b"".join(line_shuffles())
+    flat = b"".join(map(columns, line_shuffles()))
     for factor in line_maps():
-        flat = b"".join(flat.translate(perm_table(g)) for g in sorted(factor))
+        flat = b"".join(flat.translate(g) for g in sorted(factor))
     return flat
 
 
@@ -272,7 +271,7 @@ def induced_matrix(g: LinMap, g81: tuple) -> tuple:
 def point_orbits(gens) -> list:
     """Orbit partition of the 255 projective points under the generated
     group (closure on points, not on group elements)."""
-    return orbits(range(1, 256), [perm_table(g).__getitem__ for g in gens])
+    return orbits(range(1, 256), [g.__getitem__ for g in gens])
 
 
 def subspace_orbit_partition(mats, spaces) -> list:

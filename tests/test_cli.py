@@ -27,7 +27,7 @@ from tetradgeom.cli import main
 from tetradgeom.gf2 import (
     E,
     IDENTITY,
-    apply,
+    columns,
     linmap,
     quadric_value,
     symplectic_product,
@@ -41,6 +41,9 @@ GOLDEN_REPORT = ROOT / "perfbench" / "golden" / "verify-report.json"
 GOLDEN_QUERIES = ROOT / "perfbench" / "golden" / "queries.json"
 # `verify-all --perturb --report` without its elapsed_ms fields
 PERTURBED_REPORT = ROOT / "tests" / "fixtures" / "perturb-report.json"
+# the sha256 of each golden query's text output, per subcommand: its argv
+# minus `--json` -> digest
+QUERY_TEXT = ROOT / "tests" / "fixtures" / "query-text.json"
 # every child process finds the package through one absolute path, from
 # whatever directory the suite runs in
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -331,12 +334,13 @@ def test_form_check_rejects_a_degenerate_form_at_the_gram_step(monkeypatch):
 
 
 def stand_ins(ctx, first, last) -> tuple:
-    """The stabilizer listing with its least non-diagonal maps traded for
-    the crafted maps `first` and `last`, packed before and after the rest;
-    returned with the maps traded away."""
+    """The stabilizer listing with its least non-diagonal records traded
+    for the `columns` of the crafted maps `first` and `last`, packed before
+    and after the rest; returned with the records traded away."""
+    first, last = [columns(m) for m in first], [columns(m) for m in last]
     maps = records(ctx.stabilizer)
     assert not set(first + last) & set(maps)
-    diagonal = set(ctx.g81)
+    diagonal = set(map(columns, ctx.g81))
     victims = sorted(g for g in maps if g not in diagonal)[:len(first + last)]
     rest = [g for g in maps if g not in victims]
     elements = b"".join(first + rest + last)
@@ -351,14 +355,15 @@ def test_quadric_violations_are_counted(ctx, monkeypatch):
     # both ends.
     first, last = linmap({1: E[0] ^ E[1]}), linmap({8: E[7] ^ E[2]})
     elements, victims = stand_ins(ctx, [first], [last])
-    assert elements[:8] == first and elements[-8:] == last
+    assert elements[:8] == columns(first) and elements[-8:] == columns(last)
     monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
     bad_ctx = Context(ctx.frame)
     # the genuine elements preserve Q, so the violations are the movers'
     points = bad_ctx.quadric_points
-    expected = sum(quadric_value(apply(g, p)) for g in (first, last) for p in points)
+    expected = sum(quadric_value(g[p]) for g in (first, last) for p in points)
     assert expected > 0
-    assert not any(quadric_value(apply(g, p)) for g in victims for p in points)
+    victims = [linmap(dict(enumerate(v, 1))) for v in victims]
+    assert not any(quadric_value(g[p]) for g in victims for p in points)
     with pytest.raises(CheckFailed) as exc:
         check_stabilizer(bad_ctx)
     assert str(exc.value) == "some element moves the quadric"
@@ -427,10 +432,10 @@ def test_maps_outside_the_tetrad_stabilizer_are_found(ctx, monkeypatch):
     # quadric sweep passes, so only the sweep of every element against
     # the tetrad lines can object.  They go first and last as well
     first, last = transvection(E[0] ^ E[1] ^ E[2]), transvection(E[5] ^ E[6] ^ E[7])
-    assert apply(first, E[7]) == 0x87 and apply(last, E[0]) == 0xE1
+    assert first[E[7]] == 0x87 and last[E[0]] == 0xE1
     points = ctx.quadric_points
     assert all(
-        quadric_value(apply(g, p)) == 0 for g in (first, last) for p in points
+        quadric_value(g[p]) == 0 for g in (first, last) for p in points
     )
     elements, _ = stand_ins(ctx, [first], [last])
     monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
@@ -885,6 +890,23 @@ def test_query_outputs_match_golden(capsys):
             assert hashlib.sha256(out).hexdigest() == digest, argv
             checked += 1
     assert checked == 156
+
+
+def test_query_text_outputs_are_pinned(capsys):
+    golden = json.loads(GOLDEN_QUERIES.read_text())
+    pinned = json.loads(QUERY_TEXT.read_text())
+    # the same 156 invocations as the golden, each without its --json
+    assert pinned.keys() == golden.keys()
+    for sub, argvs in golden.items():
+        assert sorted(pinned[sub]) == sorted(
+            argv.removesuffix(" --json") for argv in argvs
+        )
+    for argvs in pinned.values():
+        for argv, digest in argvs.items():
+            assert main(argv.split()) == 0, argv
+            out = capsys.readouterr().out.encode()
+            assert hashlib.sha256(out).hexdigest() == digest, argv
+    assert sum(map(len, pinned.values())) == 156
 
 
 def test_verify_all_perturbed_process():

@@ -14,7 +14,7 @@ from tetradgeom.gf2 import (
     IDENTITY,
     PAIR_MASKS,
     UNIT,
-    apply,
+    columns,
     compose,
     inverse,
     linmap,
@@ -23,7 +23,6 @@ from tetradgeom.gf2 import (
     low_bit,
     mask,
     mulclose,
-    perm_table,
     perp,
     point_str,
     quadric_value,
@@ -32,7 +31,13 @@ from tetradgeom.gf2 import (
     symplectic_product,
     table,
 )
-from tetradgeom.tetrad import stabilizer_generators
+from tetradgeom.tetrad import (
+    build_frame,
+    build_group81,
+    line_maps,
+    line_shuffles,
+    stabilizer_generators,
+)
 
 
 def test_point_str():
@@ -106,53 +111,94 @@ def test_mask_and_low_bit_at_both_ends():
 
 def test_linmap_and_apply():
     z = linmap({1: E[7], 8: E[0] ^ E[7]})  # e1 -> e8, e8 -> e1+e8
-    assert apply(z, 0x01) == 0x80
-    assert apply(z, 0x80) == 0x81
-    assert apply(z, 0x02) == 0x02  # untouched coordinate
-    assert apply(z, 0x81) == 0x01
+    assert z[0x01] == 0x80
+    assert z[0x80] == 0x81
+    assert z[0x02] == 0x02  # untouched coordinate
+    assert z[0x81] == 0x01
     assert linmap_power(z, 3) == IDENTITY
-    assert apply(IDENTITY, 0xA7) == 0xA7
+    assert IDENTITY[0xA7] == 0xA7
 
 
 def test_compose_order():
     # compose(m, n) applies n first
-    m = linmap({1: E[1]})  # e1 -> e2 (not invertible, fine for apply)
+    m = linmap({1: E[1]})  # e1 -> e2 (not invertible, fine for composing)
     n = linmap({1: E[2], 3: E[0]})
-    assert apply(compose(m, n), 0x01) == apply(m, apply(n, 0x01))
-    assert apply(compose(n, m), 0x01) == apply(n, apply(m, 0x01))
+    assert compose(m, n)[0x01] == m[n[0x01]]
+    assert compose(n, m)[0x01] == n[m[0x01]]
 
 
-def test_inverse_and_invertibility():
+def random_columns(rng) -> dict:
+    """Eight random basis images, as `linmap` takes them."""
+    return {i: rng.randrange(256) for i in range(1, 9)}
+
+
+def test_inverse_and_invertibility(frame):
     rng = Random(13)
-    z = linmap({1: E[7], 8: E[0] ^ E[7]})
-    zi = inverse(z)
-    assert compose(z, zi) == IDENTITY
-    assert compose(zi, z) == IDENTITY
-    with pytest.raises(ValueError):
-        inverse(linmap({1: E[1], 2: E[1]}))
-    # random invertible maps round-trip
-    found = 0
-    while found < 20:
-        m = bytes(rng.randrange(256) for _ in range(8))
-        try:
-            mi = inverse(m)
-        except ValueError:  # singular
-            continue
-        assert compose(m, mi) == IDENTITY
-        found += 1
-
-
-def test_perm_table_matches_apply(frame):
-    maps = [
-        linmap({1: E[7], 8: E[0] ^ E[7]}),
-        *stabilizer_generators(frame).values(),
-        linmap({1: E[1], 2: E[1]}),  # singular
-        bytes(8),  # the zero map
-    ]
+    maps = list(stabilizer_generators(frame).values())
+    # and 20 random invertible maps
+    while len(maps) < 30:
+        m = linmap(random_columns(rng))
+        if len(set(m)) == 256:
+            maps.append(m)
     for m in maps:
-        t = perm_table(m)
-        assert len(t) == 256
-        assert all(t[v] == apply(m, v) for v in range(256))
+        mi = inverse(m)
+        assert compose(m, mi) == IDENTITY == compose(mi, m)
+        assert all(mi[m[v]] == v for v in range(256))
+    for singular in (linmap({1: E[1], 2: E[1]}), linmap({8: 0}), bytes(256)):
+        with pytest.raises(ValueError, match="map is singular"):
+            inverse(singular)
+
+
+def by_bits(images: dict, v: int) -> int:
+    """The image of v under the map with the given basis images, by a bit
+    loop over v's coordinates."""
+    r = 0
+    for i, e in enumerate(E):
+        if v & e:
+            r ^= images.get(i + 1, e)
+    return r
+
+
+def test_linmap_matches_a_bit_loop_reference(frame):
+    rng = Random(5)
+    cases = [
+        {},  # the identity
+        {1: E[7], 8: E[0] ^ E[7]},
+        *(dict(enumerate(columns(g), 1))
+          for g in stabilizer_generators(frame).values()),
+        {1: E[1], 2: E[1]},  # singular
+        dict.fromkeys(range(1, 9), 0),  # the zero map
+        *(random_columns(rng) for _ in range(20)),
+    ]
+    for images in cases:
+        m = linmap(images)
+        assert type(m) is bytes and len(m) == 256
+        assert all(m[v] == by_bits(images, v) for v in range(256))
+    assert linmap({}) == IDENTITY == bytes(range(256))
+    assert linmap(dict.fromkeys(range(1, 9), 0)) == bytes(256)
+
+
+def test_columns_round_trip():
+    rng = Random(7)
+    for images in [{}, dict.fromkeys(range(1, 9), 0),
+                   *(random_columns(rng) for _ in range(20))]:
+        cols = columns(linmap(images))
+        assert cols == bytes(images.get(i + 1, e) for i, e in enumerate(E))
+        assert linmap(dict(enumerate(cols, 1))) == linmap(images)
+    assert columns(IDENTITY) == bytes(E)
+
+
+def test_every_built_map_is_256_bytes(frame):
+    maps = [
+        *frame.rotations,
+        *build_frame(perturb=True).rotations,
+        *stabilizer_generators(frame).values(),
+        *build_group81(frame),
+        *(g for factor in line_maps() for g in factor),
+        *line_shuffles(),
+    ]
+    assert len(maps) == 4 + 4 + 10 + 81 + 24 + 24
+    assert all(type(m) is bytes and len(m) == 256 for m in maps)
 
 
 def test_mulclose_single_rotation():

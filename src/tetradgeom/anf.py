@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .gf2 import COORDS, FULL, mask, span
+from .gf2 import COORDS, FULL, mask, span, support
 
 #: partner coordinate under the pairing i <-> 9-i
 PARTNER = {i: 9 - i for i in range(1, 9)}
@@ -35,13 +35,6 @@ def mobius(table: int) -> int:
     for i, coord in enumerate(COORDS):
         table ^= (table << (1 << i)) & coord
     return table
-
-
-def _monomial_masks(coeffs: int):
-    while coeffs:
-        low = coeffs & -coeffs
-        yield low.bit_length() - 1
-        coeffs ^= low
 
 
 class Anf8:
@@ -88,11 +81,11 @@ class Anf8:
         """Algebraic degree; the zero polynomial has degree -1."""
         if self.coeffs == 0:
             return -1
-        return max(m.bit_count() for m in _monomial_masks(self.coeffs))
+        return max(m.bit_count() for m in support(self.coeffs))
 
     def homogeneous_part(self, d: int) -> "Anf8":
         c = 0
-        for m in _monomial_masks(self.coeffs):
+        for m in support(self.coeffs):
             if m.bit_count() == d:
                 c |= 1 << m
         return Anf8(c)
@@ -102,7 +95,7 @@ class Anf8:
         tuples, ordered by (degree, lexicographic)."""
         mons = [
             tuple(i + 1 for i in range(8) if m >> i & 1)
-            for m in _monomial_masks(self.coeffs)
+            for m in support(self.coeffs)
         ]
         return tuple(sorted(mons, key=lambda t: (len(t), t)))
 

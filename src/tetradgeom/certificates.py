@@ -25,6 +25,7 @@ from . import anf, denizens, gf3, quadric, spreads
 from .gf2 import (
     COORDS,
     E,
+    FORMS,
     FULL,
     IDENTITY,
     PAIR_MASKS,
@@ -389,7 +390,15 @@ def check_stabilizer(ctx):
     order = len(members)
     require(order == 31104, "stabilizer order wrong", order=order)
     g81 = ctx.g81
-    for sigma, m in enumerate(memoryview(b"".join(map(columns, g81))).cast("Q")):
+    packed = b"".join(map(columns, g81))
+    # the record format read back: byte i of a map's record is its image
+    # of e_(i+1), which the membership step below cannot tell, since it
+    # packs both sides alike
+    for sigma, m in enumerate(g81):
+        require(packed[8 * sigma:8 * sigma + 8] == bytes(m[e] for e in E),
+                "packed record is not the images of e_1..e_8",
+                sigma=gf3.trit_str(sigma))
+    for sigma, m in enumerate(memoryview(packed).cast("Q")):
         require(m in members, "diagonal map missing from stabilizer",
                 sigma=gf3.trit_str(sigma))
     del members
@@ -599,15 +608,14 @@ def check_weights(ctx):
     even = {v for d in gf3.FAMILY_EVEN for v in (d, gf3.t_neg(d))}
     require(alt1 == even, "alt-weight-1 vectors are not the even family")
     for rho in gf3.ALL81:
-        p = f.point_from_trits(rho)
+        form = FORMS[f.point_from_trits(rho)]  # the table of B(., U_rho)
         for sigma in gf3.ALL81:
-            q = f.point_from_trits(sigma)
-            require(
-                symplectic_product(p, q) == gf3.hd_std(rho, sigma) % 2,
-                "orthogonality differs from Hamming parity",
-                rho=gf3.trit_str(rho),
-                sigma=gf3.trit_str(sigma),
-            )
+            if form >> f.point_from_trits(sigma) & 1 != gf3.hd_std(rho, sigma) % 2:
+                raise CheckFailed(
+                    "orthogonality differs from Hamming parity",
+                    rho=gf3.trit_str(rho),
+                    sigma=gf3.trit_str(sigma),
+                )
     return {
         "pairs_checked": 81 * 81,
         "weight_pair_census": {
@@ -686,12 +694,13 @@ def check_orbit4_lines(ctx):
     directions = gf3.all_points()  # one of each +-pair, the first in int order
     for lam in directions:
         want = gf3.wt_std(lam) == 4
+        direction = gf3.trit_str(lam)
         for p in omega4:
             got = spreads.orbit4_line_test(f, g81, p, lam)
             require(
                 got == want,
                 "line test disagrees with weight-4 criterion",
-                direction=gf3.trit_str(lam),
+                direction=direction,
                 point=point_str(p),
             )
     require(len(directions) == 40, "direction pair count wrong")
@@ -974,7 +983,7 @@ def check_recovery(ctx):
 )
 def check_enneads(ctx):
     f = ctx.frame
-    omega4 = f.orbit(4)
+    omega4 = mask(f.orbit(4))
     cosets = {}  # each distinct meet -> its nine coset images as point masks
     pairs = 0
     for t1, t2 in combinations(ctx.triplets, 2):
@@ -984,15 +993,18 @@ def check_enneads(ctx):
         want = cosets.get(meet)
         if want is None:
             # the meet's three cosets inside each of the first plane's
-            # (the shifts of its denizens): nine images of the meet, which
-            # must partition the orbit
+            # (the shifts of its denizens): nine images of the meet, as
+            # tables, which must partition the orbit
             steps = gf3.coset_shifts(plane, meet)
-            images = [f.coset_points(meet, gf3.t_add(d.shift, step))
+            pair = [t1[0].ident, t2[0].ident]
+            images = [f.coset_mask(meet, gf3.t_add(d.shift, step))
                       for d in t1 for step in steps]
-            _partition(images, omega4, "ennead cells overlap",
-                       "ennead does not cover the orbit",
-                       pair=[t1[0].ident, t2[0].ident])
-            want = cosets[meet] = set(map(mask, images))
+            union = 0
+            for image in images:
+                require(not union & image, "ennead cells overlap", pair=pair)
+                union |= image
+            require(union == omega4, "ennead does not cover the orbit", pair=pair)
+            want = cosets[meet] = set(images)
         # nine distinct images, so nine cells that are all of them are each
         # one coset, once
         if len(cells) != 9 or set(cells) != want:

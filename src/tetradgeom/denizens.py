@@ -174,7 +174,7 @@ def classify_section(frame: Frame, den: Denizen, sub: gf3.Line) -> dict:
         raise ValueError(f"sections are defined on Segre denizens, not {den.kind}")
     if not sub.vectors <= den.plane.vectors:
         raise ValueError("section subspace is not inside the direction plane")
-    kind = gf3.line_kind(sub)
+    kind = sub.kind
     tag = SECTION_TAGS.get(kind)
     if tag is None:
         raise ValueError(
@@ -216,7 +216,7 @@ def _transversal_check(frame, den, sub, gens) -> int:
     grids = [
         w
         for w in den.plane.subspaces
-        if gf3.line_kind(w) == 4 and lam not in w.vectors
+        if w.kind == 4 and lam not in w.vectors
     ]
     if len(grids) != 1:
         raise ValueError("expected exactly one transversal grid family")
@@ -300,7 +300,7 @@ def fan_triplets(frame: Frame, den: Denizen) -> tuple:
         raise ValueError("fan triplets live on Segre denizens")
     out = []
     for sub in den.plane.subspaces:
-        if gf3.line_kind(sub) != 3:
+        if sub.kind != 3:
             continue
         w3 = min(gf3.canon(v) for v in sub.vectors if gf3.wt_std(v) == 3)
         fans = tuple(

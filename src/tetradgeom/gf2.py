@@ -24,8 +24,10 @@ frozen test fixtures:
 * A table is a 256-bit int: bit x holds the value 0 or 1 at the vector x,
   so the table of a point set is its mask (`mask`) and the tables of two
   functions combine by one AND, OR or XOR.  `FULL` is the table of 1,
-  `COORDS[k]` the table of x -> bit k of x, and `table(f)` evaluates f at
-  every vector.  Only this module spells the format out.
+  `COORDS[k]` the table of x -> bit k of x, `FORMS[z]` the table of
+  x -> B(x, z), and `table(f)` evaluates f at every vector; `support`
+  reads a table back as the x where it is 1.  Only this module spells the
+  format out.
 
 Everything here is immutable and exact; there is no floating point
 anywhere in the package.
@@ -85,6 +87,20 @@ FULL = (1 << 256) - 1
 #: set bits, the complement of FULL's quotient by 2^(2^k) + 1
 COORDS = tuple(FULL ^ FULL // ((1 << (1 << k)) + 1) for k in range(8))
 
+
+def _xor_doubled(rows) -> list:
+    """The XOR of every subset of `rows`: entry v is the XOR of the rows
+    k with bit k of v set, each row doubling the list."""
+    t = [0]
+    for r in rows:
+        t += [x ^ r for x in t]
+    return t
+
+
+#: FORMS[z] is the table of x -> B(x, z): bit k of z adds COORDS[7 - k],
+#: the coordinate it pairs with
+FORMS = tuple(_xor_doubled(reversed(COORDS)))
+
 _DOWN, _DIGITS = range(255, -1, -1), b"01" + bytes(254)
 
 
@@ -97,6 +113,14 @@ def table(f, *args) -> int:
 def mask(points) -> int:
     """The table of a point set: bit p set for each point p."""
     return sum(1 << p for p in points)
+
+
+def support(t: int):
+    """The x whose bit is set in table t, ascending."""
+    while t:
+        low = t & -t
+        yield low.bit_length() - 1
+        t ^= low
 
 
 def low_bit(t: int) -> int:
@@ -122,11 +146,7 @@ def linmap(images: dict) -> LinMap:
 
     `images` maps 1-based coordinate indices to image masks.
     """
-    t = [0]
-    for i, e in enumerate(E, 1):
-        c = images.get(i, e)
-        t += [x ^ c for x in t]
-    return bytes(t)
+    return bytes(_xor_doubled(images.get(i, e) for i, e in enumerate(E, 1)))
 
 
 def columns(m: LinMap) -> bytes:
@@ -205,11 +225,12 @@ def span(vectors) -> frozenset:
 
 
 def perp(vectors) -> frozenset:
-    """The flat of all x with B(x, v) = 0 for every given v."""
-    xs = range(1, 256)
+    """The flat of all x with B(x, v) = 0 for every given v: the nonzero
+    x left in the AND of the tables of B(., v) = 0."""
+    t = FULL ^ 1
     for v in vectors:
-        xs = [x for x in xs if not symplectic_product(x, v)]
-    return frozenset(xs)
+        t &= ~FORMS[v]
+    return frozenset(support(t))
 
 
 def rank(flat) -> int:

@@ -175,8 +175,9 @@ def subspace_vectors(gens) -> frozenset:
     return frozenset(acc)
 
 
-class Line(namedtuple("Line", "points vectors")):
-    """A line of PG(3,3): 4 projective points, 9 vectors including zero."""
+class Line(namedtuple("Line", "points vectors kind")):
+    """A line of PG(3,3): 4 projective points, 9 vectors including zero,
+    and its kind (`line_kind`), computed once when the line is built."""
 
     __slots__ = ()
 
@@ -210,7 +211,8 @@ def line_through(a: Trit, b: Trit) -> Line:
     if len(vecs) != 9:
         raise ValueError("points do not span a line")
     pts = tuple(sorted({canon(v) for v in vecs if v != ZERO}))
-    return Line(pts, vecs)
+    line = Line(pts, vecs, None)
+    return line._replace(kind=line_kind(line))
 
 
 @lru_cache(maxsize=1)
@@ -232,10 +234,12 @@ def all_lines() -> tuple:
 def all_planes() -> tuple:
     planes = []
     for c in all_points():
-        vecs = frozenset(
-            v for v in ALL81
-            if sum(x * y for x, y in zip(_DIGITS[c], _DIGITS[v])) % 3 == 0
-        )
+        # the functional's values at all 81 vectors, in int order: each
+        # digit c_i triples the list, adding c_i * xi_i to every value
+        values = [0]
+        for ci in _DIGITS[c]:
+            values = [(x + ci * xi) % 3 for x in values for xi in range(3)]
+        vecs = frozenset(v for v, x in enumerate(values) if not x)
         pts = tuple(sorted({canon(v) for v in vecs if v != ZERO}))
         planes.append(Plane(c, pts, vecs))
     return tuple(sorted(planes, key=lambda p: p.functional))

@@ -21,7 +21,7 @@ partitioning the weight-4 orbit.
 from __future__ import annotations
 
 from . import gf3
-from .gf2 import COORDS, PAIR_MASKS, mask, quadric_value
+from .gf2 import COORDS, FORMS, PAIR_MASKS, mask, quadric_value
 from .tetrad import Frame
 
 
@@ -66,14 +66,10 @@ def singular_solids(qpoints) -> tuple:
     singular points span a totally singular subspace, so the fourth row
     closes a solid.
 
-    Candidate sets are tables (gf2), so each condition is one AND.
-    `forms[p]` is the table of B(., p), XOR-doubled over the bits of p:
-    bit k of p adds coordinate 7 - k, its partner."""
-    forms = [0]
-    for coord in reversed(COORDS):
-        forms += [t ^ coord for t in forms]
+    Candidate sets are tables (gf2), so each condition is one AND;
+    `gf2.FORMS[p]` is the table of B(., p)."""
     qmask = mask(qpoints)
-    perp_sing = {p: qmask & ~forms[p] & ~(1 << p) for p in qpoints}
+    perp_sing = {p: qmask & ~FORMS[p] & ~(1 << p) for p in qpoints}
     solids = []
 
     def extend(pts, cand, rows):
@@ -119,9 +115,7 @@ def system_tags(solids) -> tuple:
 def weight3_lines() -> tuple:
     """The eight 2-subspaces of (F_3)^4 whose nonzero vectors all have
     standard weight 3 (line kind 7)."""
-    return tuple(
-        ln for ln in gf3.all_lines() if gf3.line_kind(ln) == 7
-    )
+    return tuple(ln for ln in gf3.all_lines() if ln.kind == 7)
 
 
 def nine_cap(frame: Frame, line: gf3.Line) -> tuple:

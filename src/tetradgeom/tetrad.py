@@ -27,8 +27,9 @@ A_sigma(u) = U_sigma.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 from itertools import permutations, product
+from operator import or_
 
 from . import gf3
 from .gf2 import (
@@ -71,7 +72,9 @@ class Frame:
         "lines",
         "_tuple_of",
         "_point_of",
+        "_bit_of",
         "_vector_of",
+        "_weights",
         "_orbits",
         "label_collisions",
     )
@@ -98,15 +101,20 @@ class Frame:
                 self._tuple_of[p] = t
         # U_v for each vector v, and v for each point whose label is a U_v
         self._point_of = tuple(self.label(gf3.digits(v)) for v in gf3.ALL81)
+        self._bit_of = tuple(1 << p for p in self._point_of)
         self._vector_of = {
             p: v
             for v, p in zip(gf3.ALL81, self._point_of)
             if self._tuple_of.get(p) == gf3.digits(v)
         }
-        self._orbits = tuple(
-            frozenset(p for p in range(1, 256) if self.line_weight(p) == r)
-            for r in range(5)
+        # the line weight of every vector, and the points by weight
+        self._weights = bytes(
+            sum(1 for pm in PAIR_MASKS if p & pm) for p in range(256)
         )
+        by_weight = ([], [], [], [], [])
+        for p in range(1, 256):
+            by_weight[self._weights[p]].append(p)
+        self._orbits = tuple(map(frozenset, by_weight))
 
     def label(self, t) -> Mask:
         """U_t: XOR of u_h(t_h) over the non-empty (non-None) indices."""
@@ -117,8 +125,9 @@ class Frame:
         return p
 
     def line_weight(self, p: Mask) -> int:
-        """Number of nonzero components of p in V_a + V_b + V_c + V_d."""
-        return sum(1 for pm in PAIR_MASKS if p & pm)
+        """Number of nonzero components of p in V_a + V_b + V_c + V_d,
+        read off the table built with the frame."""
+        return self._weights[p]
 
     def orbit(self, r: int) -> frozenset:
         """The points of line weight r, built once with the frame."""
@@ -131,6 +140,12 @@ class Frame:
     def coset_points(self, vectors, shift=gf3.ZERO) -> frozenset:
         """The labelled points U_(v + shift) of a coset of (F_3)^4."""
         return frozenset(self._point_of[gf3.t_add(v, shift)] for v in vectors)
+
+    def coset_mask(self, vectors, shift=gf3.ZERO) -> int:
+        """The table (`gf2.mask`) of `coset_points(vectors, shift)`, OR-ed
+        from the one-bit tables 1 << U_v."""
+        bits = self._bit_of
+        return reduce(or_, (bits[gf3.t_add(v, shift)] for v in vectors), 0)
 
     def trits_from_point(self, p: Mask):
         v = self._vector_of.get(p)

@@ -232,7 +232,11 @@ TABLE_MUTANTS = {
         gf2.mask, without_least_point,
         {"invariant-polynomials", "generator-solids", "enneads"},
     ),
-    "full-short": (gf2.FULL, gf2.FULL >> 1, {"symplectic-form"}),
+    # `perp` starts from FULL, so it loses the point 255 = U_0000 and no
+    # longer recovers the C2 denizens through it
+    "full-short": (
+        gf2.FULL, gf2.FULL >> 1, {"symplectic-form", "c2-rogue-structure"},
+    ),
 }
 
 
@@ -490,6 +494,21 @@ def test_a_factor_outside_the_generated_group_is_found(ctx, monkeypatch):
     assert exc.value.data == {"factor": "shuffles"}
 
 
+def test_a_listing_in_the_wrong_column_order_is_found(frame, monkeypatch):
+    # records that list the images of e_8..e_1: reversing the coordinates
+    # maps the tetrad and Q onto themselves, so the listing still has
+    # 31104 distinct maps fixing both, and the membership step packs both
+    # of its sides the same way; only reading a record back can object
+    def reversed_columns(m):
+        return bytes(m[e] for e in reversed(E))
+
+    bind_everywhere(monkeypatch, gf2.columns, reversed_columns)
+    with pytest.raises(CheckFailed) as exc:
+        check_stabilizer(Context(frame))
+    assert str(exc.value) == "packed record is not the images of e_1..e_8"
+    assert exc.value.data == {"sigma": "0000"}
+
+
 def test_a_wrong_induced_matrix_is_found(ctx, monkeypatch):
     # phi_g taken as the identity for every generator: right for the
     # rotations, which commute with the diagonal maps, wrong for swap_a,
@@ -544,14 +563,14 @@ def test_a_wrong_coset_image_is_found(ctx, monkeypatch):
     t1, t2 = ctx.triplets[0], ctx.triplets[1]
     meet = t1[0].plane.vectors & t2[0].plane.vectors
     other = min(v for v in gf3.ALL81 if v not in meet)
-    original = Frame.coset_points
+    original = Frame.coset_mask
 
     def skewed(self, vectors, shift=gf3.ZERO):
         if vectors == meet and shift == gf3.ZERO:
             shift = other
         return original(self, vectors, shift)
 
-    monkeypatch.setattr(Frame, "coset_points", skewed)
+    monkeypatch.setattr(Frame, "coset_mask", skewed)
     [cert] = run_certificates(ctx, names={"enneads"})
     assert cert.status == "fail"
     assert cert.witness == {
@@ -794,7 +813,7 @@ def test_a_line_of_five_points_is_named(ctx, monkeypatch):
     lines = list(gf3.all_lines())
     ln = lines[7]
     extra = next(p for p in gf3.all_points() if p not in ln.points)
-    lines[7] = five = gf3.Line(ln.points + (extra,), ln.vectors)
+    lines[7] = five = ln._replace(points=ln.points + (extra,))
     monkeypatch.setattr(gf3, "all_planes", lambda: planes)
     monkeypatch.setattr(gf3, "all_lines", lambda: tuple(lines))
     [cert] = run_certificates(ctx, names={"gf3-taxonomy"})

@@ -9,7 +9,7 @@ import pytest
 
 from tetradgeom import denizens, gf3
 from tetradgeom.certificates import check_c2
-from tetradgeom.gf2 import perp, rank, span
+from tetradgeom.gf2 import perp, rank, span, symplectic_product
 from tetradgeom.gf3 import trit_from_str as T
 
 #: the canonical Segre denizen decomposes into the labelled subspace
@@ -297,6 +297,21 @@ def test_fan_decompose_rejects_non_fans(frame):
 def points_of(mask) -> frozenset:
     """The points whose bits are set in a 256-bit point mask."""
     return frozenset(p for p in range(256) if mask >> p & 1)
+
+
+def test_perp_of_every_denizen_and_its_span_is_the_pointwise_filter(ctx):
+    # the reference: every x with B(x, p) = 0 for each given p
+    def filtered_perp(points):
+        return frozenset(
+            x for x in range(1, 256)
+            if not any(symplectic_product(x, p) for p in points)
+        )
+
+    for t in ctx.triplets:
+        for d in t:
+            assert perp(d.points) == filtered_perp(d.points), d.ident
+            flat = span(d.points)
+            assert perp(flat) == filtered_perp(flat), d.ident
 
 
 def test_denizen_masks_are_their_points(ctx):

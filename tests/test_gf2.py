@@ -10,6 +10,7 @@ import pytest
 from tetradgeom.gf2 import (
     COORDS,
     E,
+    FORMS,
     FULL,
     IDENTITY,
     PAIR_MASKS,
@@ -28,6 +29,7 @@ from tetradgeom.gf2 import (
     quadric_value,
     rank,
     span,
+    support,
     symplectic_product,
     table,
 )
@@ -247,8 +249,9 @@ def test_span_and_perp_on_coordinate_and_line_union_flats(frame):
         ([e for e in E if s & e], frozenset(x for x in range(1, 256) if not x & ~s))
         for s in range(1, 256)
     ]
-    flats = coordinate + list(_line_union_flats(frame.lines))
-    assert len(flats) == 255 + 15
+    points = [([p], frozenset({p})) for p in range(1, 256)]
+    flats = coordinate + points + list(_line_union_flats(frame.lines))
+    assert len(flats) == 255 + 255 + 15
     for gens, flat in flats:
         assert span(gens) == flat
         brute = frozenset(
@@ -258,6 +261,21 @@ def test_span_and_perp_on_coordinate_and_line_union_flats(frame):
         assert perp(flat) == brute
         assert perp(perp(flat)) == flat
         assert rank(flat) + rank(perp(flat)) == 8
+
+
+def test_forms_are_the_tables_of_the_symplectic_form():
+    assert len(FORMS) == 256
+    for z, form in enumerate(FORMS):
+        assert form >> 256 == 0
+        for x in range(256):
+            assert form >> x & 1 == symplectic_product(x, z)
+
+
+def test_support_reads_a_table_back():
+    assert list(support(0)) == []
+    assert list(support(FULL)) == list(range(256))
+    for points in ({1}, {0, 255}, {3, 17, 200}, set(range(1, 256, 7))):
+        assert list(support(mask(points))) == sorted(points)
 
 
 def test_lines_inside():

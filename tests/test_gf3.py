@@ -130,6 +130,24 @@ def test_plane_kind_census():
 def test_line_kind_census():
     census = Counter(gf3.line_kind(ln) for ln in gf3.all_lines())
     assert census == Counter({1: 6, 2: 24, 3: 16, 4: 12, 5: 16, 6: 48, 7: 8})
+    # each line keeps the kind of its weight pattern, computed once
+    for ln in gf3.all_lines():
+        assert ln.kind == gf3.LINE_KIND_TABLE[gf3.weight_pattern(ln)]
+
+
+def test_planes_are_the_kernels_of_their_functionals():
+    # the definition: v is on the plane of c when sum c_i xi_i = 0 mod 3
+    planes = gf3.all_planes()
+    assert [pl.functional for pl in planes] == list(gf3.all_points())
+    for pl in planes:
+        c = gf3.digits(pl.functional)
+        assert pl.vectors == frozenset(
+            v for v in gf3.ALL81
+            if sum(x * y for x, y in zip(c, gf3.digits(v))) % 3 == 0
+        )
+        assert pl.points == tuple(
+            sorted({gf3.canon(v) for v in pl.vectors if v != gf3.ZERO})
+        )
 
 
 def test_line_kind_worked_examples():

@@ -14,11 +14,13 @@ from tetradgeom import gf3
 from tetradgeom.gf2 import (
     E,
     IDENTITY,
+    PAIR_MASKS,
     columns,
     compose,
     inverse,
     linmap,
     linmap_power,
+    mask,
     mulclose,
 )
 from tetradgeom.gf3 import mat3_apply
@@ -107,6 +109,22 @@ def test_line_weight_and_orbits(frame):
     assert set().union(*(frame.orbit(r) for r in (1, 2, 3, 4))) == set(
         range(1, 256)
     )
+    # the table the frame reads is the definition at every vector
+    for v in range(256):
+        weight = sum(1 for pm in PAIR_MASKS if v & pm)
+        assert frame.line_weight(v) == weight
+        assert (v in frame.orbit(weight)) == (v != 0)
+
+
+def test_coset_mask_is_the_mask_of_the_coset_points(frame):
+    spaces = [s.vectors for s in (*gf3.all_lines(), *gf3.all_planes())]
+    assert len(spaces) == 170
+    for vectors in spaces:
+        for shift in gf3.ALL81:
+            assert frame.coset_mask(vectors, shift) == mask(
+                frame.coset_points(vectors, shift)
+            )
+    assert frame.coset_mask(gf3.ALL81) == mask(frame.orbit(4))
 
 
 def test_trit_point_round_trip(frame):

@@ -228,25 +228,18 @@ def polarize6(p: Anf8) -> frozenset:
     """The alternating 6-form of a sextic, read off on basis 6-subsets.
 
     For each of the 28 complements S of an index pair {j,k}, evaluates the
-    6-fold finite difference sum_{T subseteq S} p(sum_{i in T} e_i); the
-    pair {j,k} enters the result exactly when that sum is 1.  Returns the
-    set of pairs as a frozenset of sorted 2-tuples.  Degree <= 5 input
-    gives the empty set; degree > 6 input is rejected since the
-    finite-difference sum no longer computes an alternating form.
+    6-fold finite difference sum_{T subseteq S} p(sum_{i in T} e_i), the
+    parity of the truth table AND the table of the subsets of S; the pair
+    {j,k} enters the result exactly when that sum is 1.  Returns the set of
+    pairs as a frozenset of sorted 2-tuples.  Degree <= 5 input gives the
+    empty set; degree > 6 input is rejected since the finite-difference
+    sum no longer computes an alternating form.
     """
     if p.degree() > 6:
         raise ValueError("polarize6 requires degree <= 6")
     tt = p.truth_table()
-    pairs = []
-    for j, k in combinations(range(1, 9), 2):
-        s = 0xFF ^ (1 << (j - 1)) ^ (1 << (k - 1))
-        acc = 0
-        t = s
-        while True:
-            acc ^= tt >> t & 1
-            if t == 0:
-                break
-            t = (t - 1) & s
-        if acc:
-            pairs.append((j, k))
-    return frozenset(pairs)
+    return frozenset(
+        (j, k)
+        for j, k in combinations(range(1, 9), 2)
+        if (tt & (FULL ^ COORDS[j - 1]) & (FULL ^ COORDS[k - 1])).bit_count() & 1
+    )

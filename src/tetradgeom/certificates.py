@@ -32,6 +32,7 @@ from .gf2 import (
     UNIT,
     columns,
     compose,
+    form_table,
     linmap_power,
     low_bit,
     mask,
@@ -41,7 +42,6 @@ from .gf2 import (
     quadric_value,
     rank,
     span,
-    symplectic_product,
     table,
     xor_shift,
 )
@@ -230,7 +230,7 @@ def check_orbits(ctx):
 def check_form(ctx):
     # tables (gf2): bit x of b_tabs[z] is B(x, z), bit x of q_tab is Q(x),
     # both evaluated pointwise so the routes stay independent
-    b_tabs = [table(symplectic_product, z) for z in range(256)]
+    b_tabs = [form_table(z) for z in range(256)]
     for i in range(1, 9):
         for j in range(1, 9):
             require(
@@ -257,7 +257,13 @@ def check_form(ctx):
             raise CheckFailed("form is not linear", x=low_bit(lin ^ b_tab), z=z)
     # nondegeneracy needs no step of its own: polarization makes B
     # symmetric, so linearity in the first argument makes it bilinear, and
-    # a bilinear form with the invertible Gram matrix above is nondegenerate
+    # a bilinear form with the invertible Gram matrix above is nondegenerate.
+    # Last, the XOR-doubled tables that perp, the solids, the weights and
+    # the caps read are this form's
+    for z, b_tab in enumerate(b_tabs):
+        if FORMS[z] != b_tab:
+            raise CheckFailed("gf2.FORMS differs from the form",
+                              x=low_bit(FORMS[z] ^ b_tab), z=z)
     return {"pairs_checked": 256 * 256}
 
 
@@ -607,8 +613,17 @@ def check_weights(ctx):
     alt1 = {v for v in gf3.ALL81 if gf3.wt_alt(v) == 1}
     even = {v for d in gf3.FAMILY_EVEN for v in (d, gf3.t_neg(d))}
     require(alt1 == even, "alt-weight-1 vectors are not the even family")
+    # one table compare per rho: the labelled points with B(., U_rho) = 1
+    # against the U_sigma at odd distance, sigma - rho of odd weight.  With
+    # 81 distinct labels that is the 81 pointwise comparisons; otherwise,
+    # or on a mismatch, the pointwise loop runs to locate the failure
+    labelled = f.coset_mask(gf3.ALL81)
+    distinct = labelled.bit_count() == 81
+    odd = [v for v in gf3.ALL81 if gf3.wt_std(v) % 2]
     for rho in gf3.ALL81:
         form = FORMS[f.point_from_trits(rho)]  # the table of B(., U_rho)
+        if distinct and form & labelled == f.coset_mask(odd, rho):
+            continue
         for sigma in gf3.ALL81:
             if form >> f.point_from_trits(sigma) & 1 != gf3.hd_std(rho, sigma) % 2:
                 raise CheckFailed(
@@ -664,8 +679,12 @@ def check_spreads(ctx):
             found=sorted(counts),
         )
     # zero-digit degeneracy: any sigma of weight below 4 has fixed points
+    # m fixes p exactly when byte p of m XOR IDENTITY is zero; byte 0 is
+    # zero in every linear map
+    identity = int.from_bytes(IDENTITY, "big")
     for sigma, m in enumerate(g81):
-        fixed = any(m[p] == p for p in range(1, 256))
+        moved = int.from_bytes(m, "big") ^ identity
+        fixed = moved.to_bytes(256, "big").count(0) > 1
         require(
             fixed == (gf3.wt_std(sigma) < 4),
             "fixed-point-freeness does not match all-nonzero digits",
@@ -696,13 +715,12 @@ def check_orbit4_lines(ctx):
         want = gf3.wt_std(lam) == 4
         direction = gf3.trit_str(lam)
         for p in omega4:
-            got = spreads.orbit4_line_test(f, g81, p, lam)
-            require(
-                got == want,
-                "line test disagrees with weight-4 criterion",
-                direction=direction,
-                point=point_str(p),
-            )
+            if spreads.orbit4_line_test(f, g81, p, lam) != want:
+                raise CheckFailed(
+                    "line test disagrees with weight-4 criterion",
+                    direction=direction,
+                    point=point_str(p),
+                )
     require(len(directions) == 40, "direction pair count wrong")
     for d, sp in sorted(ctx.spreads.items()):
         inside = [ln for ln in sp.lines if ln <= omega4]
@@ -768,23 +786,23 @@ def check_solids(ctx):
     omega2, omega4 = f.orbit(2), f.orbit(4)
     for p in sorted(omega4):
         se, so = spreads.solid_pair(f, ctx.spreads, p)
-        require(se in solid_set and so in solid_set, "family span is not a solid",
-                point=point_str(p))
-        require(len(se & so) == 7, "solid pair does not meet in a plane",
-                point=point_str(p))
-        require(tag_of[se] != tag_of[so], "solid pair lies in one system",
-                point=point_str(p))
-        # se is one of the solids, which all have 15 points (checked above),
-        # so 9 of weight 4 and 6 of weight 2 is its whole weight profile
-        require(len(se & omega4) == 9 and len(se & omega2) == 6,
-                "solid weight profile wrong", point=point_str(p))
         comps = [p & pm for pm in PAIR_MASKS]
         small = {comps[h] ^ comps[k] for h, k in combinations(range(4), 2)}
-        require(
-            se & so == {p} | small,
-            "plane of intersection is not the pair-sum plane",
-            point=point_str(p),
-        )
+        if not (se in solid_set and so in solid_set):
+            message = "family span is not a solid"
+        elif len(se & so) != 7:
+            message = "solid pair does not meet in a plane"
+        elif tag_of[se] == tag_of[so]:
+            message = "solid pair lies in one system"
+        # se is one of the solids, which all have 15 points (checked above),
+        # so 9 of weight 4 and 6 of weight 2 is its whole weight profile
+        elif not (len(se & omega4) == 9 and len(se & omega2) == 6):
+            message = "solid weight profile wrong"
+        elif se & so != {p} | small:
+            message = "plane of intersection is not the pair-sum plane"
+        else:
+            continue
+        raise CheckFailed(message, point=point_str(p))
     return {"solids": 270, "systems": [135, 135], "points_checked": 81}
 
 
@@ -1042,8 +1060,7 @@ def check_caps(ctx):
         require(len(cap) == 9 and set(cap) <= qp, "cap is not 9 quadric points",
                 **where)
         for a, b in combinations(cap, 2):
-            require(symplectic_product(a, b) == 1, "cap points are orthogonal",
-                    **where)
+            require(FORMS[a] >> b & 1, "cap points are orthogonal", **where)
             require(quadric_value(a ^ b) == 1, "cap secant stays on the quadric",
                     **where)
             require(a ^ b not in cap, "three cap points are collinear", **where)
@@ -1051,9 +1068,10 @@ def check_caps(ctx):
         require(len(translates) == 9, "translate count wrong", **where)
         for cap9 in translates:
             require(len(cap9) == 9, "translate size wrong", **where)
-            for a, b in combinations(sorted(cap9), 2):
-                require(symplectic_product(a, b) == 1, "translate is not a cap",
-                        **where)
+            # B(a, a) = 0, so a cap's only point orthogonal to a is a itself
+            m9 = mask(cap9)
+            require(all(m9 & ~FORMS[a] == 1 << a for a in cap9),
+                    "translate is not a cap", **where)
         _partition(translates, omega4, "translates overlap",
                    "translates do not cover the orbit", **where)
     example = quadric.nine_cap(f, w3[0])

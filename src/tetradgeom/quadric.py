@@ -134,6 +134,11 @@ def nine_cap(frame: Frame, line: gf3.Line) -> tuple:
 
 def cap_translates(frame: Frame, line: gf3.Line) -> tuple:
     """The nine cosets of the direction plane, as point 9-sets; these
-    partition the line-weight-4 orbit into nine disjoint caps."""
-    caps = {frame.coset_points(line.vectors, s) for s in gf3.ALL81}
+    partition the line-weight-4 orbit into nine disjoint caps.  Each coset
+    is built once, shifted by the least vector no earlier coset holds."""
+    caps, covered = [], set()
+    for s in gf3.ALL81:
+        if s not in covered:
+            covered.update(gf3.t_add(v, s) for v in line.vectors)
+            caps.append(frame.coset_points(line.vectors, s))
     return tuple(sorted(caps, key=min))

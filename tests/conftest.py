@@ -4,6 +4,12 @@ from tetradgeom.certificates import Context
 from tetradgeom.tetrad import build_frame
 
 
+def symplectic_product(x, y) -> int:
+    """B(x, y) by its defining sum over the coordinate pairs {i, 9-i}, one
+    bit at a time: the reference the form's tables are tested against."""
+    return sum(x >> k & y >> (7 - k) & 1 for k in range(8)) & 1
+
+
 def records(listing) -> list:
     """The maps of a packed stabilizer listing, 8 column bytes each."""
     return [listing[i:i + 8] for i in range(0, len(listing), 8)]

@@ -206,6 +206,37 @@ def test_polarize6():
         anf.polarize6(anf.Anf8.from_monomials([(1, 2, 3, 4, 5, 6, 7)]))
 
 
+def polarize6_by_subsets(p) -> frozenset:
+    """Reference: each 6-fold finite difference summed over the subsets T
+    of S = complement of {j, k}, walked one at a time."""
+    tt = p.truth_table()
+    pairs = set()
+    for j, k in combinations(range(1, 9), 2):
+        s = 0xFF ^ 1 << j - 1 ^ 1 << k - 1
+        acc, t = tt & 1, s
+        while t:
+            acc ^= tt >> t & 1
+            t = t - 1 & s
+        if acc:
+            pairs.add((j, k))
+    return frozenset(pairs)
+
+
+def test_polarize6_is_the_subset_walk(frame):
+    # the eight polynomials the certificate polarizes, and each degree-6
+    # monomial, whose form is the one pair outside it
+    inv = anf.build_invariants(frame)
+    polarized = [inv.q6, inv.q_lw4]
+    polarized += [p for p in anf.symmetric_parts().values() if p.degree() <= 5]
+    assert len(polarized) == 8
+    for p in polarized:
+        assert anf.polarize6(p) == polarize6_by_subsets(p)
+    for mon in combinations(range(1, 9), 6):
+        p = anf.Anf8.from_monomials([mon])
+        pair = tuple(sorted(set(range(1, 9)) - set(mon)))
+        assert anf.polarize6(p) == polarize6_by_subsets(p) == {pair}
+
+
 def test_unit_evaluations():
     # on the all-ones vector the parts count their monomials mod 2
     parts = anf.symmetric_parts()

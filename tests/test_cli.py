@@ -12,7 +12,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from conftest import records
+from conftest import records, symplectic_product
 
 from tetradgeom import certificates, denizens, gf2, gf3
 from tetradgeom.certificates import (
@@ -30,7 +30,7 @@ from tetradgeom.gf2 import (
     columns,
     linmap,
     quadric_value,
-    symplectic_product,
+    table,
     xor_shift,
 )
 from tetradgeom.tetrad import Frame, build_frame, fixes_tetrad
@@ -219,6 +219,11 @@ def without_least_point(points, mask=gf2.mask):
     return m & (m - 1)
 
 
+FORMS_FLIPPED = tuple(
+    form ^ (z == gf2.UNIT) << E[0] for z, form in enumerate(gf2.FORMS)
+)
+
+
 # each mutant of the table format, and the certificates it fails
 TABLE_MUTANTS = {
     "coord3-flipped": (
@@ -230,13 +235,16 @@ TABLE_MUTANTS = {
     ),
     "mask-short": (
         gf2.mask, without_least_point,
-        {"invariant-polynomials", "generator-solids", "enneads"},
+        {"invariant-polynomials", "generator-solids", "enneads", "nine-caps"},
     ),
     # `perp` starts from FULL, so it loses the point 255 = U_0000 and no
     # longer recovers the C2 denizens through it
     "full-short": (
         gf2.FULL, gf2.FULL >> 1, {"symplectic-form", "c2-rogue-structure"},
     ),
+    # B(e_1, u) flipped, a value no other certificate reads: only the
+    # check of FORMS against the pointwise form finds it
+    "forms-flipped": (gf2.FORMS, FORMS_FLIPPED, {"symplectic-form"}),
 }
 
 
@@ -247,6 +255,14 @@ def test_a_table_mutant_fails_a_certificate(frame, monkeypatch, mutant):
     failed = [c for c in run_certificates(Context(frame)) if c.status == "fail"]
     assert {c.name for c in failed} == fails
     assert not any("error" in c.witness for c in failed)
+
+
+def test_a_flipped_form_table_is_located(monkeypatch):
+    bind_everywhere(monkeypatch, gf2.FORMS, FORMS_FLIPPED)
+    with pytest.raises(CheckFailed) as exc:
+        check_form(None)
+    assert str(exc.value) == "gf2.FORMS differs from the form"
+    assert exc.value.data == {"x": E[0], "z": gf2.UNIT}
 
 
 def test_partition_failures_are_located():
@@ -299,7 +315,9 @@ def flipped_polarization(x, y):
 
 
 def test_form_check_finds_a_broken_polarization(monkeypatch):
-    monkeypatch.setattr(certificates, "quadric_value", flipped_q)
+    # B' polarizes the flipped Q, but the check's Q is the true one
+    monkeypatch.setattr(certificates, "form_table",
+                        lambda z: table(flipped_polarization, z))
     with pytest.raises(CheckFailed) as exc:
         check_form(None)
     assert str(exc.value) == "polarization identity fails"
@@ -312,7 +330,8 @@ def test_form_check_finds_a_nonlinear_form(monkeypatch):
     # B' is the polarization of the flipped Q, so that identity holds, and
     # B' is still alternating with the same Gram matrix, but not bilinear
     monkeypatch.setattr(certificates, "quadric_value", flipped_q)
-    monkeypatch.setattr(certificates, "symplectic_product", flipped_polarization)
+    monkeypatch.setattr(certificates, "form_table",
+                        lambda z: table(flipped_polarization, z))
     with pytest.raises(CheckFailed) as exc:
         check_form(None)
     assert str(exc.value) == "form is not linear"
@@ -331,7 +350,7 @@ def test_form_check_rejects_a_degenerate_form_at_the_gram_step(monkeypatch):
     def without_45(x, y):
         return symplectic_product(x, y) ^ (x >> 3 & y >> 4 ^ x >> 4 & y >> 3) & 1
 
-    monkeypatch.setattr(certificates, "symplectic_product", without_45)
+    monkeypatch.setattr(certificates, "form_table", lambda z: table(without_45, z))
     with pytest.raises(CheckFailed) as exc:
         check_form(None)
     assert str(exc.value) == "Gram entry (4,5) wrong"

@@ -6,10 +6,11 @@ from itertools import combinations
 from operator import xor
 
 import pytest
+from conftest import symplectic_product
 
 from tetradgeom import denizens, gf3
 from tetradgeom.certificates import check_c2
-from tetradgeom.gf2 import perp, rank, span, symplectic_product
+from tetradgeom.gf2 import perp, rank, span
 from tetradgeom.gf3 import trit_from_str as T
 
 #: the canonical Segre denizen decomposes into the labelled subspace

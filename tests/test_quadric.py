@@ -4,9 +4,10 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from conftest import symplectic_product
 
 from tetradgeom import gf3, quadric, spreads
-from tetradgeom.gf2 import quadric_value, symplectic_product
+from tetradgeom.gf2 import quadric_value
 from tetradgeom.gf3 import trit_from_str as T
 
 #: the cap labelled by the first all-weight-3 direction plane
@@ -189,3 +190,11 @@ def test_cap_translates_partition_weight4_orbit(frame):
     # the subspace's own cap is among its translates
     first = quadric.weight3_lines()[0]
     assert frozenset(FIRST_CAP) in quadric.cap_translates(frame, first)
+
+
+def test_cap_translates_are_the_81_shifts(frame):
+    # each translate built once is the 9-tuple of the definition: the
+    # distinct cosets over all 81 shifts, ordered by least point
+    for ln in quadric.weight3_lines():
+        shifted = {frame.coset_points(ln.vectors, s) for s in gf3.ALL81}
+        assert quadric.cap_translates(frame, ln) == tuple(sorted(shifted, key=min))

@@ -20,6 +20,7 @@ import threading
 import time
 from collections import Counter, namedtuple
 from itertools import combinations
+from operator import eq
 
 from . import anf, denizens, gf3, quadric, spreads
 from .gf2 import (
@@ -32,7 +33,6 @@ from .gf2 import (
     UNIT,
     columns,
     compose,
-    form_table,
     linmap_power,
     low_bit,
     mask,
@@ -228,9 +228,10 @@ def check_orbits(ctx):
     "coordinate i with 9-i, and the quadratic form polarizes to it",
 )
 def check_form(ctx):
-    # tables (gf2): bit x of b_tabs[z] is B(x, z), bit x of q_tab is Q(x),
-    # both evaluated pointwise so the routes stay independent
-    b_tabs = [form_table(z) for z in range(256)]
+    # tables (gf2): bit x of b_tabs[z] is B(x, z), XOR-doubled from the
+    # coordinate tables; bit x of q_tab is Q(x), evaluated pointwise, so
+    # the polarization step pins each row independently of how it was built
+    b_tabs = FORMS
     for i in range(1, 9):
         for j in range(1, 9):
             require(
@@ -257,13 +258,7 @@ def check_form(ctx):
             raise CheckFailed("form is not linear", x=low_bit(lin ^ b_tab), z=z)
     # nondegeneracy needs no step of its own: polarization makes B
     # symmetric, so linearity in the first argument makes it bilinear, and
-    # a bilinear form with the invertible Gram matrix above is nondegenerate.
-    # Last, the XOR-doubled tables that perp, the solids, the weights and
-    # the caps read are this form's
-    for z, b_tab in enumerate(b_tabs):
-        if FORMS[z] != b_tab:
-            raise CheckFailed("gf2.FORMS differs from the form",
-                              x=low_bit(FORMS[z] ^ b_tab), z=z)
+    # a bilinear form with the invertible Gram matrix above is nondegenerate
     return {"pairs_checked": 256 * 256}
 
 
@@ -613,17 +608,8 @@ def check_weights(ctx):
     alt1 = {v for v in gf3.ALL81 if gf3.wt_alt(v) == 1}
     even = {v for d in gf3.FAMILY_EVEN for v in (d, gf3.t_neg(d))}
     require(alt1 == even, "alt-weight-1 vectors are not the even family")
-    # one table compare per rho: the labelled points with B(., U_rho) = 1
-    # against the U_sigma at odd distance, sigma - rho of odd weight.  With
-    # 81 distinct labels that is the 81 pointwise comparisons; otherwise,
-    # or on a mismatch, the pointwise loop runs to locate the failure
-    labelled = f.coset_mask(gf3.ALL81)
-    distinct = labelled.bit_count() == 81
-    odd = [v for v in gf3.ALL81 if gf3.wt_std(v) % 2]
     for rho in gf3.ALL81:
         form = FORMS[f.point_from_trits(rho)]  # the table of B(., U_rho)
-        if distinct and form & labelled == f.coset_mask(odd, rho):
-            continue
         for sigma in gf3.ALL81:
             if form >> f.point_from_trits(sigma) & 1 != gf3.hd_std(rho, sigma) % 2:
                 raise CheckFailed(
@@ -679,12 +665,8 @@ def check_spreads(ctx):
             found=sorted(counts),
         )
     # zero-digit degeneracy: any sigma of weight below 4 has fixed points
-    # m fixes p exactly when byte p of m XOR IDENTITY is zero; byte 0 is
-    # zero in every linear map
-    identity = int.from_bytes(IDENTITY, "big")
     for sigma, m in enumerate(g81):
-        moved = int.from_bytes(m, "big") ^ identity
-        fixed = moved.to_bytes(256, "big").count(0) > 1
+        fixed = any(map(eq, m[1:], IDENTITY[1:]))
         require(
             fixed == (gf3.wt_std(sigma) < 4),
             "fixed-point-freeness does not match all-nonzero digits",

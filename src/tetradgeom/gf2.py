@@ -25,11 +25,10 @@ frozen test fixtures:
   so the table of a point set is its mask (`mask`) and the tables of two
   functions combine by one AND, OR or XOR.  `FULL` is the table of 1,
   `COORDS[k]` the table of x -> bit k of x, `FORMS[z]` the table of
-  x -> B(x, z) XOR-doubled from the coordinate tables, and `table(f)`
-  evaluates f at every vector; `form_table(z)` evaluates B's formula at
-  all 256 vectors at once, the independent route to `FORMS[z]` that
-  `symplectic-form` checks; `support` reads a table back as the x where
-  it is 1.  Only this module spells the format out.
+  x -> B(x, z) XOR-doubled from the coordinate tables (`symplectic-form`
+  certifies them against Q evaluated point by point), and `table(f)`
+  evaluates f at every vector; `support` reads a table back as the x
+  where it is 1.  Only this module spells the format out.
 
 Everything here is immutable and exact; there is no floating point
 anywhere in the package.
@@ -99,25 +98,6 @@ def table(f, *args) -> int:
     """The table of x -> f(x, *args), f valued 0 or 1: its values from
     x = 255 down, spelled as digits by one `translate`, as a binary numeral."""
     return int(bytes(map(f, _DOWN, *map(repeat, args))).translate(_DIGITS), 2)
-
-
-# bit-reversal table: partner of bit k is bit 7-k
-_REV = tuple(
-    sum(1 << (7 - k) for k in range(8) if v >> k & 1) for v in range(256)
-)
-#: the vectors from x = 255 down, a byte each, as one int; 1 in every
-#: byte; and the digit of each byte's parity
-_LANES = int.from_bytes(bytes(_DOWN), "big")
-_ONES = int.from_bytes(b"\1" * 256, "big")
-_PARITY_DIGITS = bytes(b"01"[v.bit_count() & 1] for v in range(256))
-
-
-def form_table(z: Mask) -> int:
-    """The table of x -> B(x, z) from its defining formula, the parity of
-    x & rev(z), at every x at once: one AND with rev(z) in every byte of
-    the lanes, its bytes spelled as parity digits by one `translate`."""
-    lanes = (_LANES & _REV[z] * _ONES).to_bytes(256, "big")
-    return int(lanes.translate(_PARITY_DIGITS), 2)
 
 
 def mask(points) -> int:

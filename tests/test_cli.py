@@ -243,7 +243,7 @@ TABLE_MUTANTS = {
         gf2.FULL, gf2.FULL >> 1, {"symplectic-form", "c2-rogue-structure"},
     ),
     # B(e_1, u) flipped, a value no other certificate reads: only the
-    # check of FORMS against the pointwise form finds it
+    # polarization step, against Q evaluated pointwise, finds it
     "forms-flipped": (gf2.FORMS, FORMS_FLIPPED, {"symplectic-form"}),
 }
 
@@ -261,8 +261,8 @@ def test_a_flipped_form_table_is_located(monkeypatch):
     bind_everywhere(monkeypatch, gf2.FORMS, FORMS_FLIPPED)
     with pytest.raises(CheckFailed) as exc:
         check_form(None)
-    assert str(exc.value) == "gf2.FORMS differs from the form"
-    assert exc.value.data == {"x": E[0], "z": gf2.UNIT}
+    assert str(exc.value) == "polarization identity fails"
+    assert exc.value.data == {"x": E[0], "y": gf2.UNIT}
 
 
 def test_partition_failures_are_located():
@@ -314,10 +314,24 @@ def flipped_polarization(x, y):
     return flipped_q(x ^ y) ^ flipped_q(x) ^ flipped_q(y)
 
 
+def form_tables(form) -> tuple:
+    """The 256 tables x -> form(x, z), a stand-in for `gf2.FORMS`."""
+    return tuple(table(form, z) for z in range(256))
+
+
 def test_form_check_finds_a_broken_polarization(monkeypatch):
+    monkeypatch.setattr(certificates, "quadric_value", flipped_q)
+    with pytest.raises(CheckFailed) as exc:
+        check_form(None)
+    assert str(exc.value) == "polarization identity fails"
+    x, y = exc.value.data["x"], exc.value.data["y"]
+    assert set(exc.value.data) == {"x", "y"}
+    assert flipped_polarization(x, y) != symplectic_product(x, y)
+
+
+def test_form_check_finds_forms_that_polarize_another_quadric(monkeypatch):
     # B' polarizes the flipped Q, but the check's Q is the true one
-    monkeypatch.setattr(certificates, "form_table",
-                        lambda z: table(flipped_polarization, z))
+    monkeypatch.setattr(certificates, "FORMS", form_tables(flipped_polarization))
     with pytest.raises(CheckFailed) as exc:
         check_form(None)
     assert str(exc.value) == "polarization identity fails"
@@ -330,8 +344,7 @@ def test_form_check_finds_a_nonlinear_form(monkeypatch):
     # B' is the polarization of the flipped Q, so that identity holds, and
     # B' is still alternating with the same Gram matrix, but not bilinear
     monkeypatch.setattr(certificates, "quadric_value", flipped_q)
-    monkeypatch.setattr(certificates, "form_table",
-                        lambda z: table(flipped_polarization, z))
+    monkeypatch.setattr(certificates, "FORMS", form_tables(flipped_polarization))
     with pytest.raises(CheckFailed) as exc:
         check_form(None)
     assert str(exc.value) == "form is not linear"
@@ -350,7 +363,7 @@ def test_form_check_rejects_a_degenerate_form_at_the_gram_step(monkeypatch):
     def without_45(x, y):
         return symplectic_product(x, y) ^ (x >> 3 & y >> 4 ^ x >> 4 & y >> 3) & 1
 
-    monkeypatch.setattr(certificates, "form_table", lambda z: table(without_45, z))
+    monkeypatch.setattr(certificates, "FORMS", form_tables(without_45))
     with pytest.raises(CheckFailed) as exc:
         check_form(None)
     assert str(exc.value) == "Gram entry (4,5) wrong"

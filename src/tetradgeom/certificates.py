@@ -20,7 +20,6 @@ import threading
 import time
 from collections import Counter, namedtuple
 from itertools import combinations
-from operator import eq
 
 from . import anf, denizens, gf3, quadric, spreads
 from .gf2 import (
@@ -666,7 +665,7 @@ def check_spreads(ctx):
         )
     # zero-digit degeneracy: any sigma of weight below 4 has fixed points
     for sigma, m in enumerate(g81):
-        fixed = any(map(eq, m[1:], IDENTITY[1:]))
+        fixed = any(m[p] == p for p in range(1, 256))
         require(
             fixed == (gf3.wt_std(sigma) < 4),
             "fixed-point-freeness does not match all-nonzero digits",

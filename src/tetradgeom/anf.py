@@ -1,13 +1,14 @@
 """Boolean polynomials on V(8,2) in algebraic normal form.
 
-An Anf8 is a multilinear polynomial in x_1..x_8 over GF(2), stored as a
-256-bit integer: bit m (0 <= m < 256) is the coefficient of the monomial
-prod_{i in m} x_i, where the variable x_i corresponds to bit i-1, the same
-convention as for vectors in gf2.  Bit 0 is the constant term.
+A polynomial is a multilinear polynomial in x_1..x_8 over GF(2), stored
+as a plain int, a gf2 table over monomials: bit m (0 <= m < 256) is the
+coefficient of the monomial prod_{i in m} x_i, where the variable x_i
+corresponds to bit i-1, the same convention as for vectors in gf2.  Bit 0
+is the constant term, and the sum of two polynomials is their XOR.
 
-ANF <-> truth table conversion is the in-place subset-sum (Moebius)
-butterfly, which over GF(2) is an involution; both directions are kept so
-each can serve as an oracle for the other.
+`mobius`, the subset-sum butterfly, is the one conversion between a
+coefficient table and the truth table, in either direction: over GF(2) it
+is an involution.  Every other function here takes a coefficient table.
 
 Convention for flat "equations": the equation polynomial of a flat F is
 its *indicator*, the Moebius transform of the truth table that is 1
@@ -21,7 +22,9 @@ rows of that table.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 from .gf2 import COORDS, FULL, mask, span, support
 
@@ -37,103 +40,59 @@ def mobius(table: int) -> int:
     return table
 
 
-class Anf8:
-    __slots__ = ("coeffs", "_tt")
+def from_monomials(monomials) -> int:
+    c = 0
+    for mon in monomials:
+        m = 0
+        for i in mon:
+            m |= 1 << (i - 1)
+        c ^= 1 << m
+    return c
 
-    def __init__(self, coeffs: int):
-        self.coeffs = coeffs & FULL
-        self._tt = None
 
-    # construction -------------------------------------------------------
+def degree(p: int) -> int:
+    """Algebraic degree; the zero polynomial has degree -1."""
+    if p == 0:
+        return -1
+    return max(m.bit_count() for m in support(p))
 
-    @classmethod
-    def zero(cls) -> "Anf8":
-        return cls(0)
 
-    @classmethod
-    def from_monomials(cls, monomials) -> "Anf8":
-        c = 0
-        for mon in monomials:
-            m = 0
-            for i in mon:
-                m |= 1 << (i - 1)
-            c ^= 1 << m
-        return cls(c)
+def homogeneous_part(p: int, d: int) -> int:
+    c = 0
+    for m in support(p):
+        if m.bit_count() == d:
+            c |= 1 << m
+    return c
 
-    @classmethod
-    def from_truth_table(cls, table: int) -> "Anf8":
-        return cls(mobius(table))
 
-    # arithmetic ---------------------------------------------------------
+def monomials(p: int) -> tuple:
+    """Canonical serialization: sorted tuple of sorted variable-index
+    tuples, ordered by (degree, lexicographic)."""
+    mons = [
+        tuple(i + 1 for i in range(8) if m >> i & 1)
+        for m in support(p)
+    ]
+    return tuple(sorted(mons, key=lambda t: (len(t), t)))
 
-    def __add__(self, other: "Anf8") -> "Anf8":
-        return Anf8(self.coeffs ^ other.coeffs)
 
-    def __eq__(self, other):
-        return isinstance(other, Anf8) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    # queries ------------------------------------------------------------
-
-    def degree(self) -> int:
-        """Algebraic degree; the zero polynomial has degree -1."""
-        if self.coeffs == 0:
-            return -1
-        return max(m.bit_count() for m in support(self.coeffs))
-
-    def homogeneous_part(self, d: int) -> "Anf8":
-        c = 0
-        for m in support(self.coeffs):
-            if m.bit_count() == d:
-                c |= 1 << m
-        return Anf8(c)
-
-    def monomials(self) -> tuple:
-        """Canonical serialization: sorted tuple of sorted variable-index
-        tuples, ordered by (degree, lexicographic)."""
-        mons = [
-            tuple(i + 1 for i in range(8) if m >> i & 1)
-            for m in support(self.coeffs)
-        ]
-        return tuple(sorted(mons, key=lambda t: (len(t), t)))
-
-    def truth_table(self) -> int:
-        if self._tt is None:
-            self._tt = mobius(self.coeffs)
-        return self._tt
-
-    def evaluate(self, x: int) -> int:
-        return self.truth_table() >> x & 1
-
-    def projective_zeros(self) -> frozenset:
-        """Nonzero vectors where the polynomial vanishes."""
-        tt = self.truth_table()
-        return frozenset(x for x in range(1, 256) if not tt >> x & 1)
-
-    def __repr__(self):
-        mons = self.monomials()
-        if not mons:
-            return "Anf8<0>"
-        body = " + ".join(
-            "1" if not m else "x" + "x".join(map(str, m)) for m in mons[:6]
-        )
-        tail = f" + ...({len(mons)} terms)" if len(mons) > 6 else ""
-        return f"Anf8<{body}{tail}>"
+def projective_zeros(p: int) -> frozenset:
+    """Nonzero vectors where the polynomial vanishes."""
+    tt = mobius(p)
+    return frozenset(x for x in range(1, 256) if not tt >> x & 1)
 
 
 # ── flat indicators and the orbit invariants ─────────────────────────────
 
 
-def flat_indicator(flat: frozenset) -> Anf8:
+def flat_indicator(flat: frozenset) -> int:
     """Indicator polynomial of a flat, given as its points: value 1
     exactly on the flat and at the zero vector."""
-    return Anf8.from_truth_table(mask(flat) | 1)
+    return mobius(mask(flat) | 1)
 
 
 class InvariantPolys(namedtuple("InvariantPolys", "q2 q4 q6 q_lw4")):
-    """The three flat-sum invariants and their sum, each an Anf8.
+    """The three flat-sum invariants and their sum, each a coefficient
+    table.
 
     q2 sums the indicators of the four 5-flats spanned by line triples,
     q4 the six 3-flats spanned by line pairs, q6 the four lines
@@ -145,23 +104,21 @@ class InvariantPolys(namedtuple("InvariantPolys", "q2 q4 q6 q_lw4")):
 
     def value_row(self, points) -> tuple:
         """(q2, q4, q6) values, constant on an orbit passed as points."""
-        rows = {
-            (self.q2.evaluate(p), self.q4.evaluate(p), self.q6.evaluate(p))
-            for p in points
-        }
+        t2, t4, t6 = mobius(self.q2), mobius(self.q4), mobius(self.q6)
+        rows = {(t2 >> p & 1, t4 >> p & 1, t6 >> p & 1) for p in points}
         if len(rows) != 1:
             raise ValueError(f"values not constant on orbit: {sorted(rows)}")
         return rows.pop()
 
 
 def build_invariants(frame) -> InvariantPolys:
-    def flat_sum(k: int) -> Anf8:
+    def flat_sum(k: int) -> int:
         """Sum of the indicators of the flats spanned by k of the lines."""
         flats = (span(frozenset().union(*ls)) for ls in combinations(frame.lines, k))
-        return sum(map(flat_indicator, flats), Anf8.zero())
+        return reduce(xor, map(flat_indicator, flats))
 
     q2, q4, q6 = flat_sum(3), flat_sum(2), flat_sum(1)
-    return InvariantPolys(q2, q4, q6, q2 + q4 + q6)
+    return InvariantPolys(q2, q4, q6, q2 ^ q4 ^ q6)
 
 
 # ── explicit symmetric-sum expansion of the sextic ───────────────────────
@@ -176,11 +133,11 @@ def symmetric_parts() -> dict:
     adds a free variable to two complete pairs, and pair6 is the sum of
     the four degree-6 monomials complementary to the coordinate pairs.
     """
-    deg1 = Anf8.from_monomials((i,) for i in range(1, 9))
-    deg2 = Anf8.from_monomials(combinations(range(1, 9), 2))
-    deg3 = Anf8.from_monomials(combinations(range(1, 9), 3))
+    deg1 = from_monomials((i,) for i in range(1, 9))
+    deg2 = from_monomials(combinations(range(1, 9), 2))
+    deg3 = from_monomials(combinations(range(1, 9), 3))
 
-    pair4 = Anf8.from_monomials(
+    pair4 = from_monomials(
         (k, PARTNER[k], l, PARTNER[l]) for k, l in combinations(range(1, 5), 2)
     )
 
@@ -190,16 +147,16 @@ def symmetric_parts() -> dict:
         for k, l in combinations(sorted(set(range(1, 9)) - used), 2):
             if l != PARTNER[k]:
                 cross4_mons.append((m, PARTNER[m], k, l))
-    cross4 = Anf8.from_monomials(cross4_mons)
+    cross4 = from_monomials(cross4_mons)
 
     pair5_mons = []
     for k, l in combinations(range(1, 5), 2):
         used = {k, PARTNER[k], l, PARTNER[l]}
         for m in sorted(set(range(1, 9)) - used):
             pair5_mons.append((k, PARTNER[k], l, PARTNER[l], m))
-    pair5 = Anf8.from_monomials(pair5_mons)
+    pair5 = from_monomials(pair5_mons)
 
-    pair6 = Anf8.from_monomials(
+    pair6 = from_monomials(
         (k, PARTNER[k], l, PARTNER[l], m, PARTNER[m])
         for k, l, m in combinations(range(1, 5), 3)
     )
@@ -215,16 +172,10 @@ def symmetric_parts() -> dict:
     }
 
 
-def explicit_lw4_sextic() -> Anf8:
-    """Closed-form version of q_lw4, built from symmetric sums alone.
-    Used as an independent cross-check of the flat-indicator route."""
-    return sum(symmetric_parts().values(), Anf8.zero())
-
-
 # ── complete 6-fold polarization ─────────────────────────────────────────
 
 
-def polarize6(p: Anf8) -> frozenset:
+def polarize6(p: int) -> frozenset:
     """The alternating 6-form of a sextic, read off on basis 6-subsets.
 
     For each of the 28 complements S of an index pair {j,k}, evaluates the
@@ -235,9 +186,9 @@ def polarize6(p: Anf8) -> frozenset:
     empty set; degree > 6 input is rejected since the finite-difference
     sum no longer computes an alternating form.
     """
-    if p.degree() > 6:
+    if degree(p) > 6:
         raise ValueError("polarize6 requires degree <= 6")
-    tt = p.truth_table()
+    tt = mobius(p)
     return frozenset(
         (j, k)
         for j, k in combinations(range(1, 9), 2)

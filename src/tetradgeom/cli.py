@@ -28,9 +28,9 @@ def _fmt_point(frame, p: int) -> str:
     return f"0x{p:02x} {point_str(p):<8} {frame.label_str(p)}"
 
 
-def _anf_str(p) -> str:
+def _anf_str(mons) -> str:
     terms = []
-    for m in p.monomials():
+    for m in mons:
         terms.append("1" if not m else "".join(f"x{i}" for i in m))
     return " + ".join(terms) if terms else "0"
 
@@ -73,7 +73,7 @@ def cmd_verify(args) -> int:
         passed = sum(c.status == "pass" for c in certs)
         print(f"passed {passed}/{len(certs)} certificates in {wall:.1f} s")
         if fh is not None:
-            json.dump([c.to_json() for c in certs], fh, indent=2, sort_keys=True)
+            json.dump([c._asdict() for c in certs], fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0 if passed == len(certs) else 1
 
@@ -111,15 +111,12 @@ def cmd_invariants(args) -> int:
     frame = build_frame()
     inv = anf.build_invariants(frame)
     table = {r: inv.value_row(frame.orbit(r)) for r in (1, 2, 3, 4)}
+    polys = inv._asdict() if args.emit_anf else {}
+    mons = {name: anf.monomials(p) for name, p in polys.items()}
     if args.json:
         out = {"value_table": {str(r): list(v) for r, v in table.items()}}
         if args.emit_anf:
-            out["anf"] = {
-                "q2": _anf_str(inv.q2),
-                "q4": _anf_str(inv.q4),
-                "q6": _anf_str(inv.q6),
-                "q_lw4": _anf_str(inv.q_lw4),
-            }
+            out["anf"] = {name: _anf_str(m) for name, m in mons.items()}
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
     print("orbit (line weight) | q2 q4 q6")
@@ -127,14 +124,8 @@ def cmd_invariants(args) -> int:
         a, b, c = row
         print(f"         {r}          |  {a}  {b}  {c}")
     print("q2 + q4 + q6 vanishes exactly on the line-weight-4 orbit")
-    if args.emit_anf:
-        for name, p in (
-            ("q2", inv.q2),
-            ("q4", inv.q4),
-            ("q6", inv.q6),
-            ("q_lw4", inv.q_lw4),
-        ):
-            print(f"{name} ({len(p.monomials())} terms) = {_anf_str(p)}")
+    for name, m in mons.items():
+        print(f"{name} ({len(m)} terms) = {_anf_str(m)}")
     return 0
 
 

@@ -95,7 +95,7 @@ def test_witnesses_are_json_safe(ctx):
     for c in certs:
         assert json.loads(json.dumps(c.witness)) == c.witness, c.name
     # the sequential in-process report matches the golden one too
-    assert without_timings([c.to_json() for c in certs]) == (
+    assert without_timings([c._asdict() for c in certs]) == (
         GOLDEN_REPORT.read_text()
     )
 
@@ -153,7 +153,7 @@ def test_non_normalizing_generator_is_named(perturbed_ctx, name):
 def test_perturbed_report_is_pinned(perturbed_ctx):
     certs = run_certificates(perturbed_ctx)
     assert sum(c.status == "fail" for c in certs) == 16
-    assert without_timings([c.to_json() for c in certs]) == (
+    assert without_timings([c._asdict() for c in certs]) == (
         PERTURBED_REPORT.read_text()
     )
 

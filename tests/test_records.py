@@ -79,7 +79,7 @@ def test_a_certificate_is_immutable_and_dumps_its_fields():
     cert = Certificate("c", "a claim", "pass", {"n": 1}, 0.5)
     with pytest.raises(AttributeError):
         cert.status = "fail"
-    assert cert.to_json() == {
+    assert cert._asdict() == {
         "name": "c", "claim": "a claim", "status": "pass",
         "witness": {"n": 1}, "elapsed_ms": 0.5,
     }

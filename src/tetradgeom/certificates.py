@@ -32,6 +32,7 @@ from .gf2 import (
     UNIT,
     columns,
     compose,
+    dimension,
     linmap_power,
     low_bit,
     mask,
@@ -45,7 +46,9 @@ from .gf2 import (
     xor_shift,
 )
 from .tetrad import (
+    LINE_BITS,
     LINE_NAMES,
+    SENTINEL,
     Frame,
     build_group81,
     build_stabilizer,
@@ -53,6 +56,7 @@ from .tetrad import (
     induced_matrix,
     line_maps,
     line_shuffles,
+    pair_index,
     point_json,
     point_orbits,
     stabilizer_generators,
@@ -168,7 +172,7 @@ def check_frame(ctx):
         require(a ^ b == c, "line is not closed under XOR", line=line)
         require(not (allpts & ln), "lines are not pairwise disjoint", line=line)
         allpts |= ln
-    require(rank(span(allpts)) == 8, "tetrad does not span the space")
+    require(dimension(allpts) == 8, "tetrad does not span the space")
     for h in range(4):
         z = f.rotations[h]
         require(linmap_power(z, 3) == IDENTITY, f"rotation {h} has order != 3")
@@ -387,10 +391,22 @@ def check_stabilizer(ctx):
                 "a factor of the stabilizer is not generated by its generators",
                 factor=name)
     st = ctx.stabilizer
-    # each element's 8-byte record read as one native 64-bit int: the
-    # distinct records are the group's elements
-    members = set(memoryview(st).cast("Q"))
-    order = len(members)
+    # every element's record read as four pair codes, one byte per line:
+    # the distinct indexed records and the odd ones are the group's elements
+    codes, keys, odd = pair_index(st)
+    # `fixes_tetrad` for every element at once: a valid code names the one
+    # line its pair lands on, so an element fixes the tetrad when its four
+    # codes are valid and name all four lines
+    count = len(st) // 8
+    lines = 0
+    for c in codes:
+        lines |= int.from_bytes(c.translate(LINE_BITS), "little")
+    del codes
+    marks = bytearray(SENTINEL + 1)
+    for k in keys:
+        marks[k] = 1
+    del keys
+    order = marks.count(1, 0, SENTINEL) + len(odd)
     require(order == 31104, "stabilizer order wrong", order=order)
     g81 = ctx.g81
     packed = b"".join(map(columns, g81))
@@ -401,23 +417,24 @@ def check_stabilizer(ctx):
         require(packed[8 * sigma:8 * sigma + 8] == bytes(m[e] for e in E),
                 "packed record is not the images of e_1..e_8",
                 sigma=gf3.trit_str(sigma))
-    for sigma, m in enumerate(memoryview(packed).cast("Q")):
-        require(m in members, "diagonal map missing from stabilizer",
-                sigma=gf3.trit_str(sigma))
-    del members
+    # each diagonal map looked up by its own index, or raw when it is odd
+    for sigma, k in enumerate(pair_index(packed)[1]):
+        record = packed[8 * sigma:8 * sigma + 8]
+        require(marks[k] if k < SENTINEL else record in odd,
+                "diagonal map missing from stabilizer", sigma=gf3.trit_str(sigma))
+    del marks, odd
     for name, g in gens.items():
-        mat = _where(induced_matrix, g, g81, generator=name)
+        phi = gf3.mat3_table(_where(induced_matrix, g, g81, generator=name))
         # g A_sigma g^-1 = A_(phi_g sigma), multiplied out by g on the right
         for sigma, a in enumerate(g81):
             require(
-                compose(g, a) == compose(g81[gf3.mat3_apply(mat, sigma)], g),
+                compose(g, a) == compose(g81[phi[sigma]], g),
                 f"conjugation by {name} is not the induced linear map",
                 sigma=gf3.trit_str(sigma),
             )
     # every element against every vector at once: byte k of cols[i] is
     # column i of the k-th record, so XOR-ing the columns v selects packs
     # all images of v, and one `translate` reads them through a table
-    count = len(st) // 8
     cols = [int.from_bytes(st[i::8], "little") for i in range(8)]
 
     def images(v):
@@ -431,23 +448,7 @@ def check_stabilizer(ctx):
     singular = bytes(v for v in range(256) if not quadric_value(v))
     bad = sum(len(images(p).translate(None, singular)) for p in ctx.quadric_points)
     require(bad == 0, "some element moves the quadric", violations=bad)
-    # `fixes_tetrad` for every element at once: on_line[v] has bit h when
-    # v is a point of line h, so ANDing the flags of a line's two basis
-    # images and of their sum leaves bit k exactly when they are two
-    # distinct points of line k; an element fixes the tetrad when its four
-    # lines leave all four bits
-    on_line = bytes(
-        sum(1 << h for h, pm in enumerate(PAIR_MASKS) if v and v | pm == pm)
-        for v in range(256)
-    )
-    hit = 0
-    for pm in PAIR_MASKS:
-        lo, hi, both = (
-            int.from_bytes(images(v).translate(on_line), "little")
-            for v in (pm & -pm, pm & (pm - 1), pm)
-        )
-        hit |= lo & hi & both
-    bad = count - hit.to_bytes(count, "little").count(0b1111)
+    bad = count - lines.to_bytes(count, "little").count(0b1111)
     require(bad == 0, "some element does not fix the tetrad lines",
             violations=bad)
     return {
@@ -473,17 +474,22 @@ def check_gf3(ctx):
         "PG(3,3) census wrong",
         census=[len(pts), len(lns), len(pls)],
     )
+    # each plane and line spelled out only when a check on it fails
     for pl in pls:
-        plane = gf3.point_strs(pl)
-        require(len(pl.points) == 13, "plane has wrong point count", plane=plane)
-        subs = _where(getattr, pl, "subspaces", plane=plane)
-        require(len(subs) == 13, "plane has wrong line count", plane=plane)
+        try:
+            if len(pl.points) != 13:
+                raise ValueError("plane has wrong point count")
+            if len(pl.subspaces) != 13:
+                raise ValueError("plane has wrong line count")
+        except ValueError as e:
+            raise CheckFailed(str(e), plane=gf3.point_strs(pl)) from None
     planes_on = Counter(ln for pl in pls for ln in pl.subspaces)
     for ln in lns:
-        line = gf3.point_strs(ln)
-        require(len(ln.points) == 4, "line has wrong point count", line=line)
-        require(planes_on[ln] == 4, "line lies on wrong number of planes",
-                line=line, planes=planes_on[ln])
+        if len(ln.points) != 4:
+            raise CheckFailed("line has wrong point count", line=gf3.point_strs(ln))
+        if planes_on[ln] != 4:
+            raise CheckFailed("line lies on wrong number of planes",
+                              line=gf3.point_strs(ln), planes=planes_on[ln])
     lines_on = Counter(p for ln in lns for p in ln.points)
     lines_through = Counter(
         pair for ln in lns for pair in combinations(sorted(ln.points), 2)
@@ -514,27 +520,27 @@ def check_gf3(ctx):
     expected_dirs = {0: 3, 1: 2, 2: 4, 3: 0}
     fam_count = Counter()
     for pl in pls:
-        plane = gf3.point_strs(pl)
         dirs = [p for p in pl.points if gf3.wt_std(p) == 4]
         k = gf3.plane_kind(pl)
-        require(
-            len(dirs) == expected_dirs[k],
-            "direction count per plane kind wrong",
-            plane=plane,
-            kind=k,
-            found=len(dirs),
-        )
+        if len(dirs) != expected_dirs[k]:
+            raise CheckFailed(
+                "direction count per plane kind wrong",
+                plane=gf3.point_strs(pl),
+                kind=k,
+                found=len(dirs),
+            )
         if k == 0:
             fams = {gf3.direction_family(d) for d in dirs}
-            require(len(fams) == 1, "vertex-free plane mixes direction families",
-                    plane=plane)
+            if len(fams) != 1:
+                raise CheckFailed("vertex-free plane mixes direction families",
+                                  plane=gf3.point_strs(pl))
             fam_count[fams.pop()] += 1
             kinds = Counter(gf3.line_kind(s) for s in pl.subspaces)
-            require(
-                kinds == Counter({4: 3, 6: 6, 3: 4}),
-                "vertex-free plane line-kind split is not 3/6/4",
-                plane=plane,
-            )
+            if kinds != Counter({4: 3, 6: 6, 3: 4}):
+                raise CheckFailed(
+                    "vertex-free plane line-kind split is not 3/6/4",
+                    plane=gf3.point_strs(pl),
+                )
     require(fam_count == Counter({0: 4, 1: 4}), "family split of Segre planes wrong")
 
     # conjugation orbits, under the distinct induced matrices other than
@@ -906,11 +912,14 @@ def check_c2(ctx):
 )
 def check_sections(ctx):
     for den in ctx.segres:
-        tags = Counter(
-            _where(denizens.classify_section, ctx.frame, den, sub,
-                   ident=den.ident, direction=gf3.point_strs(sub))["tag"]
-            for sub in den.plane.subspaces
-        )
+        tags = Counter()
+        for sub in den.plane.subspaces:
+            try:
+                tags[denizens.classify_section(ctx.frame, den, sub)["tag"]] += 1
+            except ValueError as e:
+                # the section located only when it fails
+                raise CheckFailed(str(e), ident=den.ident,
+                                  direction=gf3.point_strs(sub)) from None
         require(
             tags == Counter({"S2(2)": 3, "3-generator": 6, "fan": 4}),
             "section split is not 3/6/4",
@@ -933,15 +942,16 @@ def check_fans(ctx):
     for den, fts in zip(ctx.segres, ctx.fan_triplets):
         for ft in fts:
             for fan in ft.fans:
+                # the denizen and centre spelled out only on a failure
                 if fan not in centres:
-                    _, centres[fan] = _where(denizens.fan_decompose, f, fan,
-                                             ident=den.ident)
-                require(
-                    centres[fan] in tetrad_points,
-                    "fan centre is not a tetrad point",
-                    ident=den.ident,
-                    centre=point_str(centres[fan]),
-                )
+                    try:
+                        _, centres[fan] = denizens.fan_decompose(f, fan)
+                    except ValueError as e:
+                        raise CheckFailed(str(e), ident=den.ident) from None
+                if centres[fan] not in tetrad_points:
+                    raise CheckFailed("fan centre is not a tetrad point",
+                                      ident=den.ident,
+                                      centre=point_str(centres[fan]))
                 fans_seen += 1
             require(
                 ft.centre_line in f.lines,

@@ -38,7 +38,7 @@ from itertools import combinations
 from operator import xor
 
 from . import gf3
-from .gf2 import lines_inside, mask, perp, rank, span
+from .gf2 import dimension, lines_inside, mask, perp, rank
 from .tetrad import Frame
 
 PLANE_KIND_TO_DENIZEN = {0: "segre", 1: "C1", 2: "C2", 3: "C3"}
@@ -106,15 +106,21 @@ def denizen_by_id(frame: Frame, ident: str) -> Denizen:
 def structural_certificate(frame: Frame, den: Denizen) -> dict:
     """Tag a denizen from its point set alone: count the full lines it
     contains, their per-point incidence, and the span."""
-    inner = lines_inside(den.points)
-    per_point = Counter()
-    for ln in inner:
-        for p in ln:
-            per_point[p] += 1
-    incidences = sorted({per_point[p] for p in den.points})
-    span_rank = rank(span(den.points))
+    pts = den.points
+    # each full line {a, b, a^b} found once, via its two smallest points
+    lines = 0
+    per_point = dict.fromkeys(pts, 0)
+    for a, b in combinations(sorted(pts), 2):
+        c = a ^ b
+        if c > b and c in pts:
+            lines += 1
+            per_point[a] += 1
+            per_point[b] += 1
+            per_point[c] += 1
+    incidences = sorted(set(per_point.values()))
+    span_rank = dimension(pts)
     profile = (
-        len(inner),
+        lines,
         incidences[0] if len(incidences) == 1 else None,
         span_rank,
     )
@@ -123,7 +129,7 @@ def structural_certificate(frame: Frame, den: Denizen) -> dict:
         if profile == sig:
             structural = tag
     return {
-        "lines": len(inner),
+        "lines": lines,
         "per_point": incidences,
         "span_rank": span_rank,
         "structural_kind": structural,
@@ -185,7 +191,7 @@ def classify_section(frame: Frame, den: Denizen, sub: gf3.Line) -> dict:
     detail = {}
 
     if tag == "S2(2)":
-        if len(inner) != 6 or rank(span(pts)) != 4:
+        if len(inner) != 6 or dimension(pts) != 4:
             raise ValueError("grid section failed its signature")
         detail["rulings"] = _ruling_split(inner)
     elif tag == "3-generator":
@@ -256,13 +262,16 @@ def fan_decompose(frame: Frame, points) -> tuple:
         trits = {p: frame.trits_from_point(p) for p in pts}
     except ValueError:
         raise ValueError("fan points must lie in the weight-4 orbit") from None
+    # one pass over the 36 pairs: the generator test, and the edges of the
+    # distance-3 graph, each point's neighbours in ascending order
+    adj = {p: [] for p in pts}
     for a, b in combinations(pts, 2):
-        if gf3.hd_std(trits[a], trits[b]) == 4:
+        ta, tb = trits[a], trits[b]
+        if gf3.hd_std(ta, tb) == 4:
             raise ValueError("two points lie on a common generator: not a fan")
-    adj = {
-        p: [q for q in pts if q != p and gf3.hd_alt(trits[p], trits[q]) == 3]
-        for p in pts
-    }
+        if gf3.hd_alt(ta, tb) == 3:
+            adj[a].append(b)
+            adj[b].append(a)
     troikas = []
     seen = set()
     for p in pts:

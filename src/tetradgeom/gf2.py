@@ -228,6 +228,21 @@ def rank(flat) -> int:
     return len(flat).bit_length()
 
 
+def dimension(vectors) -> int:
+    """The linear dimension of the span of the given vectors, by
+    elimination: each vector is reduced by the basis vector with its top
+    bit until it is 0 or brings a new top bit into the basis."""
+    basis = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length()
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return len(basis)
+
+
 def lines_inside(points) -> set:
     """All full lines {a, b, a^b} of PG(7,2) contained in the point set.
 

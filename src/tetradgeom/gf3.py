@@ -104,15 +104,18 @@ def canon(v: Trit) -> Trit:
 ALT_BASIS = tuple(map(trit_from_str, ("1221", "2121", "2211", "1111")))
 
 
-def mat3_apply(m, v: Trit) -> Trit:
-    """The 4x4 matrix over F_3 with columns m (vectors) applied to v."""
-    r = ZERO
-    for col, x in zip(m, _DIGITS[v]):
-        r = _ADD[r][_SCALE[x][col]]
-    return r
+def mat3_table(m) -> tuple:
+    """The images of all 81 vectors, in int order, under the 4x4 matrix
+    over F_3 with columns m (vectors): each column m_i triples the list,
+    adding xi_i * m_i to every image."""
+    images = [ZERO]
+    for col in m:
+        multiples = (ZERO, col, _NEG[col])
+        images = [_ADD[x][c] for x in images for c in multiples]
+    return tuple(images)
 
 
-_CHANGE = tuple(mat3_apply(ALT_BASIS, v) for v in ALL81)
+_CHANGE = mat3_table(ALT_BASIS)
 
 
 def change_basis(v: Trit) -> Trit:

@@ -27,6 +27,7 @@ A_sigma(u) = U_sigma.
 
 from __future__ import annotations
 
+import sys
 from functools import partial, reduce
 from itertools import permutations, product
 from operator import or_
@@ -261,6 +262,70 @@ def build_stabilizer(frame: Frame) -> bytes:
     return flat
 
 
+# ── a packed listing read through the tetrad ─────────────────────────────
+
+# the tetrad's twelve points, three per line: point 3h + i is the i-th of
+# line h's low basis vector, high basis vector and their sum; _POINT[v] is
+# the number of v, 12 when v is no tetrad point
+_TETRAD = [p for pm in PAIR_MASKS for p in (pm & -pm, pm & (pm - 1), pm)]
+_POINT = bytes(_TETRAD.index(v) if v in _TETRAD else 12 for v in range(256))
+# the 24 ordered pairs of distinct points of one line, 6 per line: the
+# pair code of points x and y, _PAIR[13x + y], is the pair's place here,
+# so code // 6 is its line; 255 when x and y are no such pair
+_PAIRS = [(3 * h + i, 3 * h + j) for h in range(4)
+          for i, j in permutations(range(3), 2)]
+_PAIR = bytes(
+    _PAIRS.index(divmod(v, 13)) if divmod(v, 13) in _PAIRS else 255
+    for v in range(256)
+)
+#: each pair code's line as a one-hot bit, 0 for the code 255
+LINE_BITS = bytes(1 << c // 6 if c < 24 else 0 for c in range(256))
+#: the index `pair_index` gives every record with a 255 code: 24^4, one
+#: past the largest index of a record whose codes are all valid
+SENTINEL = 24**4
+
+
+def pair_index(listing: bytes) -> tuple:
+    """A packed listing of maps read line by line, as (codes, keys, odd).
+
+    Byte j of codes[h] is the pair code of record j's images of e_(h+1)
+    and e_(8-h): 0..23 when they are two distinct points of one tetrad
+    line, else 255.  keys[j] is record j's index sum 24^h codes[h][j], a
+    native unsigned int; the codes give all eight columns, so distinct
+    records have distinct indices.  A record with a 255 code gets
+    `SENTINEL` instead and is kept raw in the set `odd`; it equals no
+    indexed record, which sends every line's pair onto a line."""
+    count = len(listing) // 8
+    codes = []
+    for h in range(4):
+        # 13x + y lane by lane: at most 168, so no byte carries
+        x = int.from_bytes(listing[h::8].translate(_POINT), "little")
+        y = int.from_bytes(listing[7 - h::8].translate(_POINT), "little")
+        codes.append((13 * x + y).to_bytes(count, "little").translate(_PAIR))
+    # the indices summed by Horner's rule on all records at once, each in
+    # a 4-byte lane with a code string spread into the lanes' low bytes: a
+    # lane stays below 255 * 24^4 < 2^32, so none carries.  The lanes are
+    # read and written in native byte order, so a cast reads each back in
+    # place
+    native = sys.byteorder
+    low = 0 if native == "little" else 3
+    lanes = bytearray(4 * count)
+    key = 0
+    for c in reversed(codes):
+        lanes[low::4] = c
+        key = key * 24 + int.from_bytes(lanes, native)
+    odd = set()
+    if any(255 in c for c in codes):
+        flags = bytes(255 in digits for digits in zip(*codes))
+        odd = {listing[8 * j:8 * j + 8] for j, f in enumerate(flags) if f}
+        # each flagged lane cleared, then set to the sentinel
+        lanes[low::4] = flags
+        f = int.from_bytes(lanes, native)
+        key = key & ~(f * 0xFFFFFFFF) | f * SENTINEL
+    keys = memoryview(key.to_bytes(4 * count, native)).cast("I")
+    return codes, keys, odd
+
+
 # ── the induced action on (F_3)^4 ────────────────────────────────────────
 
 
@@ -300,5 +365,5 @@ def subspace_orbit_partition(mats, spaces) -> list:
             raise ValueError("matrix does not permute the spaces")
         return img
 
-    tables = [tuple(gf3.mat3_apply(m, v) for v in gf3.ALL81) for m in mats]
+    tables = [gf3.mat3_table(m) for m in mats]
     return orbits(spaces, [partial(image, t) for t in tables])

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -33,7 +34,7 @@ from tetradgeom.gf2 import (
     table,
     xor_shift,
 )
-from tetradgeom.tetrad import Frame, build_frame, fixes_tetrad
+from tetradgeom.tetrad import SENTINEL, Frame, build_frame, fixes_tetrad, pair_index
 
 REPORT_KEYS = {"name", "claim", "status", "witness", "elapsed_ms"}
 ROOT = Path(__file__).resolve().parents[1]
@@ -417,6 +418,78 @@ def test_a_repeated_record_lowers_the_order(ctx, monkeypatch):
         check_stabilizer(Context(ctx.frame))
     assert str(exc.value) == "stabilizer order wrong"
     assert exc.value.data == {"order": 31103}
+
+
+def test_a_record_with_one_invalid_pair_is_counted_raw(ctx, monkeypatch):
+    # e1 -> e1 + e2 leaves line a's pair off the tetrad, the other three
+    # lines' pairs stay valid: the record is kept raw, not indexed, and
+    # still counted, so the order holds and the quadric sweep objects
+    odd_map = linmap({1: E[0] ^ E[1]})
+    elements, _ = stand_ins(ctx, [odd_map], [])
+    codes, keys, odd = pair_index(elements)
+    assert codes[0][0] == 255 and max(c[0] for c in codes[1:]) < 24
+    assert keys[0] == SENTINEL and max(keys[1:]) < keys[0]
+    assert odd == {columns(odd_map)}
+    monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
+    with pytest.raises(CheckFailed) as exc:
+        check_stabilizer(Context(ctx.frame))
+    assert str(exc.value) == "some element moves the quadric"
+    # listed twice, the raw record counts once
+    maps = records(elements)
+    twice = b"".join(maps[:-1] + maps[:1])
+    monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: twice)
+    with pytest.raises(CheckFailed) as exc:
+        check_stabilizer(Context(ctx.frame))
+    assert str(exc.value) == "stabilizer order wrong"
+    assert exc.value.data == {"order": 31103}
+
+
+def test_a_dropped_diagonal_record_is_named(ctx, monkeypatch):
+    # A_0121 traded for a record off the tetrad: still 31104 distinct
+    # records, but one diagonal map is missing
+    sigma = gf3.trit_from_str("0121")
+    dropped = columns(ctx.g81[sigma])
+    stand_in = columns(linmap({1: E[0] ^ E[1]}))
+    elements = b"".join(stand_in if g == dropped else g
+                        for g in records(ctx.stabilizer))
+    monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
+    with pytest.raises(CheckFailed) as exc:
+        check_stabilizer(Context(ctx.frame))
+    assert str(exc.value) == "diagonal map missing from stabilizer"
+    assert exc.value.data == {"sigma": "0121"}
+
+
+def test_an_odd_diagonal_record_is_looked_up_raw(ctx, monkeypatch):
+    # the identity of the diagonal group traded for a map whose line-a
+    # pair is off the tetrad: it has no index, so membership looks it up
+    # among the raw records, and finds it only when the listing has it
+    odd_map = linmap({1: E[0] ^ E[1]})
+    g81 = (odd_map, *ctx.g81[1:])
+    monkeypatch.setattr(certificates, "build_group81", lambda frame: g81)
+    listed, _ = stand_ins(ctx, [odd_map], [])
+    for elements, message in (
+        (ctx.stabilizer, "diagonal map missing from stabilizer"),
+        (listed, "conjugation by zeta_a is not the induced linear map"),
+    ):
+        monkeypatch.setattr(certificates, "build_stabilizer",
+                            lambda frame: elements)
+        with pytest.raises(CheckFailed) as exc:
+            check_stabilizer(Context(ctx.frame))
+        assert str(exc.value) == message
+        assert exc.value.data == {"sigma": "0000"}
+
+
+def test_the_stabilizer_check_peaks_under_a_megabyte_and_a_quarter(ctx):
+    # the listing is read as four pair-code strings and a 24^4-byte table
+    # of marks, never as 31104 ints in a set (about 3.2 MiB at its peak)
+    ctx.stabilizer, ctx.g81, ctx.quadric_points  # built outside the bound
+    tracemalloc.start()
+    try:
+        check_stabilizer(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20
 
 
 def test_swapped_system_tags_break_the_parity_sweep(ctx, monkeypatch):

@@ -18,6 +18,7 @@ from tetradgeom.gf2 import (
     UNIT,
     columns,
     compose,
+    dimension,
     inverse,
     linmap,
     linmap_power,
@@ -216,6 +217,19 @@ def test_span_is_the_point_set():
     assert span([0x01, 0x00]) == {0x01}  # zero adds nothing
     assert span([]) == frozenset() and rank(span([])) == 0
     assert span(E) == frozenset(range(1, 256)) and rank(span(E)) == 8
+
+
+def test_dimension_is_the_rank_of_the_span():
+    assert dimension([]) == dimension([0]) == 0
+    assert dimension([0x81, 0x80, 0x01]) == 2  # dependent
+    assert dimension(E) == dimension(range(256)) == 8
+    # every set of up to three vectors from a spread of small ones, and
+    # the points of each flat spanned by those
+    vectors = [0, 1, 3, 5, 6, 0x18, 0x81, 0x99, 0xFF]
+    for k in range(4):
+        for chosen in combinations(vectors, k):
+            fl = span(chosen)
+            assert dimension(chosen) == dimension(sorted(fl)) == rank(fl)
 
 
 def test_flat_equality_and_hash():

@@ -55,6 +55,25 @@ def test_change_basis_frozen_values():
     assert gf3.change_basis(gf3.ZERO) == gf3.ZERO
 
 
+def test_mat3_table_is_the_digit_loop():
+    # the reference: sum xi_i * m_i over the digits of v, one at a time
+    def apply(m, v):
+        r = gf3.ZERO
+        for col, x in zip(m, gf3.digits(v)):
+            r = gf3.t_add(r, gf3.t_scale(x, col))
+        return r
+
+    mats = [
+        gf3.BASIS,
+        gf3.ALT_BASIS,
+        tuple(map(T, ("0200", "0020", "0002", "2000"))),
+        tuple(map(T, ("1021", "2110", "0001", "1200"))),
+    ]
+    for m in mats:
+        assert gf3.mat3_table(m) == tuple(apply(m, v) for v in gf3.ALL81)
+    assert gf3.mat3_table(gf3.BASIS) == tuple(gf3.ALL81)
+
+
 def test_change_basis_involutory_and_linear():
     for v in gf3.ALL81:
         assert gf3.change_basis(gf3.change_basis(v)) == v

@@ -23,9 +23,10 @@ from tetradgeom.gf2 import (
     mask,
     mulclose,
 )
-from tetradgeom.gf3 import mat3_apply
+from tetradgeom.gf3 import mat3_table
 from tetradgeom.gf3 import trit_from_str as T
 from tetradgeom.tetrad import (
+    SENTINEL,
     build_frame,
     build_group81,
     build_stabilizer,
@@ -33,6 +34,7 @@ from tetradgeom.tetrad import (
     induced_matrix,
     line_maps,
     line_shuffles,
+    pair_index,
     point_orbits,
     stabilizer_generators,
 )
@@ -165,11 +167,11 @@ def test_stabilizer_order_and_normality(frame):
         assert columns(m) in st
     # conjugation by each generator permutes the 81 diagonal maps linearly
     for g in stabilizer_generators(frame).values():
-        mat = induced_matrix(g, g81)
+        phi = mat3_table(induced_matrix(g, g81))
         ginv = inverse(g)
         for sigma in gf3.ALL81[::11]:
             conj = compose(compose(g, g81[sigma]), ginv)
-            assert conj == g81[mat3_apply(mat, sigma)]
+            assert conj == g81[phi[sigma]]
 
 
 def test_induced_matrix_rejects_a_map_off_the_normalizer(frame):
@@ -200,6 +202,15 @@ def test_listing_is_the_product_of_its_factors(frame):
     listing = records(build_stabilizer(frame))
     assert len(listing) == len(products) == 31104
     assert products == set(listing)
+
+
+def test_the_pair_index_tells_the_real_listing_apart(frame):
+    # every pair code valid, and as many distinct indices as records
+    listing = build_stabilizer(frame)
+    codes, keys, odd = pair_index(listing)
+    assert all(len(c) == 31104 and max(c) < 24 for c in codes)
+    assert not odd and max(keys) < SENTINEL
+    assert len(set(keys)) == len(set(records(listing))) == 31104
 
 
 def test_listing_is_the_same_in_every_process():
@@ -235,20 +246,20 @@ def test_induced_matrix_examples(frame):
     g81 = build_group81(frame)
     gens = stabilizer_generators(frame)
     # a rotation lies in the abelian group: conjugation is trivial
-    mat = induced_matrix(gens["zeta_a"], g81)
-    assert mat3_apply(mat, T("1000")) == T("1000")
-    assert mat3_apply(mat, T("0121")) == T("0121")
+    phi = mat3_table(induced_matrix(gens["zeta_a"], g81))
+    assert phi[T("1000")] == T("1000")
+    assert phi[T("0121")] == T("0121")
     # swapping the two marked points of L_a inverts zeta_a only
-    mat = induced_matrix(gens["swap_a"], g81)
-    assert mat3_apply(mat, T("1000")) == T("2000")
-    assert mat3_apply(mat, T("0100")) == T("0100")
+    phi = mat3_table(induced_matrix(gens["swap_a"], g81))
+    assert phi[T("1000")] == T("2000")
+    assert phi[T("0100")] == T("0100")
     # the 4-cycle of lines: conjugating each rotation gives the square of
     # the next one (the a/b and c/d patterns are mirrored)
-    mat = induced_matrix(gens["cycle_abcd"], g81)
-    assert mat3_apply(mat, T("1000")) == T("0200")
-    assert mat3_apply(mat, T("0100")) == T("0020")
-    assert mat3_apply(mat, T("0010")) == T("0002")
-    assert mat3_apply(mat, T("0001")) == T("2000")
+    phi = mat3_table(induced_matrix(gens["cycle_abcd"], g81))
+    assert phi[T("1000")] == T("0200")
+    assert phi[T("0100")] == T("0020")
+    assert phi[T("0010")] == T("0002")
+    assert phi[T("0001")] == T("2000")
 
 
 def test_induced_matrix_rejects_non_normalizing_and_singular_maps(frame):

@@ -42,6 +42,7 @@ from .gf2 import (
     quadric_value,
     rank,
     span,
+    support,
     table,
     xor_shift,
 )
@@ -807,14 +808,17 @@ def check_solids(ctx):
 )
 def check_denizens(ctx):
     f = ctx.frame
-    omega4 = f.orbit(4)
+    omega4 = mask(f.orbit(4))
     kinds = Counter()
     c1_profiles = set()
     for t in ctx.triplets:
         for d in t:
-            require(len(d.points) == 27, "denizen size wrong", ident=d.ident)
-        _partition((d.points for d in t), omega4, "triplet cosets overlap",
-                   "triplet does not cover the orbit", ident=t[0].ident)
+            require(d.points.bit_count() == 27, "denizen size wrong", ident=d.ident)
+        union = 0
+        for d in t:
+            require(not union & d.points, "triplet cosets overlap", ident=t[0].ident)
+            union |= d.points
+        require(union == omega4, "triplet does not cover the orbit", ident=t[0].ident)
         for d in t:
             kind = d.kind
             cert = denizens.structural_certificate(f, d)
@@ -830,7 +834,7 @@ def check_denizens(ctx):
                     (cert["lines"], tuple(cert["per_point"]), cert["span_rank"])
                 )
             if kind == "C3":
-                pp = span(d.points)
+                pp = span(support(d.points))
                 require(rank(pp) == 7, "C3 span is not a 6-flat", ident=d.ident)
                 axis = sorted(perp(pp))
                 require(
@@ -913,9 +917,10 @@ def check_c2(ctx):
 def check_sections(ctx):
     for den in ctx.segres:
         tags = Counter()
+        grids = denizens.grid_cosets(ctx.frame, den)
         for sub in den.plane.subspaces:
             try:
-                tags[denizens.classify_section(ctx.frame, den, sub)["tag"]] += 1
+                tags[denizens.classify_section(ctx.frame, den, sub, grids)["tag"]] += 1
             except ValueError as e:
                 # the section located only when it fails
                 raise CheckFailed(str(e), ident=den.ident,
@@ -996,39 +1001,45 @@ def check_recovery(ctx):
 def check_enneads(ctx):
     f = ctx.frame
     omega4 = mask(f.orbit(4))
-    cosets = {}  # each distinct meet -> its nine coset images as point masks
+    # the pairs grouped by their planes' meet, an AND of 81-bit vector
+    # tables, in the order of each meet's first pair, so that one meet's
+    # coset images live only while its pairs are checked
+    tabs = [sum(1 << v for v in t[0].plane.vectors) for t in ctx.triplets]
+    by_meet = {}
+    for (a, t1), (b, t2) in combinations(zip(tabs, ctx.triplets), 2):
+        by_meet.setdefault(a & b, []).append((t1, t2))
     pairs = 0
-    for t1, t2 in combinations(ctx.triplets, 2):
-        cells = denizens.ennead(f, t1, t2)
+    for group in by_meet.values():
+        # the meet's three cosets inside each of the first plane's (the
+        # shifts of its denizens): nine images of the meet, as tables,
+        # which must partition the orbit
+        t1, t2 = group[0]
         plane = t1[0].plane.vectors
         meet = plane & t2[0].plane.vectors
-        want = cosets.get(meet)
-        if want is None:
-            # the meet's three cosets inside each of the first plane's
-            # (the shifts of its denizens): nine images of the meet, as
-            # tables, which must partition the orbit
-            steps = gf3.coset_shifts(plane, meet)
-            pair = [t1[0].ident, t2[0].ident]
-            images = [f.coset_mask(meet, gf3.t_add(d.shift, step))
-                      for d in t1 for step in steps]
-            union = 0
-            for image in images:
-                require(not union & image, "ennead cells overlap", pair=pair)
-                union |= image
-            require(union == omega4, "ennead does not cover the orbit", pair=pair)
-            want = cosets[meet] = set(images)
-        # nine distinct images, so nine cells that are all of them are each
-        # one coset, once
-        if len(cells) != 9 or set(cells) != want:
-            require(len(cells) == 9, "ennead does not have nine cells")
-            for cell in cells:
-                require(cell.bit_count() == 9, "ennead cell size wrong")
-                require(cell in want,
-                        "ennead cell is not a coset of the intersection")
-            # nine cosets, so two of them are the same
-            raise CheckFailed("ennead cells overlap",
-                              pair=[t1[0].ident, t2[0].ident])
-        pairs += 1
+        steps = gf3.coset_shifts(plane, meet)
+        pair = [t1[0].ident, t2[0].ident]
+        images = [f.coset_mask(meet, gf3.t_add(d.shift, step))
+                  for d in t1 for step in steps]
+        union = 0
+        for image in images:
+            require(not union & image, "ennead cells overlap", pair=pair)
+            union |= image
+        require(union == omega4, "ennead does not cover the orbit", pair=pair)
+        want = set(images)
+        for t1, t2 in group:
+            cells = denizens.ennead(f, t1, t2)
+            # nine distinct images, so nine cells that are all of them are
+            # each one coset, once
+            if len(cells) != 9 or set(cells) != want:
+                require(len(cells) == 9, "ennead does not have nine cells")
+                for cell in cells:
+                    require(cell.bit_count() == 9, "ennead cell size wrong")
+                    require(cell in want,
+                            "ennead cell is not a coset of the intersection")
+                # nine cosets, so two of them are the same
+                raise CheckFailed("ennead cells overlap",
+                                  pair=[t1[0].ident, t2[0].ident])
+            pairs += 1
     require(pairs == 780, "triplet pair count wrong", count=pairs)
     return {"pairs": pairs, "cells_per_pair": 9}
 

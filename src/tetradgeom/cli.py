@@ -20,7 +20,7 @@ from collections import Counter
 from contextlib import nullcontext
 
 from . import gf3
-from .gf2 import point_str
+from .gf2 import mask, point_str, support
 from .tetrad import build_frame, build_group81, point_json
 
 
@@ -209,7 +209,7 @@ def cmd_denizen(args) -> int:
         "ident": den.ident,
         "kind": kind,
         "certificate": cert,
-        "points": [point_json(frame, p) for p in sorted(den.points)],
+        "points": [point_json(frame, p) for p in support(den.points)],
     }
     if kind == "C2":
         line = denizens.c2_line(frame, den)
@@ -226,7 +226,7 @@ def cmd_denizen(args) -> int:
         f"    lines {cert['lines']}, per point {cert['per_point']}, "
         f"span rank {cert['span_rank']}"
     )
-    for p in sorted(den.points):
+    for p in support(den.points):
         print(f"    {_fmt_point(frame, p)}")
     if kind == "C2":
         print("perp line: " + ", ".join(_fmt_point(frame, p) for p in sorted(line)))
@@ -267,7 +267,7 @@ def cmd_sections(args) -> int:
             row["generators"] = [_line_json(frame, g) for g in s["generators"]]
             row["transversal_grids"] = s["transversal_grids"]
         if s["tag"] == "fan":
-            troikas, centre = denizens.fan_decompose(frame, s["points"])
+            troikas, centre = denizens.fan_decompose(frame, mask(s["points"]))
             row["troikas"] = [_line_json(frame, t) for t in troikas]
             row["centre"] = point_json(frame, centre)
         rows.append(row)

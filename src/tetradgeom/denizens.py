@@ -20,6 +20,10 @@ form a *triplet*.  Denizens inherit the plane's classification:
 The classifier reads the plane kind; the structural certificate recomputes
 the tag from the point set alone so the two routes stay independent.
 
+Denizens and fans hold their points as a table, the int with bit p set
+for each point p (`Frame.coset_mask`): they meet and join by AND and OR,
+count by `bit_count`, and `gf2.support` lists the points.
+
 Sections of a Segre denizen S by the 13 coset families of 2-subspaces
 V_2 < V_3 come in three flavours by the line kind of V_2: a 3x3 grid
 (kind 4), three parallel generators with a transversality property (kind
@@ -38,7 +42,7 @@ from itertools import combinations
 from operator import xor
 
 from . import gf3
-from .gf2 import dimension, lines_inside, mask, perp, rank
+from .gf2 import dimension, lines_inside, mask, perp, rank, support
 from .tetrad import Frame
 
 PLANE_KIND_TO_DENIZEN = {0: "segre", 1: "C1", 2: "C2", 3: "C3"}
@@ -53,11 +57,12 @@ SIGNATURES = {
 SECTION_TAGS = {4: "S2(2)", 6: "3-generator", 3: "fan"}
 
 
-class Denizen(namedtuple("Denizen", "plane shift shift_index points mask kind")):
-    """The image `points` (a frozenset) of the coset `shift` + `plane`,
-    where `shift`, a vector of (F_3)^4, is the plane's `shift_index`-th
-    (0, 1, 2) coset representative; `mask` is their table (`gf2.mask`);
-    `kind` is "segre", "C1", "C2" or "C3"."""
+class Denizen(namedtuple("Denizen", "plane shift shift_index points kind")):
+    """The image of the coset `shift` + `plane`, where `shift`, a vector
+    of (F_3)^4, is the plane's `shift_index`-th (0, 1, 2) coset
+    representative; `points` is the image's table, the int with bit p set
+    for each of its 27 points p (`Frame.coset_mask`), read back by
+    `gf2.support`; `kind` is "segre", "C1", "C2" or "C3"."""
 
     __slots__ = ()
 
@@ -75,8 +80,7 @@ def triplet_from_plane(frame: Frame, plane: gf3.Plane) -> tuple:
     vector outside the plane."""
     kind = PLANE_KIND_TO_DENIZEN[gf3.plane_kind(plane)]
     return tuple(
-        Denizen(plane, s, j, pts := frame.coset_points(plane.vectors, s),
-                mask(pts), kind)
+        Denizen(plane, s, j, frame.coset_mask(plane.vectors, s), kind)
         for j, s in enumerate(gf3.coset_shifts(gf3.ALL81, plane.vectors))
     )
 
@@ -106,13 +110,13 @@ def denizen_by_id(frame: Frame, ident: str) -> Denizen:
 def structural_certificate(frame: Frame, den: Denizen) -> dict:
     """Tag a denizen from its point set alone: count the full lines it
     contains, their per-point incidence, and the span."""
-    pts = den.points
+    pts = list(support(den.points))
     # each full line {a, b, a^b} found once, via its two smallest points
     lines = 0
     per_point = dict.fromkeys(pts, 0)
-    for a, b in combinations(sorted(pts), 2):
+    for a, b in combinations(pts, 2):
         c = a ^ b
-        if c > b and c in pts:
+        if c > b and c in per_point:
             lines += 1
             per_point[a] += 1
             per_point[b] += 1
@@ -143,14 +147,14 @@ def c2_line(frame: Frame, den: Denizen) -> frozenset:
     """The line L with den = perp(L) meet (weight-4 orbit).  Requires a
     C2 denizen; checks the perp really is a line of the weight-2 orbit
     and that the denizen is recovered from it."""
-    line = perp(den.points)
+    line = perp(support(den.points))
     if rank(line) != 2:
         raise ValueError(
             f"perp of {den.ident} has rank {rank(line)}, not a line"
         )
     if any(frame.line_weight(p) != 2 for p in line):
         raise ValueError(f"perp line of {den.ident} leaves the weight-2 orbit")
-    if perp(line) & frame.orbit(4) != den.points:
+    if mask(perp(line) & frame.orbit(4)) != den.points:
         raise ValueError(f"perp does not recover denizen {den.ident}")
     return line
 
@@ -173,9 +177,24 @@ def _ruling_split(inner) -> tuple:
     return rulings
 
 
-def classify_section(frame: Frame, den: Denizen, sub: gf3.Line) -> dict:
+def grid_cosets(frame: Frame, den: Denizen) -> tuple:
+    """(grid direction, its three cosets' points inside the denizen) for
+    each of the plane's 2-subspaces of kind 4, in the plane's order."""
+    return tuple(
+        (w, tuple(
+            frame.coset_points(w.vectors, s)
+            for s in gf3.coset_shifts(den.plane.vectors, w.vectors, den.shift)
+        ))
+        for w in den.plane.subspaces
+        if w.kind == 4
+    )
+
+
+def classify_section(frame: Frame, den: Denizen, sub: gf3.Line,
+                     grids=None) -> dict:
     """Classify the section of a Segre denizen by a 2-subspace of its
-    direction plane, and verify the structure the tag promises."""
+    direction plane, and verify the structure the tag promises.  `grids`
+    is the denizen's `grid_cosets`, built here when not given."""
     if den.kind != "segre":
         raise ValueError(f"sections are defined on Segre denizens, not {den.kind}")
     if not sub.vectors <= den.plane.vectors:
@@ -203,33 +222,30 @@ def classify_section(frame: Frame, den: Denizen, sub: gf3.Line) -> dict:
         if frozenset().union(*gens) != pts:
             raise ValueError("generators must partition the section")
         detail["generators"] = tuple(gens)
-        detail["transversal_grids"] = _transversal_check(frame, den, sub, gens)
+        detail["transversal_grids"] = _transversal_check(
+            frame, sub, gens, grids or grid_cosets(frame, den)
+        )
     else:  # fan
         if inner:
             raise ValueError("fan contains a full line")
-        if any((a ^ b) in den.points for a, b in combinations(sorted(pts), 2)):
+        if any(den.points >> (a ^ b) & 1 for a, b in combinations(pts, 2)):
             raise ValueError("two fan points lie on a common generator")
     return {"tag": tag, "line_kind": kind, "points": pts, **detail}
 
 
-def _transversal_check(frame, den, sub, gens) -> int:
+def _transversal_check(frame, sub, gens, grids) -> int:
     """Every grid section whose direction plane avoids the generator
     direction meets each of the three generators in one point, and those
     three points are pairwise off the grid's own generators (their trit
-    differences have weight != 4).  Returns the number of grids checked."""
+    differences have weight != 4).  `grids` is the denizen's
+    `grid_cosets`.  Returns the number of grids checked."""
     directions = [v for v in sub.vectors if gf3.wt_std(v) == 4]
     lam = directions[0]
-    grids = [
-        w
-        for w in den.plane.subspaces
-        if w.kind == 4 and lam not in w.vectors
-    ]
-    if len(grids) != 1:
+    found = [cosets for w, cosets in grids if lam not in w.vectors]
+    if len(found) != 1:
         raise ValueError("expected exactly one transversal grid family")
-    w = grids[0]
     checked = 0
-    for s in gf3.coset_shifts(den.plane.vectors, w.vectors, den.shift):
-        grid_pts = frame.coset_points(w.vectors, s)
+    for grid_pts in found[0]:
         hits = []
         for g in gens:
             meet = g & grid_pts
@@ -245,19 +261,23 @@ def _transversal_check(frame, den, sub, gens) -> int:
 
 
 def sections_of(frame: Frame, den: Denizen) -> tuple:
-    return tuple(classify_section(frame, den, sub) for sub in den.plane.subspaces)
+    grids = grid_cosets(frame, den)
+    return tuple(
+        classify_section(frame, den, sub, grids) for sub in den.plane.subspaces
+    )
 
 
 # ── fans, troikas and tetrad recovery ────────────────────────────────────
 
 
-def fan_decompose(frame: Frame, points) -> tuple:
-    """Unique decomposition of a fan into three troikas with a common
-    centre.  Returns (troikas, centre); raises ValueError when the nine
-    points do not form a fan of a Segre denizen."""
-    pts = sorted(set(points))
-    if len(pts) != 9:
+def fan_decompose(frame: Frame, points: int) -> tuple:
+    """Unique decomposition of a fan, given as its table, into three
+    troikas with a common centre.  Returns (troikas, centre); raises
+    ValueError when the nine points do not form a fan of a Segre
+    denizen."""
+    if points.bit_count() != 9:
         raise ValueError("a fan has nine distinct points")
+    pts = list(support(points))
     try:
         trits = {p: frame.trits_from_point(p) for p in pts}
     except ValueError:
@@ -293,9 +313,10 @@ def fan_decompose(frame: Frame, points) -> tuple:
 
 
 class FanTriplet(namedtuple("FanTriplet", "weight3_pair fans centre_line")):
-    """Three parallel fans of a Segre denizen: `fans` holds three
-    frozensets of 9 points, `weight3_pair` is the canonical representative
-    of the +-lambda pair.  Each fan's three troikas XOR to its centre, so
+    """Three parallel fans of a Segre denizen: `fans` holds the tables of
+    three 9-point cosets (`Frame.coset_mask`), `weight3_pair` is the
+    canonical representative of the +-lambda pair.  Each fan's three
+    troikas XOR to its centre, so
     `centre_line` holds the three fans' XORs; the `fans-troikas`
     certificate decomposes every fan and so certifies it."""
 
@@ -313,10 +334,11 @@ def fan_triplets(frame: Frame, den: Denizen) -> tuple:
             continue
         w3 = min(gf3.canon(v) for v in sub.vectors if gf3.wt_std(v) == 3)
         fans = tuple(
-            frame.coset_points(sub.vectors, s)
+            frame.coset_mask(sub.vectors, s)
             for s in gf3.coset_shifts(den.plane.vectors, sub.vectors, den.shift)
         )
-        out.append(FanTriplet(w3, fans, frozenset(reduce(xor, f) for f in fans)))
+        centres = frozenset(reduce(xor, support(f)) for f in fans)
+        out.append(FanTriplet(w3, fans, centres))
     if len(out) != 4:
         raise ValueError(f"expected 4 fan triplets, found {len(out)}")
     return tuple(sorted(out, key=lambda ft: ft.weight3_pair))
@@ -330,7 +352,7 @@ def recover_tetrad(fts) -> frozenset:
 
 
 def fans_per_point(fts) -> dict:
-    return dict(Counter(p for ft in fts for fan in ft.fans for p in fan))
+    return dict(Counter(p for ft in fts for fan in ft.fans for p in support(fan)))
 
 
 # ── enneads ──────────────────────────────────────────────────────────────
@@ -338,9 +360,9 @@ def fans_per_point(fts) -> dict:
 
 def ennead(frame: Frame, triplet1, triplet2) -> tuple:
     """The nine pairwise intersections of two distinct triplets, as point
-    tables (`gf2.mask`); each has nine points and together they
-    partition the weight-4 orbit.  They are the coset images of the
-    9-element intersection of the two planes."""
+    tables, each the AND of two denizens' tables; each has nine points
+    and together they partition the weight-4 orbit.  They are the coset
+    images of the 9-element intersection of the two planes."""
     if triplet1[0].plane.vectors == triplet2[0].plane.vectors:
         raise ValueError("ennead needs two distinct triplets")
-    return tuple(d1.mask & d2.mask for d1 in triplet1 for d2 in triplet2)
+    return tuple(d1.points & d2.points for d1 in triplet1 for d2 in triplet2)

@@ -171,10 +171,11 @@ def coset_shifts(outer, inner, base: Trit = ZERO) -> tuple:
 
 
 def subspace_vectors(gens) -> frozenset:
-    """All F_3-combinations of the generators, including zero."""
-    acc = {ZERO}
+    """All F_3-combinations of the generators, including zero: each
+    generator g triples the list, adding 0, g and -g to every vector."""
+    acc = [ZERO]
     for g in gens:
-        acc = {_ADD[v][_SCALE[c][g]] for v in acc for c in range(3)}
+        acc = [_ADD[v][m] for v in acc for m in (ZERO, g, _NEG[g])]
     return frozenset(acc)
 
 
@@ -225,12 +226,16 @@ def all_points() -> tuple:
 
 @lru_cache(maxsize=1)
 def all_lines() -> tuple:
-    line_of = {}  # point pair -> the line through it
+    """The 130 lines, in the order of their point tuples: a line is built
+    at its first uncovered pair, which is its two least points."""
+    covered = set()  # the point pairs on a line built so far
+    lines = []
     for a, b in combinations(all_points(), 2):
-        if (a, b) not in line_of:
+        if (a, b) not in covered:
             ln = line_through(a, b)
-            line_of.update(dict.fromkeys(combinations(ln.points, 2), ln))
-    return tuple(sorted(set(line_of.values()), key=lambda l: l.points))
+            covered.update(combinations(ln.points, 2))
+            lines.append(ln)
+    return tuple(lines)
 
 
 @lru_cache(maxsize=1)

@@ -65,7 +65,9 @@ def _rotations(perturb: bool = False) -> tuple:
 
 
 class Frame:
-    """The tetrad frame: lines, rotations, point labels and orbits."""
+    """The tetrad frame: lines, rotations, point labels and orbits, and
+    the tables of labelled cosets (`coset_mask`), of which every denizen,
+    fan and ennead image is built."""
 
     __slots__ = (
         "rotations",
@@ -143,8 +145,9 @@ class Frame:
         return frozenset(self._point_of[gf3.t_add(v, shift)] for v in vectors)
 
     def coset_mask(self, vectors, shift=gf3.ZERO) -> int:
-        """The table (`gf2.mask`) of `coset_points(vectors, shift)`, OR-ed
-        from the one-bit tables 1 << U_v."""
+        """The table of `coset_points(vectors, shift)`, the int with bit p
+        set for each of its points p, OR-ed from the one-bit tables
+        1 << U_v."""
         bits = self._bit_of
         return reduce(or_, (bits[gf3.t_add(v, shift)] for v in vectors), 0)
 

@@ -202,12 +202,14 @@ def test_an_artifact_is_built_once_by_concurrent_readers(frame, monkeypatch):
 
 def bind_everywhere(monkeypatch, original, mutant):
     """Bind `mutant` under every name that binds `original` in a loaded
-    tetradgeom module, as `from .gf2 import ...` copies the binding."""
+    tetradgeom module, as `from .gf2 import ...` copies the binding, or in
+    a class of one, where a method is bound."""
     mods = [m for n, m in sys.modules.items() if n.split(".")[0] == "tetradgeom"]
-    for mod in mods:
-        for attr, value in list(vars(mod).items()):
+    spaces = mods + [v for m in mods for v in vars(m).values() if isinstance(v, type)]
+    for space in spaces:
+        for attr, value in list(vars(space).items()):
             if value is original:
-                monkeypatch.setattr(mod, attr, mutant)
+                monkeypatch.setattr(space, attr, mutant)
 
 
 def reversed_table(f, *args, table=gf2.table):
@@ -217,6 +219,12 @@ def reversed_table(f, *args, table=gf2.table):
 
 def without_least_point(points, mask=gf2.mask):
     m = mask(points)
+    return m & (m - 1)
+
+
+def coset_without_least_point(frame, vectors, shift=gf3.ZERO,
+                              coset_mask=Frame.coset_mask):
+    m = coset_mask(frame, vectors, shift)
     return m & (m - 1)
 
 
@@ -234,9 +242,19 @@ TABLE_MUTANTS = {
     "table-reversed": (
         gf2.table, reversed_table, {"symplectic-form", "invariant-polynomials"},
     ),
+    # a point set's table loses its least point, while the denizens are
+    # `coset_mask` tables: the weight-4 orbit's table no longer matches the
+    # triplets or the ennead images, nor a C2 perp's the denizen's
     "mask-short": (
         gf2.mask, without_least_point,
-        {"invariant-polynomials", "generator-solids", "enneads", "nine-caps"},
+        {"invariant-polynomials", "generator-solids", "denizen-classification",
+         "c2-rogue-structure", "enneads", "nine-caps"},
+    ),
+    # every denizen, fan and ennead image is a `coset_mask` table
+    "coset-short": (
+        Frame.coset_mask, coset_without_least_point,
+        {"denizen-classification", "c2-rogue-structure", "fans-troikas",
+         "tetrad-recovery", "enneads"},
     ),
     # `perp` starts from FULL, so it loses the point 255 = U_0000 and no
     # longer recovers the C2 denizens through it
@@ -490,6 +508,18 @@ def test_the_stabilizer_check_peaks_under_a_megabyte_and_a_quarter(ctx):
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * 2**20
+
+
+def test_the_ennead_check_peaks_under_a_quarter_megabyte(ctx):
+    # one meet's nine coset images live at a time, not all 130 meets'
+    ctx.triplets  # built outside the bound
+    tracemalloc.start()
+    try:
+        certificates.check_enneads(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**10
 
 
 def test_swapped_system_tags_break_the_parity_sweep(ctx, monkeypatch):
@@ -854,7 +884,7 @@ def test_a_fan_that_fails_to_decompose_is_named(frame, monkeypatch):
     decompose = denizens.fan_decompose
 
     def failing(frame, fan):
-        if 0xFF in fan:
+        if fan >> 0xFF & 1:
             raise ValueError("fan must split into exactly three troikas")
         return decompose(frame, fan)
 

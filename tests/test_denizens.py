@@ -1,5 +1,6 @@
 """Tests for denizens: classification, sections, fans, and enneads."""
 
+import tracemalloc
 from collections import Counter
 from functools import reduce
 from itertools import combinations
@@ -9,8 +10,8 @@ import pytest
 from conftest import symplectic_product
 
 from tetradgeom import denizens, gf3
-from tetradgeom.certificates import check_c2
-from tetradgeom.gf2 import perp, rank, span
+from tetradgeom.certificates import Context, check_c2
+from tetradgeom.gf2 import mask, perp, rank, span
 from tetradgeom.gf3 import trit_from_str as T
 
 #: the canonical Segre denizen decomposes into the labelled subspace
@@ -34,6 +35,17 @@ OPPOSITE_REGULUS = (
 )
 
 
+def points_of(table) -> frozenset:
+    """The points whose bits are set in a 256-bit point table."""
+    return frozenset(p for p in range(256) if table >> p & 1)
+
+
+def coset_points(frame, vectors, shift) -> frozenset:
+    """The reference a coset's table is read against: the point U_(v +
+    shift) of each of its vectors v, one at a time."""
+    return frozenset(frame.point_from_trits(gf3.t_add(v, shift)) for v in vectors)
+
+
 def test_triplet_census(ctx):
     trips = ctx.triplets
     assert len(trips) == 40
@@ -43,11 +55,27 @@ def test_triplet_census(ctx):
     for t in trips:
         # the three kinds agree and the cosets partition the orbit
         assert len({d.kind for d in t}) == 1
-        assert all(len(d.points) == 27 and d.points <= omega4 for d in t)
-        assert frozenset().union(*(d.points for d in t)) == omega4
+        pts = [points_of(d.points) for d in t]
+        assert all(len(p) == 27 and p <= omega4 for p in pts)
+        assert frozenset().union(*pts) == omega4
         # shift 0 is the subspace itself, so it holds the unit point
-        assert 0xFF in t[0].points
-        assert 0xFF not in t[1].points and 0xFF not in t[2].points
+        assert 0xFF in pts[0]
+        assert 0xFF not in pts[1] and 0xFF not in pts[2]
+
+
+def test_denizens_and_fans_are_held_as_tables(frame):
+    # 120 denizens and 288 fans held as ints: as frozensets of points they
+    # take over 500 KiB
+    for pl in gf3.all_planes():
+        pl.subspaces  # the gf3 caches, built outside the bound
+    tracemalloc.start()
+    try:
+        ctx = Context(frame)
+        ctx.triplets, ctx.segres, ctx.fan_triplets
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert live < 160 * 2**10
 
 
 def test_denizen_by_id(frame):
@@ -102,7 +130,7 @@ def test_segre_slab_decomposition(frame):
             frozenset(frame.point_from_trits(gf3.t_add(v, s)) for v in sub.vectors)
         )
     assert slabs[0] == FIRST_SLAB
-    assert frozenset().union(*slabs) == den.points
+    assert frozenset().union(*slabs) == points_of(den.points)
     assert sum(len(s) for s in slabs) == 27
 
 
@@ -135,7 +163,7 @@ def test_c3_spans_perp_of_weight1_point(frame):
         "span_rank": 7,
         "structural_kind": "C3",
     }
-    f = perp(den.points)
+    f = perp(points_of(den.points))
     assert rank(f) == 1
     (pt,) = f
     assert frame.line_weight(pt) == 1
@@ -192,8 +220,16 @@ def test_sections_census(frame):
         "3-generator": 6,
         "fan": 4,
     }
-    for s in secs:
+    # the three cosets of each grid direction, built once for the six
+    # transversal checks
+    grids = denizens.grid_cosets(frame, den)
+    assert [w.kind for w, _ in grids] == [4, 4, 4]
+    for w, cosets in grids:
+        steps = gf3.coset_shifts(den.plane.vectors, w.vectors, den.shift)
+        assert list(cosets) == [coset_points(frame, w.vectors, s) for s in steps]
+    for sub, s in zip(den.plane.subspaces, secs):
         assert len(s["points"]) == 9
+        assert s["points"] == coset_points(frame, sub.vectors, den.shift)
         if s["tag"] == "S2(2)":
             assert len(s["rulings"]) == 2
             assert all(len(r) == 3 for r in s["rulings"])
@@ -233,7 +269,7 @@ def test_fan_triplets_of_canonical_segre(frame):
     assert [ft.centre_line for ft in fts] == list(frame.lines)
     for ft in fts:
         assert len(ft.fans) == 3
-        assert frozenset().union(*ft.fans) == den.points
+        assert frozenset().union(*map(points_of, ft.fans)) == points_of(den.points)
         centres = {denizens.fan_decompose(frame, f)[1] for f in ft.fans}
         assert centres == ft.centre_line
 
@@ -242,7 +278,7 @@ def test_fan_decomposition_troikas(frame):
     den = denizens.denizen_by_id(frame, "1111:0")
     fts = denizens.fan_triplets(frame, den)
     ft = next(ft for ft in fts if ft.weight3_pair == T("0111"))
-    fan = next(f for f in ft.fans if 0xFF in f)
+    fan = next(f for f in ft.fans if 0xFF in points_of(f))
     troikas, centre = denizens.fan_decompose(frame, fan)
     assert len(troikas) == 3
     assert frozenset({0xFF, 0xD5, 0xAB}) in troikas
@@ -259,13 +295,13 @@ def test_fan_xor_is_its_troika_centre(ctx):
         assert len(fans) == 12
         for fan in fans:
             _, centre = denizens.fan_decompose(ctx.frame, fan)
-            assert reduce(xor, fan) == centre, den.ident
+            assert reduce(xor, points_of(fan)) == centre, den.ident
 
 
 def test_fans_per_point(frame):
     den = denizens.denizen_by_id(frame, "1111:0")
     counts = denizens.fans_per_point(denizens.fan_triplets(frame, den))
-    assert set(counts) == set(den.points)
+    assert set(counts) == points_of(den.points)
     assert set(counts.values()) == {4}
 
 
@@ -281,10 +317,11 @@ def test_fan_decompose_rejects_non_fans(frame):
     den = denizens.denizen_by_id(frame, "1111:0")
     fts = denizens.fan_triplets(frame, den)
     fan = fts[0].fans[0]
+    eight = fan & fan - 1  # without its least point
     with pytest.raises(ValueError):  # only eight points
-        denizens.fan_decompose(frame, sorted(fan)[:8])
+        denizens.fan_decompose(frame, eight)
     with pytest.raises(ValueError):  # a point off the weight-4 orbit
-        denizens.fan_decompose(frame, sorted(fan)[:8] + [0x01])
+        denizens.fan_decompose(frame, eight | 1 << 0x01)
     # a grid section contains generator pairs, so it is not a fan
     grid = next(
         s["points"]
@@ -292,12 +329,7 @@ def test_fan_decompose_rejects_non_fans(frame):
         if s["tag"] == "S2(2)"
     )
     with pytest.raises(ValueError):
-        denizens.fan_decompose(frame, grid)
-
-
-def points_of(mask) -> frozenset:
-    """The points whose bits are set in a 256-bit point mask."""
-    return frozenset(p for p in range(256) if mask >> p & 1)
+        denizens.fan_decompose(frame, mask(grid))
 
 
 def test_perp_of_every_denizen_and_its_span_is_the_pointwise_filter(ctx):
@@ -310,15 +342,31 @@ def test_perp_of_every_denizen_and_its_span_is_the_pointwise_filter(ctx):
 
     for t in ctx.triplets:
         for d in t:
-            assert perp(d.points) == filtered_perp(d.points), d.ident
-            flat = span(d.points)
+            pts = points_of(d.points)
+            assert perp(pts) == filtered_perp(pts), d.ident
+            flat = span(pts)
             assert perp(flat) == filtered_perp(flat), d.ident
 
 
 def test_denizen_masks_are_their_points(ctx):
+    # every denizen's and every fan's table, read bit by bit, against its
+    # coset's points taken one vector at a time
+    frame = ctx.frame
     for t in ctx.triplets:
         for d in t:
-            assert points_of(d.mask) == d.points
+            assert points_of(d.points) == coset_points(
+                frame, d.plane.vectors, d.shift
+            ), d.ident
+    for den, fts in zip(ctx.segres, ctx.fan_triplets):
+        for ft in fts:
+            sub = next(
+                w for w in den.plane.subspaces
+                if w.kind == 3 and ft.weight3_pair in w.vectors
+            )
+            steps = gf3.coset_shifts(den.plane.vectors, sub.vectors, den.shift)
+            assert [points_of(f) for f in ft.fans] == [
+                coset_points(frame, sub.vectors, s) for s in steps
+            ], den.ident
 
 
 def test_ennead(ctx):
@@ -341,8 +389,8 @@ def test_every_ennead_cell_is_the_coset_of_its_least_point(ctx):
         meet = t1[0].plane.vectors & t2[0].plane.vectors
         cells = [points_of(c) for c in denizens.ennead(frame, t1, t2)]
         for cell in cells:
-            assert cell == frame.coset_points(
-                meet, frame.trits_from_point(min(cell))
+            assert cell == coset_points(
+                frame, meet, frame.trits_from_point(min(cell))
             )
         assert len(cells) == 9
         assert sum(map(len, cells)) == 81

@@ -37,7 +37,7 @@ def records():
         (pl, ("functional", "points", "vectors"), fresh_planes()[0]),
         (
             segre,
-            ("plane", "shift", "shift_index", "points", "mask", "kind"),
+            ("plane", "shift", "shift_index", "points", "kind"),
             rebuilt_segre,
         ),
         (

@@ -980,9 +980,10 @@ def check_recovery(ctx):
         got = denizens.recover_tetrad(fts)
         require(got == want, "recovered lines differ from the tetrad",
                 ident=den.ident)
-        per = denizens.fans_per_point(fts)
+        c0, c1, c2, c3 = denizens.fan_counts(fts)
+        covered = c0 | c1 | c2 | c3
         require(
-            set(per.values()) == {4} and len(per) == 27,
+            covered.bit_count() == 27 and covered == c2 & ~(c0 | c1 | c3),
             "points are not in exactly four fans each",
             ident=den.ident,
         )

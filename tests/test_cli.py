@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the JSON report format."""
 
+import gc
 import hashlib
 import json
 import os
@@ -56,9 +57,9 @@ def without_timings(report) -> str:
     return json.dumps(stripped, indent=2, sort_keys=True) + "\n"
 
 
-def run_cli(*args):
+def run_cli(*args, flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "tetradgeom", *args],
+        [sys.executable, *flags, "-m", "tetradgeom", *args],
         env=CHILD_ENV,
         capture_output=True,
         text=True,
@@ -89,6 +90,71 @@ def test_verify_all_process(tmp_path):
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == text
     # apart from the timings, the threaded report is the golden one
     assert without_timings(report) == GOLDEN_REPORT.read_text()
+
+
+# the two ways a process runs the CLI as its own command: `python -m
+# tetradgeom`, and the console script, which calls main() and exits with it
+ENTRY_POINTS = {
+    "python -m": "runpy.run_module('tetradgeom', run_name='__main__')",
+    "console script": "from tetradgeom.cli import main; sys.exit(main())",
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_only_a_process_run_freezes(entry):
+    code = (
+        "import atexit, gc, runpy, sys; "
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+        "sys.argv[1:] = ['orbits', '--json']; " + ENTRY_POINTS[entry]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=CHILD_ENV,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True"
+    # a caller that passes argv goes on running, and nothing is frozen
+    assert main(["orbits", "--json"]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("args", [["verify-all"], ["orbits", "--json"]])
+def test_peak_rss_is_written_after_a_frozen_exit(tmp_path, args):
+    # perfbench/peak.py writes the figure from an atexit handler
+    rss = tmp_path / "rss"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "peak.py"), str(rss), *args],
+        cwd=ROOT,
+        env=CHILD_ENV,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(rss.read_text()) > 0
+
+
+DEV_MODE = ("-X", "dev", "-W", "error")
+
+
+def test_verify_all_dev_mode_process(tmp_path):
+    # nothing relies on the shutdown collections that a frozen exit skips
+    report_file = tmp_path / "report.json"
+    proc = run_cli("verify-all", "--report", str(report_file), flags=DEV_MODE)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(report_file.read_text())
+    assert without_timings(report) == GOLDEN_REPORT.read_text()
+
+
+def test_sections_dev_mode_process():
+    argv = "sections --segre 1111:0 --json"
+    proc = run_cli(*argv.split(), flags=DEV_MODE)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    digest = json.loads(GOLDEN_QUERIES.read_text())["sections"][argv]
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_witnesses_are_json_safe(ctx):
@@ -913,6 +979,38 @@ def test_a_centre_line_off_the_tetrad_is_named(frame, monkeypatch):
     [cert] = run_certificates(Context(frame), names={"fans-troikas"})
     assert cert.witness == {
         "message": "centre line of a fan triplet is not a tetrad line",
+        "ident": "1111:0",
+    }
+
+
+def drop_least_point(fts):
+    fans = fts[0].fans
+    return (fts[0]._replace(fans=(fans[0] & fans[0] - 1, *fans[1:])), *fts[1:])
+
+
+def add_a_point_to_four_fans(fts):
+    # the tetrad point 0x01 lies on no denizen; put in one fan of each
+    # triplet, it is in four fans like every other point, but a 28th point
+    extra = 1 << 0x01
+    return tuple(ft._replace(fans=(ft.fans[0] | extra, *ft.fans[1:])) for ft in fts)
+
+
+def put_a_point_in_every_fan(fts):
+    # 12 fans, binary 1100: the count's low three bits read as four
+    fan = fts[0].fans[0]
+    least = fan & -fan
+    return tuple(ft._replace(fans=tuple(f | least for f in ft.fans)) for ft in fts)
+
+
+@pytest.mark.parametrize(
+    "edit", [drop_least_point, add_a_point_to_four_fans, put_a_point_in_every_fan]
+)
+def test_a_point_not_in_four_fans_is_named(frame, monkeypatch, edit):
+    build = denizens.fan_triplets
+    monkeypatch.setattr(denizens, "fan_triplets", lambda f, d: edit(build(f, d)))
+    [cert] = run_certificates(Context(frame), names={"tetrad-recovery"})
+    assert cert.witness == {
+        "message": "points are not in exactly four fans each",
         "ident": "1111:0",
     }
 

@@ -300,9 +300,16 @@ def test_fan_xor_is_its_troika_centre(ctx):
 
 def test_fans_per_point(frame):
     den = denizens.denizen_by_id(frame, "1111:0")
-    counts = denizens.fans_per_point(denizens.fan_triplets(frame, den))
+    fts = denizens.fan_triplets(frame, den)
+    counts = Counter(p for ft in fts for fan in ft.fans for p in points_of(fan))
     assert set(counts) == points_of(den.points)
     assert set(counts.values()) == {4}
+    # the bit planes of fan_counts spell out the same count at every point
+    planes = denizens.fan_counts(fts)
+    assert all(
+        sum((c >> p & 1) << k for k, c in enumerate(planes)) == counts[p]
+        for p in range(256)
+    )
 
 
 def test_recover_tetrad(frame):

@@ -1,12 +1,12 @@
 """Executable certificates for every headline property of the geometry.
 
 Each check is a function Context -> witness dict, raising CheckFailed
-with structured data when a property fails.  The runner turns the
-registered checks into Certificate records (name, claim, status, witness,
-elapsed_ms) in a fixed order, independent of how many worker threads
-execute them.  The Context carries the shared artifacts (frame, groups,
-quadric, solids, denizens, and the fan triplets of every Segre denizen)
-and builds each lazily exactly once.
+with structured data when a property fails.  The runner runs the
+registered checks one after another and turns each into a Certificate
+record (name, claim, status, witness, elapsed_ms), in registration order.
+The Context carries the shared artifacts (frame, groups, quadric, solids,
+denizens, and the fan triplets of every Segre denizen) and builds each
+lazily, once, on its first read.
 
 Witness values are JSON-safe throughout: ints, strings, bools, lists and
 string-keyed dicts only.  The runner turns a witness that does not
@@ -16,7 +16,6 @@ round-trip through `json` into a fail record naming the offending key.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from collections import Counter, namedtuple
 from itertools import combinations
@@ -30,6 +29,7 @@ from .gf2 import (
     IDENTITY,
     PAIR_MASKS,
     UNIT,
+    bit_counts,
     columns,
     compose,
     dimension,
@@ -93,18 +93,17 @@ class _artifact:
 
 
 class Context:
-    """Lazily built shared artifacts, safe to read from worker threads."""
+    """Lazily built shared artifacts: each is built by `_get`, the one
+    build path, on its first read and kept for every later one."""
 
     def __init__(self, frame: Frame):
         self.frame = frame
-        self._lock = threading.RLock()
         self._cache = {}
 
     def _get(self, name, builder):
-        with self._lock:
-            if name not in self._cache:
-                self._cache[name] = builder()
-            return self._cache[name]
+        if name not in self._cache:
+            self._cache[name] = builder()
+        return self._cache[name]
 
     g81 = _artifact(lambda c: build_group81(c.frame))
     invariants = _artifact(lambda c: anf.build_invariants(c.frame))
@@ -132,13 +131,13 @@ def _where(fn, *args, **where):
         raise CheckFailed(str(e), **where) from None
 
 
-def _partition(parts, whole, overlap: str, cover: str, **where):
-    """Require the sets `parts` to be pairwise disjoint (else fail with
-    `overlap`) and their union to be `whole` (else `cover`), locating
-    either failure by the fields `where`."""
-    union = set()
+def _partition(parts, whole: int, overlap: str, cover: str, **where):
+    """Require the point tables `parts` to be pairwise disjoint (else fail
+    with `overlap`) and their union to be the table `whole` (else
+    `cover`), locating either failure by the fields `where`."""
+    union = 0
     for part in parts:
-        require(union.isdisjoint(part), overlap, **where)
+        require(not union & part, overlap, **where)
         union |= part
     require(union == whole, cover, **where)
 
@@ -646,7 +645,6 @@ def check_weights(ctx):
 def check_spreads(ctx):
     f = ctx.frame
     g81 = ctx.g81
-    points = frozenset(range(1, 256))
     for d, sp in sorted(ctx.spreads.items()):
         direction = gf3.trit_str(d)
         require(len(sp.lines) == 85, "spread size wrong", direction=direction)
@@ -654,7 +652,8 @@ def check_spreads(ctx):
             require(len(ln) == 3, "spread line size wrong", direction=direction)
             a, b, c = sorted(ln)
             require(a ^ b == c, "spread line not closed", direction=direction)
-        _partition(sp.lines, points, "spread lines overlap",
+        # FULL ^ 1 is the table of the 255 points, every vector but 0
+        _partition(map(mask, sp.lines), FULL ^ 1, "spread lines overlap",
                    "spread does not cover the points", direction=direction)
         require(set(f.lines) <= set(sp.lines), "spread misses a tetrad line",
                 direction=direction)
@@ -717,7 +716,7 @@ def check_orbit4_lines(ctx):
         inside = [ln for ln in sp.lines if ln <= omega4]
         require(len(inside) == 27, "parallel class size wrong",
                 direction=gf3.trit_str(d))
-        _partition(inside, omega4, "parallel lines overlap",
+        _partition(map(mask, inside), mask(omega4), "parallel lines overlap",
                    "parallel class does not cover the orbit",
                    direction=gf3.trit_str(d))
     return {"direction_pairs": 40, "classes": 8, "lines_per_class": 27}
@@ -762,13 +761,7 @@ def check_solids(ctx):
         for p in s:
             through[p] |= 1 << b
     for a, (s, tg) in enumerate(zip(solids, tags)):
-        c0 = c1 = c2 = c3 = 0
-        for p in s:
-            carry = through[p]
-            c0, carry = c0 ^ carry, c0 & carry
-            c1, carry = c1 ^ carry, c1 & carry
-            c2, carry = c2 ^ carry, c2 & carry
-            c3 ^= carry
+        c0, c1, c2, c3 = bit_counts(map(through.__getitem__, s))
         low = c0 & c1
         meets = low & c2 & c3 | low & ~(c2 | c3) | everything ^ (c0 | c1 | c2 | c3)
         require(not (meets ^ system[tg]) >> a + 1,
@@ -814,11 +807,8 @@ def check_denizens(ctx):
     for t in ctx.triplets:
         for d in t:
             require(d.points.bit_count() == 27, "denizen size wrong", ident=d.ident)
-        union = 0
-        for d in t:
-            require(not union & d.points, "triplet cosets overlap", ident=t[0].ident)
-            union |= d.points
-        require(union == omega4, "triplet does not cover the orbit", ident=t[0].ident)
+        _partition((d.points for d in t), omega4, "triplet cosets overlap",
+                   "triplet does not cover the orbit", ident=t[0].ident)
         for d in t:
             kind = d.kind
             cert = denizens.structural_certificate(f, d)
@@ -980,7 +970,8 @@ def check_recovery(ctx):
         got = denizens.recover_tetrad(fts)
         require(got == want, "recovered lines differ from the tetrad",
                 ident=den.ident)
-        c0, c1, c2, c3 = denizens.fan_counts(fts)
+        # each point's fan count, as the bit planes c0..c3
+        c0, c1, c2, c3 = bit_counts(fan for ft in fts for fan in ft.fans)
         covered = c0 | c1 | c2 | c3
         require(
             covered.bit_count() == 27 and covered == c2 & ~(c0 | c1 | c3),
@@ -1021,11 +1012,8 @@ def check_enneads(ctx):
         pair = [t1[0].ident, t2[0].ident]
         images = [f.coset_mask(meet, gf3.t_add(d.shift, step))
                   for d in t1 for step in steps]
-        union = 0
-        for image in images:
-            require(not union & image, "ennead cells overlap", pair=pair)
-            union |= image
-        require(union == omega4, "ennead does not cover the orbit", pair=pair)
+        _partition(images, omega4, "ennead cells overlap",
+                   "ennead does not cover the orbit", pair=pair)
         want = set(images)
         for t1, t2 in group:
             cells = denizens.ennead(f, t1, t2)
@@ -1057,7 +1045,7 @@ def check_enneads(ctx):
 def check_caps(ctx):
     f = ctx.frame
     qp = ctx.quadric_points
-    omega4 = f.orbit(4)
+    omega4 = mask(f.orbit(4))
     w3 = quadric.weight3_lines()
     require(len(w3) == 8, "weight-3 plane count wrong", count=len(w3))
     for ln in w3:
@@ -1072,13 +1060,13 @@ def check_caps(ctx):
             require(a ^ b not in cap, "three cap points are collinear", **where)
         translates = quadric.cap_translates(f, ln)
         require(len(translates) == 9, "translate count wrong", **where)
-        for cap9 in translates:
+        tabs = [mask(cap9) for cap9 in translates]
+        for cap9, m9 in zip(translates, tabs):
             require(len(cap9) == 9, "translate size wrong", **where)
             # B(a, a) = 0, so a cap's only point orthogonal to a is a itself
-            m9 = mask(cap9)
             require(all(m9 & ~FORMS[a] == 1 << a for a in cap9),
                     "translate is not a cap", **where)
-        _partition(translates, omega4, "translates overlap",
+        _partition(tabs, omega4, "translates overlap",
                    "translates do not cover the orbit", **where)
     example = quadric.nine_cap(f, w3[0])
     return {
@@ -1111,15 +1099,13 @@ def _unsafe_key(witness: dict):
     return None
 
 
-def run_certificates(ctx: Context, jobs: int = 1, names=None) -> list:
-    selected = [
-        (name, claim, fn)
-        for name, claim, fn in CHECKS
-        if names is None or name in names
-    ]
-
-    def run_one(entry):
-        name, claim, fn = entry
+def run_certificates(ctx: Context, names=None) -> list:
+    """One `Certificate` per registered check, or per check named in
+    `names`, run one after another in registration order."""
+    out = []
+    for name, claim, fn in CHECKS:
+        if names is not None and name not in names:
+            continue
         t0 = time.perf_counter()
         try:
             witness = fn(ctx)
@@ -1136,11 +1122,5 @@ def run_certificates(ctx: Context, jobs: int = 1, names=None) -> list:
             witness = {"message": f"witness field {key!r} is not JSON-safe",
                        "key": str(key)}
         ms = (time.perf_counter() - t0) * 1000.0
-        return Certificate(name, claim, status, witness, round(ms, 3))
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_one, selected))
-    return [run_one(entry) for entry in selected]
+        out.append(Certificate(name, claim, status, witness, round(ms, 3)))
+    return out

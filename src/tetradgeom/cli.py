@@ -63,7 +63,7 @@ def cmd_verify(args) -> int:
         frame = build_frame(perturb=args.perturb)
         ctx = Context(frame)
         t0 = time.perf_counter()
-        certs = run_certificates(ctx, jobs=max(1, args.jobs), names=names)
+        certs = run_certificates(ctx, names=names)
         wall = time.perf_counter() - t0
         for c in certs:
             if c.status == "pass":
@@ -338,8 +338,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run every certificate")
     p.add_argument("--report", metavar="FILE", help="write a JSON report")
+    # still parsed, since perfbench/run.py passes it; it selects nothing
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker threads (default 1)")
+                   help="accepted and ignored: certificates run sequentially")
     p.add_argument("--perturb", action="store_true",
                    help="deliberately break one rotation (negative control)")
     p.add_argument("--only", action="append", metavar="NAME",

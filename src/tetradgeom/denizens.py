@@ -92,7 +92,7 @@ def all_triplets(frame: Frame) -> tuple:
 def denizen_by_id(frame: Frame, ident: str) -> Denizen:
     try:
         func_str, shift_str = ident.split(":")
-        functional = gf3.canon(gf3.trit_from_str(func_str))
+        functional = gf3.trit_from_str(func_str)
         if shift_str not in ("0", "1", "2"):  # int() would take "+1", " 1"
             raise ValueError
         shift_index = int(shift_str)
@@ -100,6 +100,8 @@ def denizen_by_id(frame: Frame, ident: str) -> Denizen:
         raise ValueError(
             f"denizen id must look like '1121:0', got {ident!r}"
         ) from None
+    if functional == gf3.ZERO:
+        raise ValueError(f"plane functional {func_str} is zero and names no plane")
     plane = gf3.plane_from_functional(functional)
     return triplet_from_plane(frame, plane)[shift_index]
 
@@ -190,11 +192,10 @@ def grid_cosets(frame: Frame, den: Denizen) -> tuple:
     )
 
 
-def classify_section(frame: Frame, den: Denizen, sub: gf3.Line,
-                     grids=None) -> dict:
+def classify_section(frame: Frame, den: Denizen, sub: gf3.Line, grids) -> dict:
     """Classify the section of a Segre denizen by a 2-subspace of its
     direction plane, and verify the structure the tag promises.  `grids`
-    is the denizen's `grid_cosets`, built here when not given."""
+    is the denizen's `grid_cosets`."""
     if den.kind != "segre":
         raise ValueError(f"sections are defined on Segre denizens, not {den.kind}")
     if not sub.vectors <= den.plane.vectors:
@@ -222,9 +223,7 @@ def classify_section(frame: Frame, den: Denizen, sub: gf3.Line,
         if frozenset().union(*gens) != pts:
             raise ValueError("generators must partition the section")
         detail["generators"] = tuple(gens)
-        detail["transversal_grids"] = _transversal_check(
-            frame, sub, gens, grids or grid_cosets(frame, den)
-        )
+        detail["transversal_grids"] = _transversal_check(frame, sub, gens, grids)
     else:  # fan
         if inner:
             raise ValueError("fan contains a full line")
@@ -349,21 +348,6 @@ def recover_tetrad(fts) -> frozenset:
     its fans' XORs.  For every Segre denizen these are exactly the four
     tetrad lines, so the denizen alone determines the tetrad."""
     return frozenset(ft.centre_line for ft in fts)
-
-
-def fan_counts(fts) -> tuple:
-    """How many of the fans of `fts` hold each point, as bit planes
-    (c0, c1, c2, c3): bit p of ck is bit k of point p's count.  Each fan
-    table is added into the planes by a carry chain, as `generator-solids`
-    counts meets; counts up to 15 fit, and a Segre denizen has 12 fans."""
-    c0 = c1 = c2 = c3 = 0
-    for ft in fts:
-        for carry in ft.fans:
-            c0, carry = c0 ^ carry, c0 & carry
-            c1, carry = c1 ^ carry, c1 & carry
-            c2, carry = c2 ^ carry, c2 & carry
-            c3 ^= carry
-    return c0, c1, c2, c3
 
 
 # ── enneads ──────────────────────────────────────────────────────────────

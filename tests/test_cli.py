@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -88,7 +87,8 @@ def test_verify_all_process(tmp_path):
     # the report round-trips byte-for-byte through a parse/re-serialize
     text = report_file.read_text()
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == text
-    # apart from the timings, the threaded report is the golden one
+    # apart from the timings, the report under `--jobs 2`, which selects
+    # nothing, is the golden one
     assert without_timings(report) == GOLDEN_REPORT.read_text()
 
 
@@ -243,25 +243,17 @@ def test_context_declares_each_artifact_under_its_own_name():
     assert all(getattr(Context, name) is vars(Context)[name] for name in ARTIFACTS)
 
 
-def test_an_artifact_is_built_once_by_concurrent_readers(frame, monkeypatch):
+def test_an_artifact_is_built_once_by_repeated_readers(frame, monkeypatch):
     calls = []
 
-    def slow_build(fr):
+    def build(fr):
         calls.append(fr)
-        time.sleep(0.05)  # long enough for the second reader to arrive
         return object()
 
-    monkeypatch.setattr(certificates, "build_group81", slow_build)
+    monkeypatch.setattr(certificates, "build_group81", build)
     ctx = Context(frame)
-    got = []
-    readers = [threading.Thread(target=lambda: got.append(ctx.g81)) for _ in range(4)]
-    for r in readers:
-        r.start()
-    for r in readers:
-        r.join(timeout=10)
-        assert not r.is_alive()
-    assert len(got) == 4 and all(g is got[0] for g in got)
-    assert ctx.g81 is got[0]
+    got = [ctx.g81 for _ in range(4)]
+    assert all(g is got[0] for g in got)
     assert calls == [frame]
     assert ctx._cache == {"g81": got[0]}
 
@@ -278,9 +270,9 @@ def bind_everywhere(monkeypatch, original, mutant):
                 monkeypatch.setattr(space, attr, mutant)
 
 
-def reversed_table(f, *args, table=gf2.table):
-    """Bit x holds f(255 - x, *args)."""
-    return int(f"{table(f, *args):0256b}"[::-1], 2)
+def reversed_table(f, table=gf2.table):
+    """Bit x holds f(255 - x)."""
+    return int(f"{table(f):0256b}"[::-1], 2)
 
 
 def without_least_point(points, mask=gf2.mask):
@@ -310,11 +302,12 @@ TABLE_MUTANTS = {
     ),
     # a point set's table loses its least point, while the denizens are
     # `coset_mask` tables: the weight-4 orbit's table no longer matches the
-    # triplets or the ennead images, nor a C2 perp's the denizen's
+    # triplets or the ennead images, nor a C2 perp's the denizen's, and the
+    # spread lines' tables no longer cover the points or the orbit
     "mask-short": (
         gf2.mask, without_least_point,
-        {"invariant-polynomials", "generator-solids", "denizen-classification",
-         "c2-rogue-structure", "enneads", "nine-caps"},
+        {"invariant-polynomials", "spreads", "orbit4-lines", "generator-solids",
+         "denizen-classification", "c2-rogue-structure", "enneads", "nine-caps"},
     ),
     # every denizen, fan and ennead image is a `coset_mask` table
     "coset-short": (
@@ -323,9 +316,11 @@ TABLE_MUTANTS = {
          "tetrad-recovery", "enneads"},
     ),
     # `perp` starts from FULL, so it loses the point 255 = U_0000 and no
-    # longer recovers the C2 denizens through it
+    # longer recovers the C2 denizens through it; the spread lines cover a
+    # point that the table of the 255 points lacks
     "full-short": (
-        gf2.FULL, gf2.FULL >> 1, {"symplectic-form", "c2-rogue-structure"},
+        gf2.FULL, gf2.FULL >> 1,
+        {"symplectic-form", "spreads", "c2-rogue-structure"},
     ),
     # B(e_1, u) flipped, a value no other certificate reads: only the
     # polarization step, against Q evaluated pointwise, finds it
@@ -351,13 +346,14 @@ def test_a_flipped_form_table_is_located(monkeypatch):
 
 
 def test_partition_failures_are_located():
-    partition = certificates._partition
-    partition([{1}, {2, 3}], {1, 2, 3}, "overlap", "cover", at=0)
+    partition, mask = certificates._partition, gf2.mask
+    whole = mask({1, 2, 3})
+    partition([mask({1}), mask({2, 3})], whole, "overlap", "cover", at=0)
     with pytest.raises(CheckFailed) as exc:
-        partition([{1, 2}, {2, 3}], {1, 2, 3}, "overlap", "cover", at=1)
+        partition([mask({1, 2}), mask({2, 3})], whole, "overlap", "cover", at=1)
     assert (str(exc.value), exc.value.data) == ("overlap", {"at": 1})
     with pytest.raises(CheckFailed) as exc:
-        partition([{1}, {3}], {1, 2, 3}, "overlap", "cover", at=2)
+        partition([mask({1}), mask({3})], whole, "overlap", "cover", at=2)
     assert (str(exc.value), exc.value.data) == ("cover", {"at": 2})
 
 
@@ -401,7 +397,7 @@ def flipped_polarization(x, y):
 
 def form_tables(form) -> tuple:
     """The 256 tables x -> form(x, z), a stand-in for `gf2.FORMS`."""
-    return tuple(table(form, z) for z in range(256))
+    return tuple(table(lambda x, z=z: form(x, z)) for z in range(256))
 
 
 def test_form_check_finds_a_broken_polarization(monkeypatch):
@@ -881,10 +877,13 @@ def test_verify_all_imports_only_the_standard_library():
     assert "PASS stabilizer-group" in proc.stdout
 
 
-def test_sequential_runs_do_not_import_the_thread_pool():
+def test_sequential_runs_do_not_import_the_thread_pool(tmp_path):
+    report_file = tmp_path / "report.json"
     code = (
         "import sys; from tetradgeom.cli import main; "
         "rc = main(['verify-all', '--only', 'stabilizer-group']); "
+        "assert 'concurrent.futures' not in sys.modules; "
+        f"rc |= main(['verify-all', '--jobs', '2', '--report', {str(report_file)!r}]); "
         "assert 'concurrent.futures' not in sys.modules; "
         "rc |= main(['sections', '--segre', '1111:0', '--json']); "
         "assert 'concurrent.futures' not in sys.modules; sys.exit(rc)"
@@ -898,6 +897,9 @@ def test_sequential_runs_do_not_import_the_thread_pool():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "PASS stabilizer-group" in proc.stdout
+    # `--jobs 2` still parses, and the run is the sequential one
+    report = json.loads(report_file.read_text())
+    assert without_timings(report) == GOLDEN_REPORT.read_text()
 
 
 # the first benchmarked invocation of each query subcommand
@@ -1319,6 +1321,13 @@ def test_caps_json(capsys):
                          "denizen id must look like", id=ident)
             for ident in ("1111:+1", "1111: 1", "1111:0_0", "1111:-0")
         ),
+        # well formed, but the zero functional names no plane
+        pytest.param(["denizen", "--plane", "0000"],
+                     "plane functional 0000 is zero and names no plane",
+                     id="--plane 0000"),
+        pytest.param(["sections", "--segre", "0000:0"],
+                     "plane functional 0000 is zero and names no plane",
+                     id="0000:0"),
         # each of these is an int to `int()`, but not a shift
         *(
             pytest.param(["denizen", "--plane", "1111", "--shift", shift],

@@ -9,7 +9,7 @@ from operator import xor
 import pytest
 from conftest import symplectic_product
 
-from tetradgeom import denizens, gf3
+from tetradgeom import denizens, gf2, gf3
 from tetradgeom.certificates import Context, check_c2
 from tetradgeom.gf2 import mask, perp, rank, span
 from tetradgeom.gf3 import trit_from_str as T
@@ -240,12 +240,14 @@ def test_sections_census(frame):
 
 def test_classify_section_rejects_bad_input(frame):
     c2 = denizens.denizen_by_id(frame, "0011:0")
+    grids = denizens.grid_cosets(frame, c2)
     with pytest.raises(ValueError):
-        denizens.classify_section(frame, c2, c2.plane.subspaces[0])
+        denizens.classify_section(frame, c2, c2.plane.subspaces[0], grids)
     segre = denizens.denizen_by_id(frame, "1111:0")
+    grids = denizens.grid_cosets(frame, segre)
     outside = gf3.line_through(T("1000"), T("0100"))
     with pytest.raises(ValueError):
-        denizens.classify_section(frame, segre, outside)
+        denizens.classify_section(frame, segre, outside, grids)
 
 
 def test_six_concurrent_lines_are_not_a_grid():
@@ -304,8 +306,9 @@ def test_fans_per_point(frame):
     counts = Counter(p for ft in fts for fan in ft.fans for p in points_of(fan))
     assert set(counts) == points_of(den.points)
     assert set(counts.values()) == {4}
-    # the bit planes of fan_counts spell out the same count at every point
-    planes = denizens.fan_counts(fts)
+    # the bit planes of gf2.bit_counts over the 12 fan tables spell out the
+    # same count at every point
+    planes = gf2.bit_counts(fan for ft in fts for fan in ft.fans)
     assert all(
         sum((c >> p & 1) << k for k, c in enumerate(planes)) == counts[p]
         for p in range(256)

@@ -16,6 +16,7 @@ from tetradgeom.gf2 import (
     IDENTITY,
     PAIR_MASKS,
     UNIT,
+    bit_counts,
     columns,
     compose,
     dimension,
@@ -100,9 +101,22 @@ def test_coords_are_the_coordinate_tables():
 def test_table_is_the_pointwise_sum():
     assert table(quadric_value) == sum(quadric_value(x) << x for x in range(256))
     for z in range(256):
-        assert table(symplectic_product, z) == sum(
+        assert table(lambda x: symplectic_product(x, z)) == sum(
             symplectic_product(x, z) << x for x in range(256)
         )
+
+
+@pytest.mark.parametrize("n", [0, 1, 15])
+def test_bit_counts_spell_each_count(n):
+    # table k holds the x whose high nibble exceeds k, so x is counted
+    # min(x >> 4, n) times: every count from 0 to 15 once n is 15
+    tables = [table(lambda x, k=k: x >> 4 > k) for k in range(n)]
+    planes = bit_counts(tables)
+    assert len(planes) == 4
+    for x in range(256):
+        count = sum(t >> x & 1 for t in tables)
+        assert count == min(x >> 4, n)
+        assert sum((c >> x & 1) << k for k, c in enumerate(planes)) == count
 
 
 def test_mask_and_low_bit_at_both_ends():

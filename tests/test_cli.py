@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations

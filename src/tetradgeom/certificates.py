@@ -49,7 +49,6 @@ from .gf2 import (
 from .tetrad import (
     LINE_BITS,
     LINE_NAMES,
-    SENTINEL,
     Frame,
     build_group81,
     build_stabilizer,
@@ -375,7 +374,8 @@ def check_stabilizer(ctx):
     map per line after a line shuffle, and each of those factor sets is the
     closure of two generators, so G(tetrad) lies in <gens>.  The artifact
     lists 31104 = |G(tetrad)| distinct elements, each fixing the tetrad, so
-    they are G(tetrad)."""
+    they are G(tetrad), and a diagonal map A_sigma is among them exactly
+    when it fixes the tetrad."""
     gens = stabilizer_generators(ctx.frame)
     for name, g in gens.items():
         require(fixes_tetrad(g), "generator does not fix the tetrad lines",
@@ -391,9 +391,8 @@ def check_stabilizer(ctx):
                 "a factor of the stabilizer is not generated by its generators",
                 factor=name)
     st = ctx.stabilizer
-    # every element's record read as four pair codes, one byte per line:
-    # the distinct indexed records and the odd ones are the group's elements
-    codes, keys, odd = pair_index(st)
+    # every element's record read as four pair codes, one byte per line
+    codes, keys = pair_index(st)
     # `fixes_tetrad` for every element at once: a valid code names the one
     # line its pair lands on, so an element fixes the tetrad when its four
     # codes are valid and name all four lines
@@ -402,27 +401,27 @@ def check_stabilizer(ctx):
     for c in codes:
         lines |= int.from_bytes(c.translate(LINE_BITS), "little")
     del codes
-    marks = bytearray(SENTINEL + 1)
+    bad = count - lines.to_bytes(count, "little").count(0b1111)
+    require(bad == 0, "some element does not fix the tetrad lines",
+            violations=bad)
+    # every code is valid now, so each key is below 24^4 and distinct
+    # records have distinct keys
+    marks = bytearray(24**4)
     for k in keys:
         marks[k] = 1
     del keys
-    order = marks.count(1, 0, SENTINEL) + len(odd)
+    order = marks.count(1)
+    del marks
     require(order == 31104, "stabilizer order wrong", order=order)
     g81 = ctx.g81
-    packed = b"".join(map(columns, g81))
-    # the record format read back: byte i of a map's record is its image
-    # of e_(i+1), which the membership step below cannot tell, since it
-    # packs both sides alike
+    # `columns`, which packs the listing, read back: byte i of a record is
+    # the map's image of e_(i+1)
     for sigma, m in enumerate(g81):
-        require(packed[8 * sigma:8 * sigma + 8] == bytes(m[e] for e in E),
+        require(columns(m) == bytes(m[e] for e in E),
                 "packed record is not the images of e_1..e_8",
                 sigma=gf3.trit_str(sigma))
-    # each diagonal map looked up by its own index, or raw when it is odd
-    for sigma, k in enumerate(pair_index(packed)[1]):
-        record = packed[8 * sigma:8 * sigma + 8]
-        require(marks[k] if k < SENTINEL else record in odd,
-                "diagonal map missing from stabilizer", sigma=gf3.trit_str(sigma))
-    del marks, odd
+        require(fixes_tetrad(m), "diagonal map missing from stabilizer",
+                sigma=gf3.trit_str(sigma))
     for name, g in gens.items():
         phi = gf3.mat3_table(_where(induced_matrix, g, g81, generator=name))
         # g A_sigma g^-1 = A_(phi_g sigma), multiplied out by g on the right
@@ -448,9 +447,6 @@ def check_stabilizer(ctx):
     singular = bytes(v for v in range(256) if not quadric_value(v))
     bad = sum(len(images(p).translate(None, singular)) for p in ctx.quadric_points)
     require(bad == 0, "some element moves the quadric", violations=bad)
-    bad = count - lines.to_bytes(count, "little").count(0b1111)
-    require(bad == 0, "some element does not fix the tetrad lines",
-            violations=bad)
     return {
         "order": order,
         "generators": sorted(gens),
@@ -939,10 +935,8 @@ def check_fans(ctx):
             for fan in ft.fans:
                 # the denizen and centre spelled out only on a failure
                 if fan not in centres:
-                    try:
-                        _, centres[fan] = denizens.fan_decompose(f, fan)
-                    except ValueError as e:
-                        raise CheckFailed(str(e), ident=den.ident) from None
+                    _, centres[fan] = _where(denizens.fan_decompose, f, fan,
+                                             ident=den.ident)
                 if centres[fan] not in tetrad_points:
                     raise CheckFailed("fan centre is not a tetrad point",
                                       ident=den.ident,

@@ -40,6 +40,10 @@ def _line_json(frame, ln) -> list:
     return [point_json(frame, p) for p in sorted(ln)]
 
 
+#: the one spelling of JSON output, the queries' `--json` and the report's
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
+
+
 # ── verify-all ───────────────────────────────────────────────────────────
 
 
@@ -74,7 +78,9 @@ def cmd_verify(args) -> int:
         passed = sum(c.status == "pass" for c in certs)
         print(f"passed {passed}/{len(certs)} certificates in {wall:.1f} s")
         if fh is not None:
-            json.dump([c._asdict() for c in certs], fh, indent=2, sort_keys=True)
+            # written chunk by chunk: the report as one string, built while
+            # every artifact is still alive, raises the peak resident set
+            fh.writelines(_JSON.iterencode([c._asdict() for c in certs]))
             fh.write("\n")
     return 0 if passed == len(certs) else 1
 
@@ -95,7 +101,7 @@ def cmd_orbits(args) -> int:
             }
         )
     if args.json:
-        print(json.dumps({"orbits": data}, indent=2, sort_keys=True))
+        print(_JSON.encode({"orbits": data}))
         return 0
     for row in data:
         print(f"line weight {row['line_weight']}: {row['size']} points")
@@ -118,7 +124,7 @@ def cmd_invariants(args) -> int:
         out = {"value_table": {str(r): list(v) for r, v in table.items()}}
         if args.emit_anf:
             out["anf"] = {name: _anf_str(m) for name, m in mons.items()}
-        print(json.dumps(out, indent=2, sort_keys=True))
+        print(_JSON.encode(out))
         return 0
     print("orbit (line weight) | q2 q4 q6")
     for r, row in table.items():
@@ -152,7 +158,7 @@ def cmd_spreads(args) -> int:
             "lines_inside_weight4_orbit": len(inside4),
             "lines": [_line_json(frame, ln) for ln in sp.lines],
         }
-        print(json.dumps(out, indent=2, sort_keys=True))
+        print(_JSON.encode(out))
         return 0
     print(f"spread {s} ({family} family): {len(sp.lines)} lines, "
           f"{len(inside4)} inside the weight-4 orbit")
@@ -185,7 +191,7 @@ def cmd_triplets(args) -> int:
             "triplet_census": dict(sorted(census.items())),
             "denizen_census": {k: 3 * v for k, v in sorted(census.items())},
         }
-        print(json.dumps(out, indent=2, sort_keys=True))
+        print(_JSON.encode(out))
         return 0
     for r in rows:
         print(
@@ -220,7 +226,7 @@ def cmd_denizen(args) -> int:
         tetrad = sorted(denizens.recover_tetrad(fts), key=min)
         out["recovered_tetrad"] = [_line_json(frame, ln) for ln in tetrad]
     if args.json:
-        print(json.dumps(out, indent=2, sort_keys=True))
+        print(_JSON.encode(out))
         return 0
     print(f"denizen {den.ident}: {kind}")
     print(
@@ -279,7 +285,7 @@ def cmd_sections(args) -> int:
             "sections": rows,
             "census": dict(sorted(tags.items())),
         }
-        print(json.dumps(out, indent=2, sort_keys=True))
+        print(_JSON.encode(out))
         return 0
     print(f"sections of Segre denizen {den.ident}")
     for r in rows:
@@ -315,7 +321,7 @@ def cmd_caps(args) -> int:
             }
         )
     if args.json:
-        print(json.dumps({"caps": rows}, indent=2, sort_keys=True))
+        print(_JSON.encode({"caps": rows}))
         return 0
     for r in rows:
         print(f"plane {{{', '.join(r['plane'])}}}: 9-cap with "
@@ -335,6 +341,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "lines spanning PG(7,2)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the one `--json` flag, shared by the seven queries
+    query = argparse.ArgumentParser(add_help=False)
+    query.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify-all", help="run every certificate")
     p.add_argument("--report", metavar="FILE", help="write a JSON report")
@@ -347,43 +356,40 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run only the named certificate (repeatable)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("orbits", help="the four line-weight orbits")
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("orbits", parents=[query],
+                       help="the four line-weight orbits")
     p.set_defaults(func=cmd_orbits)
 
-    p = sub.add_parser("invariants",
+    p = sub.add_parser("invariants", parents=[query],
                        help="orbit value table of the invariant polynomials")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--emit-anf", action="store_true",
                    help="print the polynomials term by term")
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("spreads", help="one of the eight line spreads")
+    p = sub.add_parser("spreads", parents=[query],
+                       help="one of the eight line spreads")
     p.add_argument("--ijk", required=True, metavar="NNN",
                    help="spread index, three digits from {1,2}")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_spreads)
 
-    p = sub.add_parser("triplets", help="the 40 denizen triplets")
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("triplets", parents=[query],
+                       help="the 40 denizen triplets")
     p.set_defaults(func=cmd_triplets)
 
-    p = sub.add_parser("denizen", help="inspect one denizen")
+    p = sub.add_parser("denizen", parents=[query], help="inspect one denizen")
     p.add_argument("--plane", required=True, metavar="XXXX",
                    help="plane functional, four digits from {0,1,2}")
     p.add_argument("--shift", default="0", choices=("0", "1", "2"))
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_denizen)
 
-    p = sub.add_parser("sections",
+    p = sub.add_parser("sections", parents=[query],
                        help="the 13 sections of a Segre denizen")
     p.add_argument("--segre", required=True, metavar="PLANE:SHIFT",
                    help="denizen id, e.g. 1111:0")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sections)
 
-    p = sub.add_parser("caps", help="the eight 9-caps on the quadric")
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("caps", parents=[query],
+                       help="the eight 9-caps on the quadric")
     p.set_defaults(func=cmd_caps)
 
     return parser

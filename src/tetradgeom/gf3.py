@@ -105,9 +105,9 @@ ALT_BASIS = tuple(map(trit_from_str, ("1221", "2121", "2211", "1111")))
 
 
 def mat3_table(m) -> tuple:
-    """The images of all 81 vectors, in int order, under the 4x4 matrix
-    over F_3 with columns m (vectors): each column m_i triples the list,
-    adding xi_i * m_i to every image."""
+    """The images of all 3^k vectors, in int order, under the matrix over
+    F_3 with the k columns m (vectors; k = 4 for a 4x4 matrix): each
+    column m_i triples the list, adding xi_i * m_i to every image."""
     images = [ZERO]
     for col in m:
         multiples = (ZERO, col, _NEG[col])
@@ -171,12 +171,9 @@ def coset_shifts(outer, inner, base: Trit = ZERO) -> tuple:
 
 
 def subspace_vectors(gens) -> frozenset:
-    """All F_3-combinations of the generators, including zero: each
-    generator g triples the list, adding 0, g and -g to every vector."""
-    acc = [ZERO]
-    for g in gens:
-        acc = [_ADD[v][m] for v in acc for m in (ZERO, g, _NEG[g])]
-    return frozenset(acc)
+    """All F_3-combinations of the generators, including zero: the image
+    of the matrix with the generators as columns."""
+    return frozenset(mat3_table(gens))
 
 
 class Line(namedtuple("Line", "points vectors kind")):
@@ -242,11 +239,10 @@ def all_lines() -> tuple:
 def all_planes() -> tuple:
     planes = []
     for c in all_points():
-        # the functional's values at all 81 vectors, in int order: each
-        # digit c_i triples the list, adding c_i * xi_i to every value
-        values = [0]
-        for ci in _DIGITS[c]:
-            values = [(x + ci * xi) % 3 for x in values for xi in range(3)]
+        # the functional's values at all 81 vectors, in int order: the
+        # matrix with columns c_i * eps_4, which are the ints c_i, sends
+        # xi to the int c . xi
+        values = mat3_table(_DIGITS[c])
         vecs = frozenset(v for v, x in enumerate(values) if not x)
         pts = tuple(sorted({canon(v) for v in vecs if v != ZERO}))
         planes.append(Plane(c, pts, vecs))

@@ -283,21 +283,17 @@ _PAIR = bytes(
 )
 #: each pair code's line as a one-hot bit, 0 for the code 255
 LINE_BITS = bytes(1 << c // 6 if c < 24 else 0 for c in range(256))
-#: the index `pair_index` gives every record with a 255 code: 24^4, one
-#: past the largest index of a record whose codes are all valid
-SENTINEL = 24**4
 
 
 def pair_index(listing: bytes) -> tuple:
-    """A packed listing of maps read line by line, as (codes, keys, odd).
+    """A packed listing of maps read line by line, as (codes, keys).
 
     Byte j of codes[h] is the pair code of record j's images of e_(h+1)
     and e_(8-h): 0..23 when they are two distinct points of one tetrad
     line, else 255.  keys[j] is record j's index sum 24^h codes[h][j], a
-    native unsigned int; the codes give all eight columns, so distinct
-    records have distinct indices.  A record with a 255 code gets
-    `SENTINEL` instead and is kept raw in the set `odd`; it equals no
-    indexed record, which sends every line's pair onto a line."""
+    native unsigned int below 24^4; the codes give all eight columns, so
+    distinct records have distinct indices.  A key means nothing where
+    one of its codes is 255."""
     count = len(listing) // 8
     codes = []
     for h in range(4):
@@ -317,16 +313,8 @@ def pair_index(listing: bytes) -> tuple:
     for c in reversed(codes):
         lanes[low::4] = c
         key = key * 24 + int.from_bytes(lanes, native)
-    odd = set()
-    if any(255 in c for c in codes):
-        flags = bytes(255 in digits for digits in zip(*codes))
-        odd = {listing[8 * j:8 * j + 8] for j, f in enumerate(flags) if f}
-        # each flagged lane cleared, then set to the sentinel
-        lanes[low::4] = flags
-        f = int.from_bytes(lanes, native)
-        key = key & ~(f * 0xFFFFFFFF) | f * SENTINEL
     keys = memoryview(key.to_bytes(4 * count, native)).cast("I")
-    return codes, keys, odd
+    return codes, keys
 
 
 # ── the induced action on (F_3)^4 ────────────────────────────────────────

@@ -33,7 +33,7 @@ from tetradgeom.gf2 import (
     table,
     xor_shift,
 )
-from tetradgeom.tetrad import SENTINEL, Frame, build_frame, fixes_tetrad, pair_index
+from tetradgeom.tetrad import Frame, build_frame, fixes_tetrad
 
 REPORT_KEYS = {"name", "claim", "status", "witness", "elapsed_ms"}
 ROOT = Path(__file__).resolve().parents[1]
@@ -465,25 +465,18 @@ def stand_ins(ctx, first, last) -> tuple:
 
 
 def test_quadric_violations_are_counted(ctx, monkeypatch):
-    # swap two non-diagonal elements for invertible maps that move quadric
-    # points; the order stays 31104, so only the quadric sweep can object.
-    # The movers go first and last, so the sweep's packing is tested at
-    # both ends.
-    first, last = linmap({1: E[0] ^ E[1]}), linmap({8: E[7] ^ E[2]})
-    elements, victims = stand_ins(ctx, [first], [last])
-    assert elements[:8] == columns(first) and elements[-8:] == columns(last)
-    monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
-    bad_ctx = Context(ctx.frame)
-    # the genuine elements preserve Q, so the violations are the movers'
-    points = bad_ctx.quadric_points
-    expected = sum(quadric_value(g[p]) for g in (first, last) for p in points)
-    assert expected > 0
-    victims = [linmap(dict(enumerate(v, 1))) for v in victims]
-    assert not any(quadric_value(g[p]) for g in victims for p in points)
+    # a map that moves Q also leaves the tetrad, and the tetrad sweep runs
+    # first, so Q's table is bent instead: one singular point read as
+    # non-singular.  Every element sends exactly one quadric point there,
+    # so each of the 31104 is one violation, the first and the last
+    # record of the packing among them
+    moved = min(ctx.quadric_points)
+    monkeypatch.setattr(certificates, "quadric_value",
+                        lambda v: v == moved or quadric_value(v))
     with pytest.raises(CheckFailed) as exc:
-        check_stabilizer(bad_ctx)
+        check_stabilizer(ctx)
     assert str(exc.value) == "some element moves the quadric"
-    assert exc.value.data == {"violations": expected}
+    assert exc.value.data == {"violations": 31104}
 
 
 def test_a_repeated_record_lowers_the_order(ctx, monkeypatch):
@@ -499,63 +492,39 @@ def test_a_repeated_record_lowers_the_order(ctx, monkeypatch):
     assert exc.value.data == {"order": 31103}
 
 
-def test_a_record_with_one_invalid_pair_is_counted_raw(ctx, monkeypatch):
-    # e1 -> e1 + e2 leaves line a's pair off the tetrad, the other three
-    # lines' pairs stay valid: the record is kept raw, not indexed, and
-    # still counted, so the order holds and the quadric sweep objects
-    odd_map = linmap({1: E[0] ^ E[1]})
-    elements, _ = stand_ins(ctx, [odd_map], [])
-    codes, keys, odd = pair_index(elements)
-    assert codes[0][0] == 255 and max(c[0] for c in codes[1:]) < 24
-    assert keys[0] == SENTINEL and max(keys[1:]) < keys[0]
-    assert odd == {columns(odd_map)}
-    monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
+def test_a_missing_diagonal_map_is_named(ctx, monkeypatch):
+    # e1 -> e1 + e2 leaves line a's pair off the tetrad.  As A_0000 it is
+    # no element of the real listing; as a record of the listing, in
+    # A_0121's place, the tetrad sweep objects before membership is asked
+    off = linmap({1: E[0] ^ E[1]})
+    monkeypatch.setattr(certificates, "build_group81",
+                        lambda frame: (off, *ctx.g81[1:]))
     with pytest.raises(CheckFailed) as exc:
         check_stabilizer(Context(ctx.frame))
-    assert str(exc.value) == "some element moves the quadric"
-    # listed twice, the raw record counts once
-    maps = records(elements)
-    twice = b"".join(maps[:-1] + maps[:1])
-    monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: twice)
-    with pytest.raises(CheckFailed) as exc:
-        check_stabilizer(Context(ctx.frame))
-    assert str(exc.value) == "stabilizer order wrong"
-    assert exc.value.data == {"order": 31103}
-
-
-def test_a_dropped_diagonal_record_is_named(ctx, monkeypatch):
-    # A_0121 traded for a record off the tetrad: still 31104 distinct
-    # records, but one diagonal map is missing
-    sigma = gf3.trit_from_str("0121")
-    dropped = columns(ctx.g81[sigma])
-    stand_in = columns(linmap({1: E[0] ^ E[1]}))
-    elements = b"".join(stand_in if g == dropped else g
+    assert str(exc.value) == "diagonal map missing from stabilizer"
+    assert exc.value.data == {"sigma": "0000"}
+    monkeypatch.undo()
+    dropped = columns(ctx.g81[gf3.trit_from_str("0121")])
+    elements = b"".join(columns(off) if g == dropped else g
                         for g in records(ctx.stabilizer))
     monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
     with pytest.raises(CheckFailed) as exc:
         check_stabilizer(Context(ctx.frame))
-    assert str(exc.value) == "diagonal map missing from stabilizer"
-    assert exc.value.data == {"sigma": "0121"}
+    assert str(exc.value) == "some element does not fix the tetrad lines"
+    assert exc.value.data == {"violations": 1}
 
 
-def test_an_odd_diagonal_record_is_looked_up_raw(ctx, monkeypatch):
-    # the identity of the diagonal group traded for a map whose line-a
-    # pair is off the tetrad: it has no index, so membership looks it up
-    # among the raw records, and finds it only when the listing has it
-    odd_map = linmap({1: E[0] ^ E[1]})
-    g81 = (odd_map, *ctx.g81[1:])
-    monkeypatch.setattr(certificates, "build_group81", lambda frame: g81)
-    listed, _ = stand_ins(ctx, [odd_map], [])
-    for elements, message in (
-        (ctx.stabilizer, "diagonal map missing from stabilizer"),
-        (listed, "conjugation by zeta_a is not the induced linear map"),
-    ):
-        monkeypatch.setattr(certificates, "build_stabilizer",
-                            lambda frame: elements)
-        with pytest.raises(CheckFailed) as exc:
-            check_stabilizer(Context(ctx.frame))
-        assert str(exc.value) == message
-        assert exc.value.data == {"sigma": "0000"}
+def test_the_listing_is_read_through_the_pair_index_once(ctx, monkeypatch):
+    calls = []
+    read = certificates.pair_index
+
+    def counted(listing):
+        calls.append(len(listing))
+        return read(listing)
+
+    monkeypatch.setattr(certificates, "pair_index", counted)
+    check_stabilizer(ctx)
+    assert calls == [len(ctx.stabilizer)]
 
 
 def test_the_stabilizer_check_peaks_under_a_megabyte_and_a_quarter(ctx):
@@ -627,10 +596,11 @@ def transvection(v):
 
 
 def test_maps_outside_the_tetrad_stabilizer_are_found(ctx, monkeypatch):
-    # as above, but the two stand-ins preserve Q and move a tetrad point
-    # (e8 and e1 respectively) off its line; the order stays 31104 and the
-    # quadric sweep passes, so only the sweep of every element against
-    # the tetrad lines can object.  They go first and last as well
+    # two stand-ins that preserve Q and move a tetrad point (e8 and e1
+    # respectively) off its line; the order stays 31104 and the quadric
+    # sweep passes, so only the sweep of every element against the tetrad
+    # lines can object.  They go first and last, so the sweep's packing is
+    # tested at both ends
     first, last = transvection(E[0] ^ E[1] ^ E[2]), transvection(E[5] ^ E[6] ^ E[7])
     assert first[E[7]] == 0x87 and last[E[0]] == 0xE1
     points = ctx.quadric_points
@@ -646,9 +616,9 @@ def test_maps_outside_the_tetrad_stabilizer_are_found(ctx, monkeypatch):
 
 
 def test_tetrad_sweep_counts_every_kind_of_non_fixing_map(ctx, monkeypatch):
-    # with no quadric points the quadric sweep passes whatever the maps,
-    # so the tetrad sweep alone judges four stand-ins that fail
-    # `fixes_tetrad` each in its own way
+    # the tetrad sweep runs before the order count and the quadric sweep,
+    # so it alone judges four stand-ins that fail `fixes_tetrad` each in
+    # its own way
     crafted = [
         linmap({8: E[0]}),  # both basis vectors of L_a onto one point
         linmap({1: 0}),  # a basis vector onto zero
@@ -658,7 +628,6 @@ def test_tetrad_sweep_counts_every_kind_of_non_fixing_map(ctx, monkeypatch):
     assert not any(fixes_tetrad(m) for m in crafted)
     elements, _ = stand_ins(ctx, crafted[:2], crafted[2:])
     monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
-    monkeypatch.setattr(certificates.quadric, "build_quadric", frozenset)
     with pytest.raises(CheckFailed) as exc:
         check_stabilizer(Context(ctx.frame))
     assert str(exc.value) == "some element does not fix the tetrad lines"
@@ -693,8 +662,8 @@ def test_a_factor_outside_the_generated_group_is_found(ctx, monkeypatch):
 def test_a_listing_in_the_wrong_column_order_is_found(frame, monkeypatch):
     # records that list the images of e_8..e_1: reversing the coordinates
     # maps the tetrad and Q onto themselves, so the listing still has
-    # 31104 distinct maps fixing both, and the membership step packs both
-    # of its sides the same way; only reading a record back can object
+    # 31104 distinct maps fixing both; only reading a record back can
+    # object
     def reversed_columns(m):
         return bytes(m[e] for e in reversed(E))
 

@@ -26,7 +26,6 @@ from tetradgeom.gf2 import (
 from tetradgeom.gf3 import mat3_table
 from tetradgeom.gf3 import trit_from_str as T
 from tetradgeom.tetrad import (
-    SENTINEL,
     build_frame,
     build_group81,
     build_stabilizer,
@@ -207,9 +206,9 @@ def test_listing_is_the_product_of_its_factors(frame):
 def test_the_pair_index_tells_the_real_listing_apart(frame):
     # every pair code valid, and as many distinct indices as records
     listing = build_stabilizer(frame)
-    codes, keys, odd = pair_index(listing)
+    codes, keys = pair_index(listing)
     assert all(len(c) == 31104 and max(c) < 24 for c in codes)
-    assert not odd and max(keys) < SENTINEL
+    assert max(keys) < 24**4
     assert len(set(keys)) == len(set(records(listing))) == 31104
 
 

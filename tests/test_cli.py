@@ -492,26 +492,32 @@ def test_a_repeated_record_lowers_the_order(ctx, monkeypatch):
     assert exc.value.data == {"order": 31103}
 
 
-def test_a_missing_diagonal_map_is_named(ctx, monkeypatch):
-    # e1 -> e1 + e2 leaves line a's pair off the tetrad.  As A_0000 it is
-    # no element of the real listing; as a record of the listing, in
-    # A_0121's place, the tetrad sweep objects before membership is asked
-    off = linmap({1: E[0] ^ E[1]})
-    monkeypatch.setattr(certificates, "build_group81",
-                        lambda frame: (off, *ctx.g81[1:]))
-    with pytest.raises(CheckFailed) as exc:
-        check_stabilizer(Context(ctx.frame))
-    assert str(exc.value) == "diagonal map missing from stabilizer"
-    assert exc.value.data == {"sigma": "0000"}
-    monkeypatch.undo()
+def test_a_dropped_diagonal_record_is_named(ctx, monkeypatch):
+    # A_0121 traded for a record off the tetrad (e1 -> e1 + e2 leaves line
+    # a's pair): still 31104 distinct records, but the tetrad sweep runs
+    # before membership is asked, so it is the sweep that objects
     dropped = columns(ctx.g81[gf3.trit_from_str("0121")])
-    elements = b"".join(columns(off) if g == dropped else g
+    stand_in = columns(linmap({1: E[0] ^ E[1]}))
+    elements = b"".join(stand_in if g == dropped else g
                         for g in records(ctx.stabilizer))
     monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
     with pytest.raises(CheckFailed) as exc:
         check_stabilizer(Context(ctx.frame))
     assert str(exc.value) == "some element does not fix the tetrad lines"
     assert exc.value.data == {"violations": 1}
+
+
+def test_an_odd_diagonal_record_is_looked_up_raw(ctx, monkeypatch):
+    # the identity of the diagonal group traded for a map whose line-a
+    # pair is off the tetrad: it does not fix the tetrad, so it is no
+    # element of the real listing, and membership names it
+    odd_map = linmap({1: E[0] ^ E[1]})
+    monkeypatch.setattr(certificates, "build_group81",
+                        lambda frame: (odd_map, *ctx.g81[1:]))
+    with pytest.raises(CheckFailed) as exc:
+        check_stabilizer(Context(ctx.frame))
+    assert str(exc.value) == "diagonal map missing from stabilizer"
+    assert exc.value.data == {"sigma": "0000"}
 
 
 def test_the_listing_is_read_through_the_pair_index_once(ctx, monkeypatch):

@@ -7,18 +7,19 @@ query to a machine-readable report.
 
 Each subcommand imports the one module it reads inside its own body, so
 a query process never loads the certificate suite, and `orbits` loads
-nothing beyond the frame.
+nothing beyond the frame.  Arguments are read against one table,
+`COMMANDS`: importing argparse would cost each process half a megabyte.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
 import time
 from collections import Counter
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 from . import gf3
 from .gf2 import mask, point_str, support
@@ -30,10 +31,8 @@ def _fmt_point(frame, p: int) -> str:
 
 
 def _anf_str(mons) -> str:
-    terms = []
-    for m in mons:
-        terms.append("1" if not m else "".join(f"x{i}" for i in m))
-    return " + ".join(terms) if terms else "0"
+    terms = ["".join(f"x{i}" for i in m) or "1" for m in mons]
+    return " + ".join(terms) or "0"
 
 
 def _line_json(frame, ln) -> list:
@@ -51,17 +50,11 @@ def cmd_verify(args) -> int:
     from .certificates import CHECKS, Context, run_certificates
 
     known = {name for name, _, _ in CHECKS}
-    names = None
-    if args.only:
-        unknown = [n for n in args.only if n not in known]
-        if unknown:
-            print(
-                f"unknown certificate(s): {', '.join(unknown)}\n"
-                f"known: {', '.join(sorted(known))}",
-                file=sys.stderr,
-            )
-            return 2
-        names = set(args.only)
+    unknown = [n for n in args.only or () if n not in known]
+    if unknown:
+        raise ValueError(f"unknown certificate(s): {', '.join(unknown)}\n"
+                         f"known: {', '.join(sorted(known))}")
+    names = set(args.only) if args.only else None
     # opened before any check runs, so that an unwritable path fails at once
     with open(args.report, "w") if args.report else nullcontext() as fh:
         frame = build_frame(perturb=args.perturb)
@@ -141,8 +134,7 @@ def cmd_spreads(args) -> int:
 
     s = args.ijk
     if len(s) != 3 or any(ch not in "12" for ch in s):
-        print("--ijk must be three digits from {1,2}, e.g. 121", file=sys.stderr)
-        return 2
+        raise ValueError("--ijk must be three digits from {1,2}, e.g. 121")
     direction = gf3.trit_from_str(s + "1")  # sigma = ijk1
     frame = build_frame()
     g81 = build_group81(frame)
@@ -229,10 +221,8 @@ def cmd_denizen(args) -> int:
         print(_JSON.encode(out))
         return 0
     print(f"denizen {den.ident}: {kind}")
-    print(
-        f"    lines {cert['lines']}, per point {cert['per_point']}, "
-        f"span rank {cert['span_rank']}"
-    )
+    print(f"    lines {cert['lines']}, per point {cert['per_point']}, "
+          f"span rank {cert['span_rank']}")
     for p in support(den.points):
         print(f"    {_fmt_point(frame, p)}")
     if kind == "C2":
@@ -250,11 +240,8 @@ def cmd_sections(args) -> int:
     frame = build_frame()
     den = denizens.denizen_by_id(frame, args.segre)
     if den.kind != "segre":
-        print(
-            f"denizen {den.ident} has kind {den.kind}; sections need a Segre",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(
+            f"denizen {den.ident} has kind {den.kind}; sections need a Segre")
     subs = den.plane.subspaces
     secs = denizens.sections_of(frame, den)
     rows = []
@@ -331,68 +318,82 @@ def cmd_caps(args) -> int:
     return 0
 
 
-# ── parser ───────────────────────────────────────────────────────────────
+# ── command line ─────────────────────────────────────────────────────────
+
+#: each subcommand's function name, help and options as (spelling, kind,
+#: help).  A kind is "flag", "value", "required" (a value that must be
+#: given), "int", "repeat" (repeatable) or its choices, the first the default.
+_JSON_OPT = ("--json", "flag", "print the result as JSON")
+COMMANDS = {
+    "verify-all": ("cmd_verify", "run every certificate", [
+        ("--report FILE", "value", "write a JSON report"),
+        # still parsed, since perfbench/run.py passes it; it selects nothing
+        ("--jobs N", "int", "accepted and ignored: certificates run sequentially"),
+        ("--perturb", "flag", "deliberately break one rotation (negative control)"),
+        ("--only NAME", "repeat", "run only the named certificate (repeatable)")]),
+    "orbits": ("cmd_orbits", "the four line-weight orbits", [_JSON_OPT]),
+    "invariants": ("cmd_invariants", "orbit value table of the invariant polynomials", [
+        _JSON_OPT, ("--emit-anf", "flag", "print the polynomials term by term")]),
+    "spreads": ("cmd_spreads", "one of the eight line spreads", [
+        _JSON_OPT, ("--ijk NNN", "required", "spread index, three digits from {1,2}")]),
+    "triplets": ("cmd_triplets", "the 40 denizen triplets", [_JSON_OPT]),
+    "denizen": ("cmd_denizen", "inspect one denizen", [
+        _JSON_OPT,
+        ("--plane XXXX", "required", "plane functional, four digits from {0,1,2}"),
+        ("--shift {0,1,2}", ("0", "1", "2"), "which of the plane's three denizens")]),
+    "sections": ("cmd_sections", "the 13 sections of a Segre denizen", [
+        _JSON_OPT, ("--segre PLANE:SHIFT", "required", "denizen id, e.g. 1111:0")]),
+    "caps": ("cmd_caps", "the eight 9-caps on the quadric", [_JSON_OPT]),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tetradgeom",
-        description="verify and query the geometry of a tetrad of skew "
-        "lines spanning PG(7,2)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # the one `--json` flag, shared by the seven queries
-    query = argparse.ArgumentParser(add_help=False)
-    query.add_argument("--json", action="store_true")
+def _usage(command, error="") -> None:
+    """Print the usage and help and exit 0, or the usage and `error` and exit 2."""
+    opts = COMMANDS[command][2] if command in COMMANDS else []
+    words = [s if kind == "required" else f"[{s}]" for s, kind, _ in opts]
+    head = f"{command} [-h]" if opts else f"[-h] {{{','.join(COMMANDS)}}} ..."
+    usage = " ".join([f"usage: tetradgeom {head}", *words])
+    if error:
+        print(usage, f"tetradgeom: error: {error}", sep="\n", file=sys.stderr)
+        raise SystemExit(2)
+    rows = [(s, text) for s, _, text in opts] or [
+        (name, text) for name, (_, text, _) in COMMANDS.items()]
+    print(usage, *(f"  {left:<21}{text}" for left, text in rows), sep="\n")
+    raise SystemExit(0)
 
-    p = sub.add_parser("verify-all", help="run every certificate")
-    p.add_argument("--report", metavar="FILE", help="write a JSON report")
-    # still parsed, since perfbench/run.py passes it; it selects nothing
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="accepted and ignored: certificates run sequentially")
-    p.add_argument("--perturb", action="store_true",
-                   help="deliberately break one rotation (negative control)")
-    p.add_argument("--only", action="append", metavar="NAME",
-                   help="run only the named certificate (repeatable)")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("orbits", parents=[query],
-                       help="the four line-weight orbits")
-    p.set_defaults(func=cmd_orbits)
-
-    p = sub.add_parser("invariants", parents=[query],
-                       help="orbit value table of the invariant polynomials")
-    p.add_argument("--emit-anf", action="store_true",
-                   help="print the polynomials term by term")
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("spreads", parents=[query],
-                       help="one of the eight line spreads")
-    p.add_argument("--ijk", required=True, metavar="NNN",
-                   help="spread index, three digits from {1,2}")
-    p.set_defaults(func=cmd_spreads)
-
-    p = sub.add_parser("triplets", parents=[query],
-                       help="the 40 denizen triplets")
-    p.set_defaults(func=cmd_triplets)
-
-    p = sub.add_parser("denizen", parents=[query], help="inspect one denizen")
-    p.add_argument("--plane", required=True, metavar="XXXX",
-                   help="plane functional, four digits from {0,1,2}")
-    p.add_argument("--shift", default="0", choices=("0", "1", "2"))
-    p.set_defaults(func=cmd_denizen)
-
-    p = sub.add_parser("sections", parents=[query],
-                       help="the 13 sections of a Segre denizen")
-    p.add_argument("--segre", required=True, metavar="PLANE:SHIFT",
-                   help="denizen id, e.g. 1111:0")
-    p.set_defaults(func=cmd_sections)
-
-    p = sub.add_parser("caps", parents=[query],
-                       help="the eight 9-caps on the quadric")
-    p.set_defaults(func=cmd_caps)
-
-    return parser
+def _parse(argv) -> SimpleNamespace:
+    """`argv` as its command and one attribute per option of that command."""
+    command, *words = argv or [""]
+    if {"-h", "--help"} & {command, *words}:
+        _usage(command)
+    if command not in COMMANDS:
+        _usage(command, f"invalid choice: {command!r}" if command else "no command")
+    kinds = {s.split()[0]: kind for s, kind, _ in COMMANDS[command][2]}
+    values = {name: False if kind == "flag" else kind[0] if type(kind) is tuple
+              else None for name, kind in kinds.items()}
+    words = iter(words)
+    for word in words:
+        name, eq, value = word.partition("=")
+        kind = kinds.get(name)
+        if kind is None or kind == "flag" and eq:
+            _usage(command, f"unrecognized argument: {word}")
+        if kind == "flag":
+            value = True
+        elif not eq:
+            value = next(words, "-")  # a missing value reads as an option does
+            if value.startswith("-"):
+                _usage(command, f"argument {name}: expected one argument")
+        if kind == "int" and not value.isdecimal():
+            _usage(command, f"argument {name}: invalid int value: {value!r}")
+        if type(kind) is tuple and value not in kind:
+            _usage(command, f"argument {name}: invalid choice: {value!r}")
+        values[name] = (values[name] or []) + [value] if kind == "repeat" else value
+    for name, kind in kinds.items():
+        if kind == "required" and values[name] is None:
+            _usage(command, f"the following arguments are required: {name}")
+    return SimpleNamespace(command=command, **{
+        name[2:].replace("-", "_"): value for name, value in values.items()})
 
 
 def main(argv=None) -> int:
@@ -401,18 +402,17 @@ def main(argv=None) -> int:
     `python -m tetradgeom` call it, the command is the process's own, and
     everything still alive is frozen once it returns; a caller that passes
     `argv` runs in a process that goes on, and nothing is frozen."""
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        code = args.func(args)
+        # looked up here, so that a `cmd_*` rebound after import is the one run
+        code = globals()[COMMANDS[args.command][0]](args)
     except (ValueError, OSError) as e:
         print(str(e), file=sys.stderr)
         code = 2
     if argv is None:
-        # The interpreter's shutdown collections would walk every live
-        # object, site's modules and ours, only for the process to end;
-        # frozen ones are skipped.  An `orbits` process exits in 2.5 ms
-        # instead of 8.8 (Python 3.11, Linux).  atexit handlers and the
-        # flush of stdout still run.
+        # Shutdown's collections would walk every live object only for the
+        # process to end; frozen ones are skipped, so an `orbits` process
+        # exits in 2.5 ms, not 8.8 (Python 3.11, Linux).  atexit still runs.
         gc.freeze()
     return code
 

@@ -56,10 +56,12 @@ UNIT: Mask = 0xFF  # u = e_1 + ... + e_8
 PAIR_MASKS = (0x81, 0x42, 0x24, 0x18)
 
 
-# point_str of every mask: its 1-based coordinate indices, ascending
-_POINT_STRS = tuple(
-    "".join(str(i + 1) for i in range(8) if x >> i & 1) or "0" for x in range(256)
-)
+# point_str of every mask: its 1-based coordinate indices, ascending, each
+# coordinate doubling the list
+_POINT_STRS = [""]
+for _digit in "12345678":
+    _POINT_STRS += [s + _digit for s in _POINT_STRS]
+_POINT_STRS = ("0", *_POINT_STRS[1:])
 
 
 def point_str(x: Mask) -> str:

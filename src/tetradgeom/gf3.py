@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from operator import add
 
 Trit = int  # 27 xi_1 + 9 xi_2 + 3 xi_3 + xi_4
 
@@ -46,16 +47,16 @@ ALL81 = range(81)
 # ── lookup tables ────────────────────────────────────────────────────────
 # The 81 x 81 addition table is assembled from the 9 x 9 table of digit
 # pairs (xi_1 xi_2 and xi_3 xi_4 are each a number 0..8), which keeps the
-# import cheap.
+# import cheap: row a adds, entry by entry, a high row (9 times the sum of
+# the high pairs of a and b, for every b) to a low row (their low pairs').
 
 _ADD9 = tuple(
     tuple(3 * ((a // 3 + b // 3) % 3) + (a + b) % 3 for b in range(9))
     for a in range(9)
 )
-_ADD = tuple(
-    tuple(9 * hi + lo for hi in _ADD9[a // 9] for lo in _ADD9[a % 9])
-    for a in ALL81
-)
+_HIGH = [tuple(9 * s for s in row for _ in range(9)) for row in _ADD9]
+_LOW = [row * 9 for row in _ADD9]
+_ADD = tuple(tuple(map(add, _HIGH[a // 9], _LOW[a % 9])) for a in ALL81)
 _NEG = tuple(row.index(ZERO) for row in _ADD)
 _SCALE = ((ZERO,) * 81, tuple(ALL81), _NEG)  # _SCALE[c][v] = c * v
 _DIGITS = tuple(product(range(3), repeat=4))  # in int order

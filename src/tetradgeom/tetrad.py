@@ -110,10 +110,13 @@ class Frame:
             for v, p in zip(gf3.ALL81, self._point_of)
             if self._tuple_of.get(p) == gf3.digits(v)
         }
-        # the line weight of every vector, and the points by weight
-        self._weights = bytes(
-            sum(1 for pm in PAIR_MASKS if p & pm) for p in range(256)
-        )
+        # the line weight of every vector, doubled over the bits: v + 2^k
+        # (v below 2^k) meets one pair more than v unless v meets k's pair
+        weights = b"\0"
+        for k in range(8):
+            pair = next(pm for pm in PAIR_MASKS if pm >> k & 1)
+            weights += bytes(w + (not v & pair) for v, w in enumerate(weights))
+        self._weights = weights
         by_weight = ([], [], [], [], [])
         for p in range(1, 256):
             by_weight[self._weights[p]].append(p)
@@ -267,20 +270,27 @@ def build_stabilizer(frame: Frame) -> bytes:
 
 # ── a packed listing read through the tetrad ─────────────────────────────
 
+
+def _places(items, missing: int) -> bytes:
+    """The 256-byte table whose byte v is v's place in `items`, a list of
+    distinct bytes, or `missing` where v is not among them."""
+    table = bytearray([missing]) * 256
+    for i, v in enumerate(items):
+        table[v] = i
+    return bytes(table)
+
+
 # the tetrad's twelve points, three per line: point 3h + i is the i-th of
 # line h's low basis vector, high basis vector and their sum; _POINT[v] is
 # the number of v, 12 when v is no tetrad point
 _TETRAD = [p for pm in PAIR_MASKS for p in (pm & -pm, pm & (pm - 1), pm)]
-_POINT = bytes(_TETRAD.index(v) if v in _TETRAD else 12 for v in range(256))
+_POINT = _places(_TETRAD, 12)
 # the 24 ordered pairs of distinct points of one line, 6 per line: the
 # pair code of points x and y, _PAIR[13x + y], is the pair's place here,
 # so code // 6 is its line; 255 when x and y are no such pair
 _PAIRS = [(3 * h + i, 3 * h + j) for h in range(4)
           for i, j in permutations(range(3), 2)]
-_PAIR = bytes(
-    _PAIRS.index(divmod(v, 13)) if divmod(v, 13) in _PAIRS else 255
-    for v in range(256)
-)
+_PAIR = _places([13 * x + y for x, y in _PAIRS], 255)
 #: each pair code's line as a one-hot bit, 0 for the code 255
 LINE_BITS = bytes(1 << c // 6 if c < 24 else 0 for c in range(256))
 

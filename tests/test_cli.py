@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from conftest import records, symplectic_product
 
-from tetradgeom import certificates, denizens, gf2, gf3
+from tetradgeom import certificates, cli, denizens, gf2, gf3
 from tetradgeom.certificates import (
     CheckFailed,
     Context,
@@ -838,7 +838,9 @@ def test_verify_all_imports_only_the_standard_library():
         "import sys; from tetradgeom.cli import main; "
         "rc = main(['verify-all', '--only', 'stabilizer-group']); "
         "assert 'numpy' not in sys.modules; "
-        "assert 'dataclasses' not in sys.modules; sys.exit(rc)"
+        "assert 'dataclasses' not in sys.modules; "
+        "assert 'argparse' not in sys.modules; "
+        "assert 'gettext' not in sys.modules; sys.exit(rc)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -884,6 +886,7 @@ QUERIES = {
 # what no query process loads, and what `orbits` leaves out besides
 NEVER_IN_QUERIES = {
     "tetradgeom.certificates", "concurrent.futures", "dataclasses",
+    "argparse", "gettext",
 }
 NOT_IN_ORBITS = {
     "tetradgeom.anf", "tetradgeom.denizens", "tetradgeom.quadric",
@@ -1306,23 +1309,68 @@ def test_caps_json(capsys):
         *(
             pytest.param(["denizen", "--plane", "1111", "--shift", shift],
                          "invalid choice", id=f"--shift {ascii(shift)}")
-            for shift in ("+1", " 1", "0_1", "\u0662")
+            for shift in ("+1", " 1", "0_1", "\u0662", "3")
         ),
     ],
 )
 def test_a_malformed_denizen_id_exits_2(argv, message, capsys):
     try:
         code = main(argv)
-    except SystemExit as exc:  # argparse rejects a bad option itself
+    except SystemExit as exc:  # the parser rejects a bad option itself
         code = exc.code
     assert code == 2
     assert message in capsys.readouterr().err
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
+    for argv in (
+        ["no-such-command"],
+        [],
+        ["spreads"],  # --ijk is required
+        ["verify-all", "--report"],
+        ["orbits", "--nope"],
+        ["verify-all", "--jobs", "x"],
+        ["orbits", "--json=1"],
+        ["verify-all", "--rep", "r.json"],  # no abbreviations
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tetradgeom ") and "tetradgeom: error: " in err
+
+
+def test_an_option_may_be_joined_to_its_value(capsys):
+    assert main(["sections", "--segre", "1111:0"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["sections", "--segre=1111:0"]) == 0
+    assert capsys.readouterr().out == spaced
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["-h"], ["verify-all", "orbits", "invariants", "spreads", "triplets",
+                  "denizen", "sections", "caps"]),
+        (["denizen", "-h"], ["--json", "--plane", "--shift"]),
+        (["verify-all", "--help"], ["--report", "--jobs", "--perturb", "--only"]),
+    ],
+)
+def test_help_names_every_command_or_option(argv, names, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: tetradgeom ")
+    assert all(name in out.split() for name in names)
+
+
+def test_main_runs_the_subcommand_bound_at_call_time(monkeypatch):
+    # perfbench/spans.py times a subcommand by rebinding its module global
+    # after import; main must call whatever is bound there
+    calls = []
+    monkeypatch.setattr(cli, "cmd_orbits", lambda args: calls.append("orbits") or 0)
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append("verify") or 1)
+    assert main(["orbits"]) == 0
+    assert main(["verify-all"]) == 1
+    assert calls == ["orbits", "verify"]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from conftest import records
 
-from tetradgeom import gf3
+from tetradgeom import gf3, tetrad
 from tetradgeom.gf2 import (
     E,
     IDENTITY,
@@ -98,6 +98,24 @@ def test_label_str(frame):
     assert frame.label_str(0x55) == "U_1111"
     assert frame.label_str(0x01) == "U_1..."
     assert frame.label_str(0x18) == "U_...0"
+
+
+def test_tables_built_at_import_are_their_definitions():
+    # every entry, against the spelling each table was first built by; the
+    # point_str and line-weight tables are checked so by test_point_str and
+    # test_line_weight_and_orbits
+    def digits(v):
+        return (v // 27, v // 9 % 3, v // 3 % 3, v % 3)
+
+    for a in gf3.ALL81:
+        for b in gf3.ALL81:
+            s = [(x + y) % 3 for x, y in zip(digits(a), digits(b))]
+            assert gf3.t_add(a, b) == 27 * s[0] + 9 * s[1] + 3 * s[2] + s[3]
+    points, pairs = tetrad._TETRAD, tetrad._PAIRS
+    for v in range(256):
+        assert tetrad._POINT[v] == (points.index(v) if v in points else 12)
+        pair = divmod(v, 13)
+        assert tetrad._PAIR[v] == (pairs.index(pair) if pair in pairs else 255)
 
 
 def test_line_weight_and_orbits(frame):

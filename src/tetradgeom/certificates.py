@@ -47,12 +47,11 @@ from .gf2 import (
     xor_shift,
 )
 from .tetrad import (
-    LINE_BITS,
     LINE_NAMES,
     Frame,
     build_group81,
     build_stabilizer,
-    fixes_tetrad,
+    images,
     induced_matrix,
     line_maps,
     line_shuffles,
@@ -377,8 +376,11 @@ def check_stabilizer(ctx):
     they are G(tetrad), and a diagonal map A_sigma is among them exactly
     when it fixes the tetrad."""
     gens = stabilizer_generators(ctx.frame)
-    for name, g in gens.items():
-        require(fixes_tetrad(g), "generator does not fix the tetrad lines",
+    # each packing is read through the tetrad: a byte of `lines` is 0b1111
+    # exactly when its map fixes the tetrad
+    lines, _ = pair_index(b"".join(map(columns, gens.values())))
+    for name, hit in zip(gens, lines):
+        require(hit == 0b1111, "generator does not fix the tetrad lines",
                 generator=name)
     factors = [
         (f"line_{name}", maps, (gens[f"zeta_{name}"], gens[f"swap_{name}"]))
@@ -391,21 +393,12 @@ def check_stabilizer(ctx):
                 "a factor of the stabilizer is not generated by its generators",
                 factor=name)
     st = ctx.stabilizer
-    # every element's record read as four pair codes, one byte per line
-    codes, keys = pair_index(st)
-    # `fixes_tetrad` for every element at once: a valid code names the one
-    # line its pair lands on, so an element fixes the tetrad when its four
-    # codes are valid and name all four lines
-    count = len(st) // 8
-    lines = 0
-    for c in codes:
-        lines |= int.from_bytes(c.translate(LINE_BITS), "little")
-    del codes
-    bad = count - lines.to_bytes(count, "little").count(0b1111)
+    lines, keys = pair_index(st)
+    bad = len(lines) - lines.count(0b1111)
     require(bad == 0, "some element does not fix the tetrad lines",
             violations=bad)
-    # every code is valid now, so each key is below 24^4 and distinct
-    # records have distinct keys
+    # every record fixes the tetrad now, so each key is below 24^4 and
+    # distinct records have distinct keys
     marks = bytearray(24**4)
     for k in keys:
         marks[k] = 1
@@ -414,13 +407,15 @@ def check_stabilizer(ctx):
     del marks
     require(order == 31104, "stabilizer order wrong", order=order)
     g81 = ctx.g81
+    packed = [columns(m) for m in g81]
+    lines, _ = pair_index(b"".join(packed))
     # `columns`, which packs the listing, read back: byte i of a record is
     # the map's image of e_(i+1)
     for sigma, m in enumerate(g81):
-        require(columns(m) == bytes(m[e] for e in E),
+        require(packed[sigma] == bytes(m[e] for e in E),
                 "packed record is not the images of e_1..e_8",
                 sigma=gf3.trit_str(sigma))
-        require(fixes_tetrad(m), "diagonal map missing from stabilizer",
+        require(lines[sigma] == 0b1111, "diagonal map missing from stabilizer",
                 sigma=gf3.trit_str(sigma))
     for name, g in gens.items():
         phi = gf3.mat3_table(_where(induced_matrix, g, g81, generator=name))
@@ -431,21 +426,11 @@ def check_stabilizer(ctx):
                 f"conjugation by {name} is not the induced linear map",
                 sigma=gf3.trit_str(sigma),
             )
-    # every element against every vector at once: byte k of cols[i] is
-    # column i of the k-th record, so XOR-ing the columns v selects packs
-    # all images of v, and one `translate` reads them through a table
-    cols = [int.from_bytes(st[i::8], "little") for i in range(8)]
-
-    def images(v):
-        packed = 0
-        for i in range(8):
-            if v >> i & 1:
-                packed ^= cols[i]
-        return packed.to_bytes(count, "little")
-
-    # deleting the images on the quadric leaves those off it
+    # every element against every vector at once; deleting the images on
+    # the quadric leaves those off it
+    image = images(st)
     singular = bytes(v for v in range(256) if not quadric_value(v))
-    bad = sum(len(images(p).translate(None, singular)) for p in ctx.quadric_points)
+    bad = sum(len(image(p).translate(None, singular)) for p in ctx.quadric_points)
     require(bad == 0, "some element moves the quadric", violations=bad)
     return {
         "order": order,
@@ -1042,9 +1027,11 @@ def check_caps(ctx):
     omega4 = mask(f.orbit(4))
     w3 = quadric.weight3_lines()
     require(len(w3) == 8, "weight-3 plane count wrong", count=len(w3))
+    example = None  # the first plane's cap, shown in the witness
     for ln in w3:
         where = {"plane": gf3.point_strs(ln)}
         cap = quadric.nine_cap(f, ln)
+        example = example or cap
         require(len(cap) == 9 and set(cap) <= qp, "cap is not 9 quadric points",
                 **where)
         for a, b in combinations(cap, 2):
@@ -1062,7 +1049,6 @@ def check_caps(ctx):
                     "translate is not a cap", **where)
         _partition(tabs, omega4, "translates overlap",
                    "translates do not cover the orbit", **where)
-    example = quadric.nine_cap(f, w3[0])
     return {
         "caps": 8,
         "example_cap": [point_json(f, p) for p in example],

@@ -55,8 +55,9 @@ def cmd_verify(args) -> int:
         raise ValueError(f"unknown certificate(s): {', '.join(unknown)}\n"
                          f"known: {', '.join(sorted(known))}")
     names = set(args.only) if args.only else None
-    # opened before any check runs, so that an unwritable path fails at once
-    with open(args.report, "w") if args.report else nullcontext() as fh:
+    # opened before any check runs, so that an unwritable path, the empty
+    # one included, fails at once
+    with nullcontext() if args.report is None else open(args.report, "w") as fh:
         frame = build_frame(perturb=args.perturb)
         ctx = Context(frame)
         t0 = time.perf_counter()

@@ -201,31 +201,15 @@ def build_group81(frame: Frame) -> tuple:
 def stabilizer_generators(frame: Frame) -> dict:
     """Generators of the line-stabilizer: the four rotations, the four
     in-line transpositions, one factor swap and one factor 4-cycle."""
-    gens = {}
+    gens = {f"zeta_{name}": z for name, z in zip(LINE_NAMES, frame.rotations)}
+    # swap_h exchanges e_(h+1) and e_(8-h), the basis vectors of L_h
     for h, name in enumerate(LINE_NAMES):
-        gens[f"zeta_{name}"] = frame.rotations[h]
-    gens["swap_a"] = linmap({1: E[7], 8: E[0]})
-    gens["swap_b"] = linmap({2: E[6], 7: E[1]})
-    gens["swap_c"] = linmap({3: E[5], 6: E[2]})
-    gens["swap_d"] = linmap({4: E[4], 5: E[3]})
+        gens[f"swap_{name}"] = linmap({h + 1: E[7 - h], 8 - h: E[h]})
     gens["swap_ab"] = linmap({1: E[1], 2: E[0], 8: E[6], 7: E[7]})
     gens["cycle_abcd"] = linmap(
         {1: E[1], 2: E[2], 3: E[3], 4: E[0], 8: E[6], 7: E[5], 6: E[4], 5: E[7]}
     )
     return gens
-
-
-def fixes_tetrad(m: LinMap) -> bool:
-    """Whether m sends the four coordinate-pair lines onto themselves:
-    the two basis vectors of each line go to two distinct points of one
-    line, and every line is hit."""
-    hit = set()
-    for pm in PAIR_MASKS:
-        a, b = m[pm & -pm], m[pm & (pm - 1)]
-        if not (a and b and a != b):
-            return False
-        hit.add(a | b)
-    return hit == set(PAIR_MASKS)
 
 
 def line_maps() -> tuple:
@@ -291,26 +275,31 @@ _POINT = _places(_TETRAD, 12)
 _PAIRS = [(3 * h + i, 3 * h + j) for h in range(4)
           for i, j in permutations(range(3), 2)]
 _PAIR = _places([13 * x + y for x, y in _PAIRS], 255)
-#: each pair code's line as a one-hot bit, 0 for the code 255
-LINE_BITS = bytes(1 << c // 6 if c < 24 else 0 for c in range(256))
+# each pair code's line as a one-hot bit, 0 for the code 255
+_LINE_BITS = bytes(1 << c // 6 if c < 24 else 0 for c in range(256))
 
 
 def pair_index(listing: bytes) -> tuple:
-    """A packed listing of maps read line by line, as (codes, keys).
+    """A packed listing of maps read line by line, as (lines, keys).
 
-    Byte j of codes[h] is the pair code of record j's images of e_(h+1)
-    and e_(8-h): 0..23 when they are two distinct points of one tetrad
-    line, else 255.  keys[j] is record j's index sum 24^h codes[h][j], a
-    native unsigned int below 24^4; the codes give all eight columns, so
-    distinct records have distinct indices.  A key means nothing where
-    one of its codes is 255."""
+    Record j's images of e_(h+1) and e_(8-h) have a pair code, 0..23 when
+    they are two distinct points of one tetrad line, else 255.  Byte j of
+    lines ORs the one-hot lines of record j's four codes, so it is 0b1111
+    exactly when record j fixes the tetrad.  keys[j] is record j's index
+    sum 24^h code_h, a native unsigned int; where lines[j] is 0b1111 it is
+    below 24^4, and as the codes give all eight columns, distinct records
+    have distinct indices.  Elsewhere a key means nothing."""
     count = len(listing) // 8
     codes = []
+    lines = 0
     for h in range(4):
         # 13x + y lane by lane: at most 168, so no byte carries
         x = int.from_bytes(listing[h::8].translate(_POINT), "little")
         y = int.from_bytes(listing[7 - h::8].translate(_POINT), "little")
-        codes.append((13 * x + y).to_bytes(count, "little").translate(_PAIR))
+        c = (13 * x + y).to_bytes(count, "little").translate(_PAIR)
+        codes.append(c)
+        lines |= int.from_bytes(c.translate(_LINE_BITS), "little")
+    del x, y  # freed before the lanes below, the function's peak
     # the indices summed by Horner's rule on all records at once, each in
     # a 4-byte lane with a code string spread into the lanes' low bytes: a
     # lane stays below 255 * 24^4 < 2^32, so none carries.  The lanes are
@@ -324,7 +313,24 @@ def pair_index(listing: bytes) -> tuple:
         lanes[low::4] = c
         key = key * 24 + int.from_bytes(lanes, native)
     keys = memoryview(key.to_bytes(4 * count, native)).cast("I")
-    return codes, keys
+    return lines.to_bytes(count, "little"), keys
+
+
+def images(listing: bytes):
+    """The function v -> the images of v under every record of a packed
+    listing, one byte per record: byte k of column i is record k's image
+    of e_(i+1), so XOR-ing the columns v selects packs them all."""
+    count = len(listing) // 8
+    cols = [int.from_bytes(listing[i::8], "little") for i in range(8)]
+
+    def image(v: Mask) -> bytes:
+        packed = 0
+        for i in range(8):
+            if v >> i & 1:
+                packed ^= cols[i]
+        return packed.to_bytes(count, "little")
+
+    return image
 
 
 # ── the induced action on (F_3)^4 ────────────────────────────────────────

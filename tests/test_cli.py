@@ -33,7 +33,7 @@ from tetradgeom.gf2 import (
     table,
     xor_shift,
 )
-from tetradgeom.tetrad import Frame, build_frame, fixes_tetrad
+from tetradgeom.tetrad import Frame, build_frame, pair_index
 
 REPORT_KEYS = {"name", "claim", "status", "witness", "elapsed_ms"}
 ROOT = Path(__file__).resolve().parents[1]
@@ -530,7 +530,8 @@ def test_the_listing_is_read_through_the_pair_index_once(ctx, monkeypatch):
 
     monkeypatch.setattr(certificates, "pair_index", counted)
     check_stabilizer(ctx)
-    assert calls == [len(ctx.stabilizer)]
+    # the ten generators, the 248 832-byte listing once, then G81
+    assert calls == [8 * 10, len(ctx.stabilizer), 8 * 81]
 
 
 def test_the_stabilizer_check_peaks_under_a_megabyte_and_a_quarter(ctx):
@@ -623,15 +624,16 @@ def test_maps_outside_the_tetrad_stabilizer_are_found(ctx, monkeypatch):
 
 def test_tetrad_sweep_counts_every_kind_of_non_fixing_map(ctx, monkeypatch):
     # the tetrad sweep runs before the order count and the quadric sweep,
-    # so it alone judges four stand-ins that fail `fixes_tetrad` each in
-    # its own way
+    # so it alone judges four stand-ins that leave the tetrad each in its
+    # own way
     crafted = [
         linmap({8: E[0]}),  # both basis vectors of L_a onto one point
         linmap({1: 0}),  # a basis vector onto zero
         linmap({1: E[1], 2: E[0]}),  # half of L_a onto L_b
         linmap({2: E[0], 7: E[7]}),  # L_b onto L_a, so L_b is never hit
     ]
-    assert not any(fixes_tetrad(m) for m in crafted)
+    lines, _ = pair_index(b"".join(map(columns, crafted)))
+    assert 0b1111 not in lines
     elements, _ = stand_ins(ctx, crafted[:2], crafted[2:])
     monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
     with pytest.raises(CheckFailed) as exc:
@@ -1163,17 +1165,21 @@ def test_verify_all_unknown_name(capsys):
     assert "unknown certificate" in err
 
 
-def test_verify_all_unwritable_report_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["missing/r.json", ""],
+                         ids=["missing-directory", "empty"])
+def test_verify_all_unwritable_report_exits_2(tmp_path, capsys, monkeypatch,
+                                              name):
     # exit code 1 means a certificate failed; a report that cannot be
-    # written is an error of the invocation
-    path = tmp_path / "missing" / "r.json"
-    rc = main(["verify-all", "--only", "orbit-census", "--report", str(path)])
+    # written is an error of the invocation.  The empty path is one too,
+    # not a request for no report
+    monkeypatch.chdir(tmp_path)
+    rc = main(["verify-all", "--only", "orbit-census", "--report", name])
     captured = capsys.readouterr()
     assert rc == 2
     # the report file is opened first, so no certificate ran
     assert "PASS" not in captured.out
-    assert str(path) in captured.err
-    assert not path.exists()
+    assert repr(name) in captured.err
+    assert not os.listdir(tmp_path)
 
 
 def test_orbits_json(capsys):

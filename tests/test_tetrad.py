@@ -22,6 +22,7 @@ from tetradgeom.gf2 import (
     linmap_power,
     mask,
     mulclose,
+    quadric_value,
 )
 from tetradgeom.gf3 import mat3_table
 from tetradgeom.gf3 import trit_from_str as T
@@ -29,7 +30,7 @@ from tetradgeom.tetrad import (
     build_frame,
     build_group81,
     build_stabilizer,
-    fixes_tetrad,
+    images,
     induced_matrix,
     line_maps,
     line_shuffles,
@@ -116,6 +117,9 @@ def test_tables_built_at_import_are_their_definitions():
         assert tetrad._POINT[v] == (points.index(v) if v in points else 12)
         pair = divmod(v, 13)
         assert tetrad._PAIR[v] == (pairs.index(pair) if pair in pairs else 255)
+        # a valid code's line is the line of its pair's first point
+        line = 1 << pairs[v][0] // 3 if v < len(pairs) else 0
+        assert tetrad._LINE_BITS[v] == line
 
 
 def test_line_weight_and_orbits(frame):
@@ -204,7 +208,8 @@ def test_listing_is_the_generated_stabilizer(frame):
     # the breadth-first closure of all ten generators, an independent route
     closure = mulclose(stabilizer_generators(frame).values())
     assert set(maps) == {columns(m) for m in closure}
-    assert all(fixes_tetrad(m) for m in closure)
+    lines, _ = pair_index(b"".join(map(columns, closure)))
+    assert lines == b"\x0f" * len(closure)
 
 
 def test_listing_is_the_product_of_its_factors(frame):
@@ -222,10 +227,10 @@ def test_listing_is_the_product_of_its_factors(frame):
 
 
 def test_the_pair_index_tells_the_real_listing_apart(frame):
-    # every pair code valid, and as many distinct indices as records
+    # every record fixes the tetrad, and as many distinct indices as records
     listing = build_stabilizer(frame)
-    codes, keys = pair_index(listing)
-    assert all(len(c) == 31104 and max(c) < 24 for c in codes)
+    lines, keys = pair_index(listing)
+    assert lines == b"\x0f" * 31104
     assert max(keys) < 24**4
     assert len(set(keys)) == len(set(records(listing))) == 31104
 
@@ -249,14 +254,53 @@ def test_listing_is_the_same_in_every_process():
     assert len(digests) == 1
 
 
+def fixes(*maps) -> list:
+    """Whether each map fixes the tetrad, read off its packed `lines` byte."""
+    lines, _ = pair_index(b"".join(map(columns, maps)))
+    return [hit == 0b1111 for hit in lines]
+
+
 def test_fixes_tetrad(frame):
-    assert fixes_tetrad(IDENTITY)
-    assert all(fixes_tetrad(g) for g in stabilizer_generators(frame).values())
+    assert fixes(IDENTITY) == [True]
+    assert all(fixes(*stabilizer_generators(frame).values()))
     # e1 <-> e2 moves half of L_a onto L_b
-    assert not fixes_tetrad(linmap({1: E[1], 2: E[0]}))
+    assert fixes(linmap({1: E[1], 2: E[0]})) == [False]
     # the perturbed rotation sends e1 to e2 + e8, off every tetrad line
     bad = stabilizer_generators(build_frame(perturb=True))["zeta_a"]
-    assert not fixes_tetrad(bad)
+    assert fixes(bad) == [False]
+    # a failing map is told apart in place, between two that fix
+    assert fixes(IDENTITY, bad, IDENTITY) == [True, False, True]
+
+
+def plain_images(listing, v) -> bytes:
+    """The images of v under each record, applied column by column."""
+    out = bytearray()
+    for record in records(listing):
+        image = 0
+        for i in range(8):
+            if v >> i & 1:
+                image ^= record[i]
+        out.append(image)
+    return bytes(out)
+
+
+def test_images_match_a_plain_loop_on_the_generators_and_g81(frame):
+    maps = [*stabilizer_generators(frame).values(), *build_group81(frame)]
+    listing = b"".join(map(columns, maps))
+    image = images(listing)
+    for v in range(256):
+        assert image(v) == plain_images(listing, v) == bytes(m[v] for m in maps)
+
+
+def test_images_match_a_plain_loop_on_the_full_listing(frame):
+    listing = build_stabilizer(frame)
+    image = images(listing)
+    # the three points of L_a, and u = U_0000, on the quadric
+    u = frame.point_from_trits(0)
+    assert quadric_value(u) == 0
+    for v in (*frame.points[0], u):
+        assert len(image(v)) == 31104
+        assert image(v) == plain_images(listing, v)
 
 
 def test_induced_matrix_examples(frame):

@@ -5,8 +5,10 @@ with structured data when a property fails.  The runner runs the
 registered checks one after another and turns each into a Certificate
 record (name, claim, status, witness, elapsed_ms), in registration order.
 The Context carries the shared artifacts (frame, groups, quadric, solids,
-denizens, and the fan triplets of every Segre denizen) and builds each
-lazily, once, on its first read.
+denizens, and the fan triplets of every Segre denizen).  Each is built
+once, on its first read, and declares the checks that read it, directly or
+through another artifact's build; the runner drops it after its last
+reader.
 
 Witness values are JSON-safe throughout: ints, strings, bools, lists and
 string-keyed dicts only.  The runner turns a witness that does not
@@ -53,6 +55,7 @@ from .tetrad import (
     build_stabilizer,
     images,
     induced_matrix,
+    line_hits,
     line_maps,
     line_shuffles,
     pair_index,
@@ -76,10 +79,12 @@ def require(cond, message: str, **data):
 
 class _artifact:
     """A `Context` artifact: `build(ctx)` on its first read, kept in the
-    context's cache under the attribute's own name."""
+    context's cache under the attribute's own name; `readers` are the
+    checks that read it."""
 
-    def __init__(self, build):
+    def __init__(self, build, *readers):
         self.build = build
+        self.readers = frozenset(readers)
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -92,7 +97,8 @@ class _artifact:
 
 class Context:
     """Lazily built shared artifacts: each is built by `_get`, the one
-    build path, on its first read and kept for every later one."""
+    build path, on its first read and kept for every later one, until
+    `run_certificates` drops it after its last reader."""
 
     def __init__(self, frame: Frame):
         self.frame = frame
@@ -103,20 +109,31 @@ class Context:
             self._cache[name] = builder()
         return self._cache[name]
 
-    g81 = _artifact(lambda c: build_group81(c.frame))
-    invariants = _artifact(lambda c: anf.build_invariants(c.frame))
-    quadric_points = _artifact(lambda c: quadric.build_quadric())
-    solids = _artifact(lambda c: quadric.singular_solids(c.quadric_points))
-    system_tags = _artifact(lambda c: quadric.system_tags(c.solids))
-    stabilizer = _artifact(lambda c: build_stabilizer(c.frame))
-    spreads = _artifact(lambda c: spreads.all_spreads(c.g81))
-    triplets = _artifact(lambda c: denizens.all_triplets(c.frame))
+    g81 = _artifact(lambda c: build_group81(c.frame), "stabilizer-group",
+                    "gf3-taxonomy", "spreads", "orbit4-lines", "generator-solids")
+    invariants = _artifact(lambda c: anf.build_invariants(c.frame),
+                           "invariant-polynomials")
+    quadric_points = _artifact(lambda c: quadric.build_quadric(),
+                               "quadric-pointset", "stabilizer-group",
+                               "generator-solids", "nine-caps")
+    solids = _artifact(lambda c: quadric.singular_solids(c.quadric_points),
+                       "generator-solids")
+    system_tags = _artifact(lambda c: quadric.system_tags(c.solids),
+                            "generator-solids")
+    stabilizer = _artifact(lambda c: build_stabilizer(c.frame), "stabilizer-group")
+    spreads = _artifact(lambda c: spreads.all_spreads(c.g81), "spreads",
+                        "orbit4-lines")
+    triplets = _artifact(lambda c: denizens.all_triplets(c.frame),
+                         "denizen-classification", "c2-rogue-structure",
+                         "sections", "enneads")
     segres = _artifact(
-        lambda c: tuple(d for t in c.triplets for d in t if d.kind == "segre")
+        lambda c: tuple(d for t in c.triplets for d in t if d.kind == "segre"),
+        "sections", "fans-troikas", "tetrad-recovery",
     )
     # the fan triplets of each Segre denizen, aligned with `segres`
     fan_triplets = _artifact(
-        lambda c: tuple(denizens.fan_triplets(c.frame, d) for d in c.segres)
+        lambda c: tuple(denizens.fan_triplets(c.frame, d) for d in c.segres),
+        "fans-troikas", "tetrad-recovery",
     )
 
 
@@ -378,7 +395,7 @@ def check_stabilizer(ctx):
     gens = stabilizer_generators(ctx.frame)
     # each packing is read through the tetrad: a byte of `lines` is 0b1111
     # exactly when its map fixes the tetrad
-    lines, _ = pair_index(b"".join(map(columns, gens.values())))
+    lines = line_hits(b"".join(map(columns, gens.values())))
     for name, hit in zip(gens, lines):
         require(hit == 0b1111, "generator does not fix the tetrad lines",
                 generator=name)
@@ -408,7 +425,7 @@ def check_stabilizer(ctx):
     require(order == 31104, "stabilizer order wrong", order=order)
     g81 = ctx.g81
     packed = [columns(m) for m in g81]
-    lines, _ = pair_index(b"".join(packed))
+    lines = line_hits(b"".join(packed))
     # `columns`, which packs the listing, read back: byte i of a record is
     # the map's image of e_(i+1)
     for sigma, m in enumerate(g81):
@@ -750,7 +767,7 @@ def check_solids(ctx):
     tag_of = {s: tg for s, tg in zip(solids, tags)}
     omega2, omega4 = f.orbit(2), f.orbit(4)
     for p in sorted(omega4):
-        se, so = spreads.solid_pair(f, ctx.spreads, p)
+        se, so = spreads.solid_pair(f, ctx.g81, p)
         comps = [p & pm for pm in PAIR_MASKS]
         small = {comps[h] ^ comps[k] for h, k in combinations(range(4), 2)}
         if not (se in solid_set and so in solid_set):
@@ -1081,11 +1098,12 @@ def _unsafe_key(witness: dict):
 
 def run_certificates(ctx: Context, names=None) -> list:
     """One `Certificate` per registered check, or per check named in
-    `names`, run one after another in registration order."""
+    `names`, run one after another in registration order.  After each
+    check, the artifacts that no check still to run reads are dropped."""
     out = []
-    for name, claim, fn in CHECKS:
-        if names is not None and name not in names:
-            continue
+    todo = [c for c in CHECKS if names is None or c[0] in names]
+    while todo:
+        name, claim, fn = todo.pop(0)
         t0 = time.perf_counter()
         try:
             witness = fn(ctx)
@@ -1103,4 +1121,7 @@ def run_certificates(ctx: Context, names=None) -> list:
                        "key": str(key)}
         ms = (time.perf_counter() - t0) * 1000.0
         out.append(Certificate(name, claim, status, witness, round(ms, 3)))
+        left = {c[0] for c in todo}
+        for art in [a for a in ctx._cache if not vars(Context)[a].readers & left]:
+            del ctx._cache[art]
     return out

@@ -15,7 +15,7 @@ A spread is keyed by its generating direction sigma = ijk1, one of the
 eight weight-4 vectors `gf3.DIRECTIONS`.  They split into two families
 by the parity of the number of 2-digits; the two solids spanned by a
 weight-4 point's four same-family lines are the point's generator-solid
-pair on the quadric (see quadricgeom).
+pair on the quadric (see `quadric`), read off the generators alone.
 """
 
 from __future__ import annotations
@@ -57,16 +57,19 @@ def distinct_line_count(spreads: dict, p: Mask) -> int:
     return len({sp.line_of[p] for sp in spreads.values()})
 
 
-def solid_pair(frame: Frame, spreads: dict, p: Mask) -> tuple:
+def solid_pair(frame: Frame, g81: tuple, p: Mask) -> tuple:
     """The two solids spanned by the four same-family spread lines
-    through a weight-4 point; (even-family span, odd-family span)."""
+    through a weight-4 point; (even-family span, odd-family span).  The
+    line through p of direction d's spread is p's orbit {p, A_d p,
+    A_d^2 p}, as `build_spread` draws it, so no spread is built."""
     if frame.line_weight(p) != 4:
         raise ValueError("generator-solid pair needs a line-weight-4 point")
     flats = []
     for family in (gf3.FAMILY_EVEN, gf3.FAMILY_ODD):
         pts = set()
         for d in family:
-            pts |= spreads[d].line_of[p]
+            a = g81[d]
+            pts |= {p, a[p], a[a[p]]}
         flats.append(span(pts))
     return tuple(flats)
 

@@ -33,7 +33,7 @@ from tetradgeom.gf2 import (
     table,
     xor_shift,
 )
-from tetradgeom.tetrad import Frame, build_frame, pair_index
+from tetradgeom.tetrad import Frame, build_frame, line_hits
 
 REPORT_KEYS = {"name", "claim", "status", "witness", "elapsed_ms"}
 ROOT = Path(__file__).resolve().parents[1]
@@ -255,6 +255,58 @@ def test_an_artifact_is_built_once_by_repeated_readers(frame, monkeypatch):
     assert all(g is got[0] for g in got)
     assert calls == [frame]
     assert ctx._cache == {"g81": got[0]}
+
+
+def test_each_artifact_declares_the_checks_that_read_it(frame, monkeypatch):
+    # a check reads an artifact directly or through another artifact's
+    # build; every read goes through `_get`
+    reads, builds, entries = set(), Counter(), []
+    current = []
+    get = Context._get
+
+    def recorded(self, name, builder):
+        reads.add((current[-1], name))
+
+        def build():
+            builds[name] += 1
+            return builder()
+
+        return get(self, name, build)
+
+    def entered(name, fn):
+        def run(ctx):
+            current.append(name)
+            entries.append((name, set(ctx._cache)))
+            return fn(ctx)
+
+        return run
+
+    checks = certificates.CHECKS
+    monkeypatch.setattr(Context, "_get", recorded)
+    monkeypatch.setattr(certificates, "CHECKS",
+                        [(n, claim, entered(n, fn)) for n, claim, fn in checks])
+    ctx = Context(frame)
+    assert all(c.status == "pass" for c in run_certificates(ctx))
+    for name in ARTIFACTS:
+        got = {check for check, art in reads if art == name}
+        assert got == getattr(Context, name).readers, name
+    # each built once, so none was dropped before its last reader ...
+    assert builds == dict.fromkeys(ARTIFACTS, 1)
+    # ... and each dropped once no check still to run reads it
+    for i, (name, cached) in enumerate(entries):
+        left = {n for n, _ in entries[i:]}
+        assert all(getattr(Context, art).readers & left for art in cached), name
+    assert ctx._cache == {}
+
+
+def test_a_run_drops_every_artifact_after_its_last_reader(frame):
+    ctx = Context(frame)
+    full = {c.name: c._replace(elapsed_ms=0) for c in run_certificates(ctx)}
+    assert ctx._cache == {}
+    # a subset releases by the same rule, and reads the same record
+    [cert] = run_certificates(ctx, names={"generator-solids"})
+    assert ctx._cache == {}
+    assert cert._replace(elapsed_ms=0) == full["generator-solids"]
 
 
 def bind_everywhere(monkeypatch, original, mutant):
@@ -522,16 +574,17 @@ def test_an_odd_diagonal_record_is_looked_up_raw(ctx, monkeypatch):
 
 def test_the_listing_is_read_through_the_pair_index_once(ctx, monkeypatch):
     calls = []
-    read = certificates.pair_index
+    for reader in ("line_hits", "pair_index"):
+        def counted(listing, reader=reader, read=getattr(certificates, reader)):
+            calls.append((reader, len(listing)))
+            return read(listing)
 
-    def counted(listing):
-        calls.append(len(listing))
-        return read(listing)
-
-    monkeypatch.setattr(certificates, "pair_index", counted)
+        monkeypatch.setattr(certificates, reader, counted)
     check_stabilizer(ctx)
-    # the ten generators, the 248 832-byte listing once, then G81
-    assert calls == [8 * 10, len(ctx.stabilizer), 8 * 81]
+    # the ten generators' line hits, the 248 832-byte listing's index once,
+    # then G81's line hits: only the listing builds the Horner lanes
+    assert calls == [("line_hits", 8 * 10), ("pair_index", len(ctx.stabilizer)),
+                     ("line_hits", 8 * 81)]
 
 
 def test_the_stabilizer_check_peaks_under_a_megabyte_and_a_quarter(ctx):
@@ -632,8 +685,7 @@ def test_tetrad_sweep_counts_every_kind_of_non_fixing_map(ctx, monkeypatch):
         linmap({1: E[1], 2: E[0]}),  # half of L_a onto L_b
         linmap({2: E[0], 7: E[7]}),  # L_b onto L_a, so L_b is never hit
     ]
-    lines, _ = pair_index(b"".join(map(columns, crafted)))
-    assert 0b1111 not in lines
+    assert 0b1111 not in line_hits(b"".join(map(columns, crafted)))
     elements, _ = stand_ins(ctx, crafted[:2], crafted[2:])
     monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
     with pytest.raises(CheckFailed) as exc:

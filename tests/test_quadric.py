@@ -129,7 +129,7 @@ def test_intersection_sizes_split_by_system(ctx):
 
 
 def test_generator_solid_pair_lies_on_quadric(ctx):
-    pi, pistar = spreads.solid_pair(ctx.frame, ctx.spreads, 0xFF)
+    pi, pistar = spreads.solid_pair(ctx.frame, ctx.g81, 0xFF)
     solid_sets = set(ctx.solids)
     assert pi in solid_sets
     assert pistar in solid_sets

@@ -4,7 +4,7 @@ inside the weight-4 orbit."""
 import pytest
 
 from tetradgeom import gf3, spreads
-from tetradgeom.gf2 import rank
+from tetradgeom.gf2 import rank, span
 from tetradgeom.gf3 import ALL81, wt_std
 from tetradgeom.gf3 import trit_from_str as T
 
@@ -90,7 +90,7 @@ def test_distinct_line_counts_by_orbit(ctx):
 
 
 def test_solid_pair_of_unit_point(ctx):
-    pi, pistar = spreads.solid_pair(ctx.frame, ctx.spreads, 0xFF)
+    pi, pistar = spreads.solid_pair(ctx.frame, ctx.g81, 0xFF)
     for flat in (pi, pistar):
         assert rank(flat) == 4
         assert len(flat) == 15
@@ -103,7 +103,7 @@ def test_solid_pair_of_unit_point(ctx):
 
 
 def test_solid_pair_spans_even_and_odd_families(ctx):
-    pi, pistar = spreads.solid_pair(ctx.frame, ctx.spreads, 0xFF)
+    pi, pistar = spreads.solid_pair(ctx.frame, ctx.g81, 0xFF)
     even_pts = set().union(
         *(ctx.spreads[d].line_of[0xFF] for d in gf3.FAMILY_EVEN)
     )
@@ -114,10 +114,21 @@ def test_solid_pair_spans_even_and_odd_families(ctx):
     assert odd_pts <= pistar
 
 
+def test_solid_pair_spans_the_spreads_same_family_lines(ctx):
+    # the orbit route of solid_pair and the spreads' incidence map agree
+    # at every weight-4 point
+    for p in ctx.frame.orbit(4):
+        want = tuple(
+            span(set().union(*(ctx.spreads[d].line_of[p] for d in family)))
+            for family in (gf3.FAMILY_EVEN, gf3.FAMILY_ODD)
+        )
+        assert spreads.solid_pair(ctx.frame, ctx.g81, p) == want, p
+
+
 def test_solid_pair_rejects_low_weight_point(ctx):
     for p in (0x01, 0xC3):  # line weights 1 and 2
         with pytest.raises(ValueError):
-            spreads.solid_pair(ctx.frame, ctx.spreads, p)
+            spreads.solid_pair(ctx.frame, ctx.g81, p)
 
 
 def test_orbit4_line_test_matches_direction_weight(ctx):

@@ -32,6 +32,7 @@ from tetradgeom.tetrad import (
     build_stabilizer,
     images,
     induced_matrix,
+    line_hits,
     line_maps,
     line_shuffles,
     pair_index,
@@ -208,8 +209,7 @@ def test_listing_is_the_generated_stabilizer(frame):
     # the breadth-first closure of all ten generators, an independent route
     closure = mulclose(stabilizer_generators(frame).values())
     assert set(maps) == {columns(m) for m in closure}
-    lines, _ = pair_index(b"".join(map(columns, closure)))
-    assert lines == b"\x0f" * len(closure)
+    assert line_hits(b"".join(map(columns, closure))) == b"\x0f" * len(closure)
 
 
 def test_listing_is_the_product_of_its_factors(frame):
@@ -230,7 +230,8 @@ def test_the_pair_index_tells_the_real_listing_apart(frame):
     # every record fixes the tetrad, and as many distinct indices as records
     listing = build_stabilizer(frame)
     lines, keys = pair_index(listing)
-    assert lines == b"\x0f" * 31104
+    # the index's line hits are line_hits', from the same pair codes
+    assert lines == line_hits(listing) == b"\x0f" * 31104
     assert max(keys) < 24**4
     assert len(set(keys)) == len(set(records(listing))) == 31104
 
@@ -255,9 +256,8 @@ def test_listing_is_the_same_in_every_process():
 
 
 def fixes(*maps) -> list:
-    """Whether each map fixes the tetrad, read off its packed `lines` byte."""
-    lines, _ = pair_index(b"".join(map(columns, maps)))
-    return [hit == 0b1111 for hit in lines]
+    """Whether each map fixes the tetrad, read off its packed line-hit byte."""
+    return [hit == 0b1111 for hit in line_hits(b"".join(map(columns, maps)))]
 
 
 def test_fixes_tetrad(frame):

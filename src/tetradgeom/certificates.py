@@ -643,27 +643,29 @@ def check_weights(ctx):
 def check_spreads(ctx):
     f = ctx.frame
     g81 = ctx.g81
-    for d, sp in sorted(ctx.spreads.items()):
+    for d, lines in sorted(ctx.spreads.items()):
         direction = gf3.trit_str(d)
-        require(len(sp.lines) == 85, "spread size wrong", direction=direction)
-        for ln in sp.lines:
+        require(len(lines) == 85, "spread size wrong", direction=direction)
+        for ln in lines:
             require(len(ln) == 3, "spread line size wrong", direction=direction)
             a, b, c = sorted(ln)
             require(a ^ b == c, "spread line not closed", direction=direction)
         # FULL ^ 1 is the table of the 255 points, every vector but 0
-        _partition(map(mask, sp.lines), FULL ^ 1, "spread lines overlap",
+        _partition(map(mask, lines), FULL ^ 1, "spread lines overlap",
                    "spread does not cover the points", direction=direction)
-        require(set(f.lines) <= set(sp.lines), "spread misses a tetrad line",
+        require(set(f.lines) <= set(lines), "spread misses a tetrad line",
                 direction=direction)
-        for ln in sp.lines:
+        gen = g81[d]
+        for ln in lines:
             require(
-                frozenset(sp.generator[p] for p in ln) == ln,
+                frozenset(gen[p] for p in ln) == ln,
                 "generator does not fix each spread line",
                 direction=direction,
             )
     expected = {1: 1, 2: 2, 3: 4, 4: 8}
+    through = spreads.line_counts(ctx.spreads)
     for r, want in expected.items():
-        counts = {spreads.distinct_line_count(ctx.spreads, p) for p in f.orbit(r)}
+        counts = {through[p] for p in f.orbit(r)}
         require(
             counts == {want},
             f"distinct-line count on orbit {r} wrong",
@@ -678,7 +680,7 @@ def check_spreads(ctx):
             "fixed-point-freeness does not match all-nonzero digits",
             sigma=gf3.trit_str(sigma),
         )
-    lines_u = {sp.line_of[UNIT] for sp in ctx.spreads.values()}
+    lines_u = {ln for sp in ctx.spreads.values() for ln in sp if UNIT in ln}
     require(len(lines_u) == 8, "unit point does not lie on 8 distinct lines")
     return {
         "spreads": 8,
@@ -710,8 +712,8 @@ def check_orbit4_lines(ctx):
                     point=point_str(p),
                 )
     require(len(directions) == 40, "direction pair count wrong")
-    for d, sp in sorted(ctx.spreads.items()):
-        inside = [ln for ln in sp.lines if ln <= omega4]
+    for d, lines in sorted(ctx.spreads.items()):
+        inside = [ln for ln in lines if ln <= omega4]
         require(len(inside) == 27, "parallel class size wrong",
                 direction=gf3.trit_str(d))
         _partition(map(mask, inside), mask(omega4), "parallel lines overlap",
@@ -809,7 +811,7 @@ def check_denizens(ctx):
                    "triplet does not cover the orbit", ident=t[0].ident)
         for d in t:
             kind = d.kind
-            cert = denizens.structural_certificate(f, d)
+            cert = denizens.structural_certificate(d)
             require(
                 cert["structural_kind"] == kind,
                 "structural certificate disagrees with plane kind",
@@ -1012,7 +1014,7 @@ def check_enneads(ctx):
                    "ennead does not cover the orbit", pair=pair)
         want = set(images)
         for t1, t2 in group:
-            cells = denizens.ennead(f, t1, t2)
+            cells = denizens.ennead(t1, t2)
             # nine distinct images, so nine cells that are all of them are
             # each one coset, once
             if len(cells) != 9 or set(cells) != want:

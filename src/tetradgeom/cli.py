@@ -140,23 +140,23 @@ def cmd_spreads(args) -> int:
     direction = gf3.trit_from_str(s + "1")  # sigma = ijk1
     frame = build_frame()
     g81 = build_group81(frame)
-    sp = spreads_mod.build_spread(g81, direction)
+    lines = spreads_mod.build_spread(g81, direction)
     family = ("even", "odd")[gf3.direction_family(direction)]
     omega4 = frame.orbit(4)
-    inside4 = [ln for ln in sp.lines if ln <= omega4]
+    inside4 = [ln for ln in lines if ln <= omega4]
     if args.json:
         out = {
             "ijk": s,
             "family": family,
-            "line_count": len(sp.lines),
+            "line_count": len(lines),
             "lines_inside_weight4_orbit": len(inside4),
-            "lines": [_line_json(frame, ln) for ln in sp.lines],
+            "lines": [_line_json(frame, ln) for ln in lines],
         }
         print(_JSON.encode(out))
         return 0
-    print(f"spread {s} ({family} family): {len(sp.lines)} lines, "
+    print(f"spread {s} ({family} family): {len(lines)} lines, "
           f"{len(inside4)} inside the weight-4 orbit")
-    for ln in sp.lines:
+    for ln in lines:
         pts = sorted(ln)
         bits = " ".join(f"{point_str(p):<8}" for p in pts)
         labels = " ".join(frame.label_str(p) for p in pts)
@@ -205,7 +205,7 @@ def cmd_denizen(args) -> int:
     frame = build_frame()
     den = denizens.denizen_by_id(frame, f"{args.plane}:{args.shift}")
     kind = den.kind
-    cert = denizens.structural_certificate(frame, den)
+    cert = denizens.structural_certificate(den)
     out = {
         "ident": den.ident,
         "kind": kind,

@@ -109,7 +109,7 @@ def denizen_by_id(frame: Frame, ident: str) -> Denizen:
 # ── classification ───────────────────────────────────────────────────────
 
 
-def structural_certificate(frame: Frame, den: Denizen) -> dict:
+def structural_certificate(den: Denizen) -> dict:
     """Tag a denizen from its point set alone: count the full lines it
     contains, their per-point incidence, and the span."""
     pts = list(support(den.points))
@@ -353,7 +353,7 @@ def recover_tetrad(fts) -> frozenset:
 # ── enneads ──────────────────────────────────────────────────────────────
 
 
-def ennead(frame: Frame, triplet1, triplet2) -> tuple:
+def ennead(triplet1, triplet2) -> tuple:
     """The nine pairwise intersections of two distinct triplets, as point
     tables, each the AND of two denizens' tables; each has nine points
     and together they partition the weight-4 orbit.  They are the coset

@@ -11,40 +11,30 @@ sigma) produces fixed points, so no such degenerate choice yields a
 spread; the number of *distinct* spread lines through a point is 8/4/2/1
 according to its line weight 4/3/2/1.
 
-A spread is keyed by its generating direction sigma = ijk1, one of the
-eight weight-4 vectors `gf3.DIRECTIONS`.  They split into two families
-by the parity of the number of 2-digits; the two solids spanned by a
-weight-4 point's four same-family lines are the point's generator-solid
-pair on the quadric (see `quadric`), read off the generators alone.
+A spread is the tuple of its 85 lines, frozensets sorted by least
+point, keyed by its generating direction sigma = ijk1, one of the eight
+weight-4 vectors `gf3.DIRECTIONS`; its generator is `g81[sigma]`.  The
+directions split into two families by the parity of the number of
+2-digits; the two solids spanned by a weight-4 point's four same-family
+lines are the point's generator-solid pair on the quadric (see
+`quadric`), read off the generators alone.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter
 
 from . import gf3
 from .gf2 import Mask, orbits, span
 from .tetrad import Frame
 
 
-class Spread(namedtuple("Spread", "direction generator lines line_of")):
-    """The spread generated by A_sigma for `direction` sigma = ijk1, one of
-    `gf3.DIRECTIONS`: its map `generator`, its 85 `lines` as frozensets
-    sorted by min point, and `line_of`, point -> its line."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return f"Spread({gf3.trit_str(self.direction)}, {len(self.lines)} lines)"
-
-
-def build_spread(g81: tuple, direction) -> Spread:
+def build_spread(g81: tuple, direction) -> tuple:
+    """The point orbits of `g81[direction]`, sorted by least point."""
     if direction not in gf3.DIRECTIONS:
         raise ValueError(f"not a spread direction ijk1: {direction!r}")
-    gen = g81[direction]
-    lines = tuple(orbits(range(1, 256), [gen.__getitem__]))
-    line_of = {p: ln for ln in lines for p in ln}
-    return Spread(direction, gen, lines, line_of)
+    # each orbit is met first at its least point
+    return tuple(orbits(range(1, 256), [g81[direction].__getitem__]))
 
 
 def all_spreads(g81: tuple) -> dict:
@@ -52,9 +42,10 @@ def all_spreads(g81: tuple) -> dict:
     return {d: build_spread(g81, d) for d in gf3.DIRECTIONS}
 
 
-def distinct_line_count(spreads: dict, p: Mask) -> int:
-    """Number of distinct spread lines through p over all eight spreads."""
-    return len({sp.line_of[p] for sp in spreads.values()})
+def line_counts(spreads: dict) -> Counter:
+    """Point -> number of distinct spread lines through it, over all
+    eight spreads."""
+    return Counter(p for ln in set().union(*spreads.values()) for p in ln)
 
 
 def solid_pair(frame: Frame, g81: tuple, p: Mask) -> tuple:

@@ -751,8 +751,8 @@ def test_a_swapped_ennead_point_is_found(ctx, monkeypatch):
     first = ctx.triplets[0], ctx.triplets[1]
     original = denizens.ennead
 
-    def swapped(frame, t1, t2):
-        cells = list(original(frame, t1, t2))
+    def swapped(t1, t2):
+        cells = list(original(t1, t2))
         if (t1, t2) == first:
             # the least point of each cell, as a one-bit mask
             a, b = cells[0] & -cells[0], cells[1] & -cells[1]
@@ -771,8 +771,8 @@ def test_an_ennead_with_a_repeated_cell_is_found(ctx, monkeypatch):
     # ten cells, the first twice: as a set they are still the nine cosets
     original = denizens.ennead
 
-    def repeated(frame, t1, t2):
-        cells = original(frame, t1, t2)
+    def repeated(t1, t2):
+        cells = original(t1, t2)
         return cells + cells[:1]
 
     monkeypatch.setattr(certificates.denizens, "ennead", repeated)
@@ -810,8 +810,8 @@ def mutated_first_ennead(ctx, monkeypatch, mutate):
     first = ctx.triplets[0], ctx.triplets[1]
     original = denizens.ennead
 
-    def mutated(frame, t1, t2):
-        cells = original(frame, t1, t2)
+    def mutated(t1, t2):
+        cells = original(t1, t2)
         return mutate(list(cells)) if (t1, t2) == first else cells
 
     monkeypatch.setattr(certificates.denizens, "ennead", mutated)

@@ -102,7 +102,7 @@ def test_denizen_by_id_rejects_malformed(frame):
 
 def test_classify_canonical_segre(frame):
     den = denizens.denizen_by_id(frame, "1111:0")
-    cert = denizens.structural_certificate(frame, den)
+    cert = denizens.structural_certificate(den)
     assert den.kind == "segre"
     assert cert == {
         "lines": 27,
@@ -116,7 +116,7 @@ def test_classification_routes_agree_everywhere(ctx):
     # the plane-kind route and the purely structural route always match
     for t in ctx.triplets:
         for d in t:
-            cert = denizens.structural_certificate(ctx.frame, d)
+            cert = denizens.structural_certificate(d)
             assert cert["structural_kind"] == d.kind, d.ident
 
 
@@ -138,7 +138,7 @@ def test_c2_line_of_canonical_c2(frame):
     den = denizens.denizen_by_id(frame, "0011:0")
     assert den.kind == "C2"
     assert denizens.c2_line(frame, den) == {0x0C, 0x30, 0x3C}
-    cert = denizens.structural_certificate(frame, den)
+    cert = denizens.structural_certificate(den)
     assert cert == {
         "lines": 36,
         "per_point": [4],
@@ -156,7 +156,7 @@ def test_c2_line_rejects_other_kinds(frame):
 def test_c3_spans_perp_of_weight1_point(frame):
     den = denizens.denizen_by_id(frame, "0001:0")
     assert den.kind == "C3"
-    cert = denizens.structural_certificate(frame, den)
+    cert = denizens.structural_certificate(den)
     assert cert == {
         "lines": 0,
         "per_point": [0],
@@ -172,7 +172,7 @@ def test_c3_spans_perp_of_weight1_point(frame):
 def test_c1_observed_profile(frame):
     den = denizens.denizen_by_id(frame, "1220:0")
     assert den.kind == "C1"
-    cert = denizens.structural_certificate(frame, den)
+    cert = denizens.structural_certificate(den)
     assert cert == {
         "lines": 18,
         "per_point": [2],
@@ -381,7 +381,7 @@ def test_denizen_masks_are_their_points(ctx):
 
 def test_ennead(ctx):
     t1, t2 = ctx.triplets[0], ctx.triplets[1]
-    cells = [points_of(c) for c in denizens.ennead(ctx.frame, t1, t2)]
+    cells = [points_of(c) for c in denizens.ennead(t1, t2)]
     assert len(cells) == 9
     assert all(len(c) == 9 for c in cells)
     assert frozenset().union(*cells) == ctx.frame.orbit(4)
@@ -397,7 +397,7 @@ def test_every_ennead_cell_is_the_coset_of_its_least_point(ctx):
     pairs = 0
     for t1, t2 in combinations(ctx.triplets, 2):
         meet = t1[0].plane.vectors & t2[0].plane.vectors
-        cells = [points_of(c) for c in denizens.ennead(frame, t1, t2)]
+        cells = [points_of(c) for c in denizens.ennead(t1, t2)]
         for cell in cells:
             assert cell == coset_points(
                 frame, meet, frame.trits_from_point(min(cell))
@@ -412,4 +412,4 @@ def test_every_ennead_cell_is_the_coset_of_its_least_point(ctx):
 def test_ennead_rejects_equal_planes(ctx):
     t1 = ctx.triplets[0]
     with pytest.raises(ValueError):
-        denizens.ennead(ctx.frame, t1, t1)
+        denizens.ennead(t1, t1)

@@ -5,9 +5,9 @@ That reading `Plane.subspaces` moves neither equality nor hash is
 
 import pytest
 
-from tetradgeom import anf, denizens, gf3, spreads
+from tetradgeom import anf, denizens, gf3
 from tetradgeom.certificates import Certificate
-from tetradgeom.tetrad import build_frame, build_group81
+from tetradgeom.tetrad import build_frame
 
 
 def fresh_planes():
@@ -27,7 +27,6 @@ def records():
     """(record, its field names, a fresh rebuild or None) for every type,
     each as a test parameter named by the type."""
     frame = build_frame()
-    g81 = build_group81(frame)
     ln = gf3.all_lines()[0]
     pl = gf3.all_planes()[0]
     _, segre = fresh_segre()
@@ -44,11 +43,6 @@ def records():
             denizens.fan_triplets(frame, segre)[0],
             ("weight3_pair", "fans", "centre_line"),
             denizens.fan_triplets(rebuilt_frame, rebuilt_segre)[0],
-        ),
-        (
-            spreads.build_spread(g81, gf3.DIRECTIONS[0]),
-            ("direction", "generator", "lines", "line_of"),
-            None,
         ),
         (anf.build_invariants(frame), ("q2", "q4", "q6", "q_lw4"), None),
     ]

@@ -37,26 +37,44 @@ def test_families():
         assert gf3.digits(d).count(2) % 2 == 1
 
 
+def line_through(spread, p):
+    """The line of `spread` that contains the point p."""
+    [ln] = [ln for ln in spread if p in ln]
+    return ln
+
+
 def test_build_spread_partitions_points(ctx):
-    sp = spreads.build_spread(ctx.g81, T("1111"))
-    assert len(sp.lines) == 85
+    lines = spreads.build_spread(ctx.g81, T("1111"))
+    assert len(lines) == 85
     covered = set()
-    for ln in sp.lines:
+    for ln in lines:
         assert len(ln) == 3
         p, q, r = sorted(ln)
         assert p ^ q ^ r == 0  # closed under XOR => a projective line
         covered |= ln
     assert covered == set(range(1, 256))
-    # line_of is the inverse incidence map
-    for ln in sp.lines:
-        for p in ln:
-            assert sp.line_of[p] == ln
+
+
+def test_build_spread_is_a_tuple_of_frozensets_by_least_point(ctx):
+    for d in gf3.DIRECTIONS:
+        lines = spreads.build_spread(ctx.g81, d)
+        assert type(lines) is tuple and len(lines) == 85
+        assert all(type(ln) is frozenset for ln in lines)
+        assert [min(ln) for ln in lines] == sorted(min(ln) for ln in lines)
+
+
+def test_each_spread_is_the_point_orbits_of_its_generator(ctx):
+    # the lines are {p, A p, A^2 p} for A = g81[sigma], over all 255 points
+    for d, lines in ctx.spreads.items():
+        a = ctx.g81[d]
+        orbits = {frozenset((p, a[p], a[a[p]])) for p in range(1, 256)}
+        assert set(lines) == orbits, gf3.trit_str(d)
 
 
 def test_every_spread_contains_the_tetrad(ctx):
     tetrad_lines = {frozenset(ln) for ln in ctx.frame.lines}
-    for d, sp in ctx.spreads.items():
-        assert tetrad_lines <= set(sp.lines), gf3.trit_str(d)
+    for d, lines in ctx.spreads.items():
+        assert tetrad_lines <= set(lines), gf3.trit_str(d)
 
 
 def test_build_spread_rejects_bad_index(ctx):
@@ -68,12 +86,12 @@ def test_build_spread_rejects_bad_index(ctx):
 
 def test_all_spreads_keys(ctx):
     assert set(ctx.spreads) == set(gf3.DIRECTIONS)
-    assert all(len(sp.lines) == 85 for sp in ctx.spreads.values())
+    assert all(len(lines) == 85 for lines in ctx.spreads.values())
 
 
 def test_lines_through_unit_point(ctx):
     for d, expected in LINES_THROUGH_UNIT.items():
-        assert ctx.spreads[d].line_of[0xFF] == expected
+        assert line_through(ctx.spreads[d], 0xFF) == expected
 
 
 def test_distinct_line_counts_by_orbit(ctx):
@@ -81,12 +99,17 @@ def test_distinct_line_counts_by_orbit(ctx):
     # weight-2 on 2, tetrad points on 1 (all eight spreads share the
     # tetrad lines)
     expected = {1: 1, 2: 2, 3: 4, 4: 8}
+    through = spreads.line_counts(ctx.spreads)
     for r, want in expected.items():
-        counts = {
-            spreads.distinct_line_count(ctx.spreads, p)
-            for p in ctx.frame.orbit(r)
-        }
+        counts = {through[p] for p in ctx.frame.orbit(r)}
         assert counts == {want}, r
+
+
+def test_line_counts_count_the_distinct_lines_through_each_point(ctx):
+    lines = {ln for spread in ctx.spreads.values() for ln in spread}
+    through = spreads.line_counts(ctx.spreads)
+    for p in range(1, 256):
+        assert through[p] == sum(p in ln for ln in lines), p
 
 
 def test_solid_pair_of_unit_point(ctx):
@@ -105,21 +128,21 @@ def test_solid_pair_of_unit_point(ctx):
 def test_solid_pair_spans_even_and_odd_families(ctx):
     pi, pistar = spreads.solid_pair(ctx.frame, ctx.g81, 0xFF)
     even_pts = set().union(
-        *(ctx.spreads[d].line_of[0xFF] for d in gf3.FAMILY_EVEN)
+        *(line_through(ctx.spreads[d], 0xFF) for d in gf3.FAMILY_EVEN)
     )
     odd_pts = set().union(
-        *(ctx.spreads[d].line_of[0xFF] for d in gf3.FAMILY_ODD)
+        *(line_through(ctx.spreads[d], 0xFF) for d in gf3.FAMILY_ODD)
     )
     assert even_pts <= pi
     assert odd_pts <= pistar
 
 
 def test_solid_pair_spans_the_spreads_same_family_lines(ctx):
-    # the orbit route of solid_pair and the spreads' incidence map agree
-    # at every weight-4 point
+    # the orbit route of solid_pair and the spreads' lines agree at every
+    # weight-4 point
     for p in ctx.frame.orbit(4):
         want = tuple(
-            span(set().union(*(ctx.spreads[d].line_of[p] for d in family)))
+            span({q for d in family for q in line_through(ctx.spreads[d], p)})
             for family in (gf3.FAMILY_EVEN, gf3.FAMILY_ODD)
         )
         assert spreads.solid_pair(ctx.frame, ctx.g81, p) == want, p
@@ -149,8 +172,8 @@ def test_orbit4_line_test_rejects_point_off_orbit(ctx):
 def test_parallel_classes(ctx):
     # each spread's lines inside the weight-4 orbit partition it into 27
     omega4 = ctx.frame.orbit(4)
-    for d, sp in ctx.spreads.items():
-        inside = [ln for ln in sp.lines if ln <= omega4]
+    for d, lines in ctx.spreads.items():
+        inside = [ln for ln in lines if ln <= omega4]
         assert len(inside) == 27, gf3.trit_str(d)
         assert sum(len(ln) for ln in inside) == 81
         assert frozenset().union(*inside) == omega4

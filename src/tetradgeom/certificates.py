@@ -120,7 +120,7 @@ class Context:
                        "generator-solids")
     system_tags = _artifact(lambda c: quadric.system_tags(c.solids),
                             "generator-solids")
-    stabilizer = _artifact(lambda c: build_stabilizer(c.frame), "stabilizer-group")
+    stabilizer = _artifact(lambda c: build_stabilizer(), "stabilizer-group")
     spreads = _artifact(lambda c: spreads.all_spreads(c.g81), "spreads",
                         "orbit4-lines")
     triplets = _artifact(lambda c: denizens.all_triplets(c.frame),
@@ -202,9 +202,9 @@ def check_frame(ctx):
                 for p in f.lines[k]:
                     require(z[p] == p, f"rotation {h} moves a point of line {k}")
     require(
-        not f.label_collisions and len(f.label_table()) == 255,
+        len(f.label_table()) == 255,
         "labels are not bijective",
-        collisions=len(f.label_collisions),
+        collisions=255 - len(f.label_table()),
     )
     require(f.point_from_trits(gf3.ZERO) == UNIT, "U_0000 is not the unit point")
     return {
@@ -936,7 +936,7 @@ def check_fans(ctx):
     fans_seen = 0
     for den, fts in zip(ctx.segres, ctx.fan_triplets):
         for ft in fts:
-            for fan in ft.fans:
+            for fan in ft:
                 # the denizen and centre spelled out only on a failure
                 if fan not in centres:
                     _, centres[fan] = _where(denizens.fan_decompose, f, fan,
@@ -947,7 +947,7 @@ def check_fans(ctx):
                                       centre=point_str(centres[fan]))
                 fans_seen += 1
             require(
-                ft.centre_line in f.lines,
+                frozenset(centres[fan] for fan in ft) in f.lines,
                 "centre line of a fan triplet is not a tetrad line",
                 ident=den.ident,
             )
@@ -969,7 +969,7 @@ def check_recovery(ctx):
         require(got == want, "recovered lines differ from the tetrad",
                 ident=den.ident)
         # each point's fan count, as the bit planes c0..c3
-        c0, c1, c2, c3 = bit_counts(fan for ft in fts for fan in ft.fans)
+        c0, c1, c2, c3 = bit_counts(fan for ft in fts for fan in ft)
         covered = c0 | c1 | c2 | c3
         require(
             covered.bit_count() == 27 and covered == c2 & ~(c0 | c1 | c3),
@@ -1060,13 +1060,12 @@ def check_caps(ctx):
             require(a ^ b not in cap, "three cap points are collinear", **where)
         translates = quadric.cap_translates(f, ln)
         require(len(translates) == 9, "translate count wrong", **where)
-        tabs = [mask(cap9) for cap9 in translates]
-        for cap9, m9 in zip(translates, tabs):
-            require(len(cap9) == 9, "translate size wrong", **where)
+        for m9 in translates:
+            require(m9.bit_count() == 9, "translate size wrong", **where)
             # B(a, a) = 0, so a cap's only point orthogonal to a is a itself
-            require(all(m9 & ~FORMS[a] == 1 << a for a in cap9),
+            require(all(m9 & ~FORMS[a] == 1 << a for a in support(m9)),
                     "translate is not a cap", **where)
-        _partition(tabs, omega4, "translates overlap",
+        _partition(translates, omega4, "translates overlap",
                    "translates do not cover the orbit", **where)
     return {
         "caps": 8,

@@ -311,43 +311,33 @@ def fan_decompose(frame: Frame, points: int) -> tuple:
     return tuple(sorted(troikas, key=min)), centres.pop()
 
 
-class FanTriplet(namedtuple("FanTriplet", "weight3_pair fans centre_line")):
-    """Three parallel fans of a Segre denizen: `fans` holds the tables of
-    three 9-point cosets (`Frame.coset_mask`), `weight3_pair` is the
-    canonical representative of the +-lambda pair.  Each fan's three
-    troikas XOR to its centre, so
-    `centre_line` holds the three fans' XORs; the `fans-troikas`
-    certificate decomposes every fan and so certifies it."""
-
-    __slots__ = ()
-
-
 def fan_triplets(frame: Frame, den: Denizen) -> tuple:
-    """The four fan triplets of a Segre denizen, one per weight-3 sign
-    pair of its direction plane."""
+    """The four fan triplets of a Segre denizen, one per kind-3 subspace
+    of its direction plane, in the plane's order: each the tables of the
+    subspace's three cosets inside the denizen (`Frame.coset_mask`)."""
     if den.kind != "segre":
         raise ValueError("fan triplets live on Segre denizens")
-    out = []
-    for sub in den.plane.subspaces:
-        if sub.kind != 3:
-            continue
-        w3 = min(gf3.canon(v) for v in sub.vectors if gf3.wt_std(v) == 3)
-        fans = tuple(
+    out = tuple(
+        tuple(
             frame.coset_mask(sub.vectors, s)
             for s in gf3.coset_shifts(den.plane.vectors, sub.vectors, den.shift)
         )
-        centres = frozenset(reduce(xor, support(f)) for f in fans)
-        out.append(FanTriplet(w3, fans, centres))
+        for sub in den.plane.subspaces
+        if sub.kind == 3
+    )
     if len(out) != 4:
         raise ValueError(f"expected 4 fan triplets, found {len(out)}")
-    return tuple(sorted(out, key=lambda ft: ft.weight3_pair))
+    return out
 
 
 def recover_tetrad(fts) -> frozenset:
-    """The four centre lines of a Segre denizen's fan triplets `fts`, each
-    its fans' XORs.  For every Segre denizen these are exactly the four
-    tetrad lines, so the denizen alone determines the tetrad."""
-    return frozenset(ft.centre_line for ft in fts)
+    """The four centre lines of a Segre denizen's fan triplets `fts`: a
+    fan's centre is the XOR of its nine points, three troikas that each
+    XOR to it.  For every Segre denizen these are exactly the four tetrad
+    lines, so the denizen alone determines the tetrad."""
+    return frozenset(
+        frozenset(reduce(xor, support(fan)) for fan in ft) for ft in fts
+    )
 
 
 # ── enneads ──────────────────────────────────────────────────────────────

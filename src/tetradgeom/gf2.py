@@ -29,12 +29,13 @@ frozen test fixtures:
   where it is 1; `bit_counts` adds tables bit by bit.  Only this module
   spells the format out.
 * A point set has one of two forms, by how it is used.  Sets that are
-  combined by AND and OR are tables: denizens, fans, ennead cells,
-  candidate sets and the parts of a partition.  Sets whose points are
-  iterated are frozensets of masks: orbits, the quadric, flats (projective
-  subspaces), lines, solids, caps and sections.  Making every point set a
-  table made `src/` longer and the certificates' checks slower (65.3 ms
-  against 58.5 in one process; 2 cores, Python 3.11), so the sets stayed.
+  combined by AND and OR are tables: denizens, fans, ennead cells, cap
+  translates, candidate sets and the parts of a partition.  Sets whose
+  points are iterated are frozensets of masks: orbits, the quadric, flats
+  (projective subspaces), lines, solids, a plane's own 9-cap and
+  sections.  Making every point set a table made `src/` longer and the
+  certificates' checks slower (65.3 ms against 58.5 in one process; 2
+  cores, Python 3.11), so the sets stayed.
 
 Everything here is immutable and exact; there is no floating point
 anywhere in the package.

@@ -21,7 +21,7 @@ partitioning the weight-4 orbit.
 from __future__ import annotations
 
 from . import gf3
-from .gf2 import COORDS, FORMS, PAIR_MASKS, mask, quadric_value
+from .gf2 import COORDS, FORMS, PAIR_MASKS, low_bit, mask, quadric_value
 from .tetrad import Frame
 
 
@@ -133,12 +133,13 @@ def nine_cap(frame: Frame, line: gf3.Line) -> tuple:
 
 
 def cap_translates(frame: Frame, line: gf3.Line) -> tuple:
-    """The nine cosets of the direction plane, as point 9-sets; these
-    partition the line-weight-4 orbit into nine disjoint caps.  Each coset
-    is built once, shifted by the least vector no earlier coset holds."""
+    """The nine cosets of the direction plane, as tables
+    (`Frame.coset_mask`), in order of least point; these partition the
+    line-weight-4 orbit into nine disjoint caps.  Each coset is built
+    once, shifted by the least vector no earlier coset holds."""
     caps, covered = [], set()
     for s in gf3.ALL81:
         if s not in covered:
             covered.update(gf3.t_add(v, s) for v in line.vectors)
-            caps.append(frame.coset_points(line.vectors, s))
-    return tuple(sorted(caps, key=min))
+            caps.append(frame.coset_mask(line.vectors, s))
+    return tuple(sorted(caps, key=low_bit))

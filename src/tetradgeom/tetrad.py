@@ -79,7 +79,6 @@ class Frame:
         "_vector_of",
         "_weights",
         "_orbits",
-        "label_collisions",
     )
 
     def __init__(self, rotations):
@@ -93,14 +92,11 @@ class Frame:
         self.points = tuple(pts)
         self.lines = tuple(frozenset(tri) for tri in pts)
         self._tuple_of = {}
-        self.label_collisions = []
         for t in product((None, 0, 1, 2), repeat=4):
             if t == (None, None, None, None):
                 continue
             p = self.label(t)
-            if p == 0 or p in self._tuple_of:
-                self.label_collisions.append((t, p))
-            else:
+            if p != 0 and p not in self._tuple_of:
                 self._tuple_of[p] = t
         # U_v for each vector v, and v for each point whose label is a U_v
         self._point_of = tuple(self.label(gf3.digits(v)) for v in gf3.ALL81)
@@ -237,7 +233,7 @@ def line_shuffles() -> tuple:
     return tuple(shuffles)
 
 
-def build_stabilizer(frame: Frame) -> bytes:
+def build_stabilizer() -> bytes:
     """G(tetrad), every linear map that fixes the four coordinate-pair
     lines as a set, GL(2,2) wr S_4, listed from that definition: one
     product of the four `line_maps` factors after one line shuffle,

@@ -360,11 +360,12 @@ TABLE_MUTANTS = {
         {"invariant-polynomials", "spreads", "orbit4-lines", "generator-solids",
          "denizen-classification", "c2-rogue-structure", "enneads", "nine-caps"},
     ),
-    # every denizen, fan and ennead image is a `coset_mask` table
+    # every denizen, fan, ennead image and cap translate is a `coset_mask`
+    # table
     "coset-short": (
         Frame.coset_mask, coset_without_least_point,
         {"denizen-classification", "c2-rogue-structure", "fans-troikas",
-         "tetrad-recovery", "enneads"},
+         "tetrad-recovery", "enneads", "nine-caps"},
     ),
     # `perp` starts from FULL, so it loses the point 255 = U_0000 and no
     # longer recovers the C2 denizens through it; the spread lines cover a
@@ -537,7 +538,7 @@ def test_a_repeated_record_lowers_the_order(ctx, monkeypatch):
     maps = records(ctx.stabilizer)
     elements = b"".join(maps[:-1] + maps[:1])
     assert len(elements) == len(ctx.stabilizer)
-    monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
+    monkeypatch.setattr(certificates, "build_stabilizer", lambda: elements)
     with pytest.raises(CheckFailed) as exc:
         check_stabilizer(Context(ctx.frame))
     assert str(exc.value) == "stabilizer order wrong"
@@ -552,7 +553,7 @@ def test_a_dropped_diagonal_record_is_named(ctx, monkeypatch):
     stand_in = columns(linmap({1: E[0] ^ E[1]}))
     elements = b"".join(stand_in if g == dropped else g
                         for g in records(ctx.stabilizer))
-    monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
+    monkeypatch.setattr(certificates, "build_stabilizer", lambda: elements)
     with pytest.raises(CheckFailed) as exc:
         check_stabilizer(Context(ctx.frame))
     assert str(exc.value) == "some element does not fix the tetrad lines"
@@ -668,7 +669,7 @@ def test_maps_outside_the_tetrad_stabilizer_are_found(ctx, monkeypatch):
         quadric_value(g[p]) == 0 for g in (first, last) for p in points
     )
     elements, _ = stand_ins(ctx, [first], [last])
-    monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
+    monkeypatch.setattr(certificates, "build_stabilizer", lambda: elements)
     with pytest.raises(CheckFailed) as exc:
         check_stabilizer(Context(ctx.frame))
     assert str(exc.value) == "some element does not fix the tetrad lines"
@@ -687,7 +688,7 @@ def test_tetrad_sweep_counts_every_kind_of_non_fixing_map(ctx, monkeypatch):
     ]
     assert 0b1111 not in line_hits(b"".join(map(columns, crafted)))
     elements, _ = stand_ins(ctx, crafted[:2], crafted[2:])
-    monkeypatch.setattr(certificates, "build_stabilizer", lambda frame: elements)
+    monkeypatch.setattr(certificates, "build_stabilizer", lambda: elements)
     with pytest.raises(CheckFailed) as exc:
         check_stabilizer(Context(ctx.frame))
     assert str(exc.value) == "some element does not fix the tetrad lines"
@@ -999,14 +1000,14 @@ def test_a_fan_that_fails_to_decompose_is_named(frame, monkeypatch):
 
 
 def test_a_centre_line_off_the_tetrad_is_named(frame, monkeypatch):
-    # each fan still decomposes onto a tetrad point; only the triplet's
-    # centre line is wrong
+    # one fan swapped between the first two triplets: each fan still
+    # decomposes onto a tetrad point, but the first triplet's three
+    # centres are no tetrad line
     build = denizens.fan_triplets
 
     def skewed(frame, den):
-        fts = build(frame, den)
-        wrong = frozenset({0x81, 0x42, 0xC3})
-        return (fts[0]._replace(centre_line=wrong), *fts[1:])
+        (a0, *a), (b0, *b), *rest = build(frame, den)
+        return ((b0, *a), (a0, *b), *rest)
 
     monkeypatch.setattr(denizens, "fan_triplets", skewed)
     [cert] = run_certificates(Context(frame), names={"fans-troikas"})
@@ -1017,22 +1018,22 @@ def test_a_centre_line_off_the_tetrad_is_named(frame, monkeypatch):
 
 
 def drop_least_point(fts):
-    fans = fts[0].fans
-    return (fts[0]._replace(fans=(fans[0] & fans[0] - 1, *fans[1:])), *fts[1:])
+    (fan, *fans), *rest = fts
+    return ((fan & fan - 1, *fans), *rest)
 
 
 def add_a_point_to_four_fans(fts):
     # the tetrad point 0x01 lies on no denizen; put in one fan of each
     # triplet, it is in four fans like every other point, but a 28th point
     extra = 1 << 0x01
-    return tuple(ft._replace(fans=(ft.fans[0] | extra, *ft.fans[1:])) for ft in fts)
+    return tuple((ft[0] | extra, *ft[1:]) for ft in fts)
 
 
 def put_a_point_in_every_fan(fts):
     # 12 fans, binary 1100: the count's low three bits read as four
-    fan = fts[0].fans[0]
+    fan = fts[0][0]
     least = fan & -fan
-    return tuple(ft._replace(fans=tuple(f | least for f in ft.fans)) for ft in fts)
+    return tuple(tuple(f | least for f in ft) for ft in fts)
 
 
 @pytest.mark.parametrize(
@@ -1041,6 +1042,16 @@ def put_a_point_in_every_fan(fts):
 def test_a_point_not_in_four_fans_is_named(frame, monkeypatch, edit):
     build = denizens.fan_triplets
     monkeypatch.setattr(denizens, "fan_triplets", lambda f, d: edit(build(f, d)))
+    # an edited fan's centre, the XOR of its points, moves with it, so
+    # the recovered lines object first
+    [cert] = run_certificates(Context(frame), names={"tetrad-recovery"})
+    assert cert.witness == {
+        "message": "recovered lines differ from the tetrad",
+        "ident": "1111:0",
+    }
+    # with the recovery pinned to the tetrad, the fan count objects
+    lines = frozenset(frame.lines)
+    monkeypatch.setattr(denizens, "recover_tetrad", lambda fts: lines)
     [cert] = run_certificates(Context(frame), names={"tetrad-recovery"})
     assert cert.witness == {
         "message": "points are not in exactly four fans each",
@@ -1163,6 +1174,18 @@ def test_a_line_meeting_an_earlier_line_is_named():
         check_frame(Context(frame))
     assert str(exc.value) == "lines are not pairwise disjoint"
     assert exc.value.data == {"line": ["1", "2", "12"]}
+
+
+def test_unlabelled_points_are_counted_as_collisions():
+    # 255 index tuples for 255 points: three points left without a label
+    # mean three tuples that collided
+    frame = build_frame()
+    for p in (0x01, 0x02, 0x03):
+        del frame.label_table()[p]
+    with pytest.raises(CheckFailed) as exc:
+        check_frame(Context(frame))
+    assert str(exc.value) == "labels are not bijective"
+    assert exc.value.data == {"collisions": 3}
 
 
 def test_query_outputs_match_golden(capsys):

@@ -40,6 +40,18 @@ def points_of(table) -> frozenset:
     return frozenset(p for p in range(256) if table >> p & 1)
 
 
+def fan_directions(den) -> list:
+    """The kind-3 subspaces of a Segre denizen's plane, in the plane's
+    order: one per fan triplet, whose fans are its cosets."""
+    return [w for w in den.plane.subspaces if w.kind == 3]
+
+
+def weight3_pair(sub) -> int:
+    """The projective point of weight 3 of a kind-3 subspace, the
+    canonical one of its +-lambda pair."""
+    return min(p for p in sub.points if gf3.wt_std(p) == 3)
+
+
 def coset_points(frame, vectors, shift) -> frozenset:
     """The reference a coset's table is read against: the point U_(v +
     shift) of each of its vectors v, one at a time."""
@@ -260,7 +272,8 @@ def test_six_concurrent_lines_are_not_a_grid():
 def test_fan_triplets_of_canonical_segre(frame):
     den = denizens.denizen_by_id(frame, "1111:0")
     fts = denizens.fan_triplets(frame, den)
-    assert [ft.weight3_pair for ft in fts] == [
+    subs = fan_directions(den)
+    assert [weight3_pair(w) for w in subs] == [
         T("0111"),
         T("1011"),
         T("1101"),
@@ -268,19 +281,37 @@ def test_fan_triplets_of_canonical_segre(frame):
     ]
     # the centre lines are exactly the four tetrad lines; the zero digit
     # of the weight-3 pair names the line
-    assert [ft.centre_line for ft in fts] == list(frame.lines)
-    for ft in fts:
-        assert len(ft.fans) == 3
-        assert frozenset().union(*map(points_of, ft.fans)) == points_of(den.points)
-        centres = {denizens.fan_decompose(frame, f)[1] for f in ft.fans}
-        assert centres == ft.centre_line
+    for ft, line in zip(fts, frame.lines, strict=True):
+        assert len(ft) == 3
+        assert frozenset().union(*map(points_of, ft)) == points_of(den.points)
+        centres = {denizens.fan_decompose(frame, f)[1] for f in ft}
+        assert centres == line
+
+
+def test_fan_triplets_follow_the_kind3_subspaces_by_weight3_pair(ctx):
+    # the plane's order of its kind-3 subspaces ascends by canonical
+    # weight-3 pair; the perturbed report's fan centre is read in it
+    frame = ctx.frame
+    assert len(ctx.segres) == 24
+    for den, fts in zip(ctx.segres, ctx.fan_triplets, strict=True):
+        subs = fan_directions(den)
+        pairs = [weight3_pair(w) for w in subs]
+        assert len(set(pairs)) == 4 and pairs == sorted(pairs), den.ident
+        for ft, w in zip(fts, subs, strict=True):
+            for fan in ft:
+                least = frame.trits_from_point(min(points_of(fan)))
+                assert points_of(fan) == coset_points(
+                    frame, w.vectors, least
+                ), den.ident
 
 
 def test_fan_decomposition_troikas(frame):
     den = denizens.denizen_by_id(frame, "1111:0")
     fts = denizens.fan_triplets(frame, den)
-    ft = next(ft for ft in fts if ft.weight3_pair == T("0111"))
-    fan = next(f for f in ft.fans if 0xFF in points_of(f))
+    ft = next(
+        ft for ft, w in zip(fts, fan_directions(den)) if weight3_pair(w) == T("0111")
+    )
+    fan = next(f for f in ft if 0xFF in points_of(f))
     troikas, centre = denizens.fan_decompose(frame, fan)
     assert len(troikas) == 3
     assert frozenset({0xFF, 0xD5, 0xAB}) in troikas
@@ -293,22 +324,32 @@ def test_fan_decomposition_troikas(frame):
 def test_fan_xor_is_its_troika_centre(ctx):
     # three troikas XOR to the centre each, so the nine points XOR to it
     for den, fts in zip(ctx.segres, ctx.fan_triplets):
-        fans = [fan for ft in fts for fan in ft.fans]
+        fans = [fan for ft in fts for fan in ft]
         assert len(fans) == 12
         for fan in fans:
             _, centre = denizens.fan_decompose(ctx.frame, fan)
             assert reduce(xor, points_of(fan)) == centre, den.ident
 
 
+def test_recovered_centre_is_the_troika_centre(ctx):
+    # recover_tetrad's route to a centre, the XOR of the nine points,
+    # against fan_decompose's, through the troikas, on every distinct fan
+    fans = {fan for fts in ctx.fan_triplets for ft in fts for fan in ft}
+    assert len(fans) == 144
+    for fan in fans:
+        _, centre = denizens.fan_decompose(ctx.frame, fan)
+        assert denizens.recover_tetrad(((fan,),)) == {frozenset({centre})}
+
+
 def test_fans_per_point(frame):
     den = denizens.denizen_by_id(frame, "1111:0")
     fts = denizens.fan_triplets(frame, den)
-    counts = Counter(p for ft in fts for fan in ft.fans for p in points_of(fan))
+    counts = Counter(p for ft in fts for fan in ft for p in points_of(fan))
     assert set(counts) == points_of(den.points)
     assert set(counts.values()) == {4}
     # the bit planes of gf2.bit_counts over the 12 fan tables spell out the
     # same count at every point
-    planes = gf2.bit_counts(fan for ft in fts for fan in ft.fans)
+    planes = gf2.bit_counts(fan for ft in fts for fan in ft)
     assert all(
         sum((c >> p & 1) << k for k, c in enumerate(planes)) == counts[p]
         for p in range(256)
@@ -326,7 +367,7 @@ def test_recover_tetrad(frame):
 def test_fan_decompose_rejects_non_fans(frame):
     den = denizens.denizen_by_id(frame, "1111:0")
     fts = denizens.fan_triplets(frame, den)
-    fan = fts[0].fans[0]
+    fan = fts[0][0]
     eight = fan & fan - 1  # without its least point
     with pytest.raises(ValueError):  # only eight points
         denizens.fan_decompose(frame, eight)
@@ -368,13 +409,9 @@ def test_denizen_masks_are_their_points(ctx):
                 frame, d.plane.vectors, d.shift
             ), d.ident
     for den, fts in zip(ctx.segres, ctx.fan_triplets):
-        for ft in fts:
-            sub = next(
-                w for w in den.plane.subspaces
-                if w.kind == 3 and ft.weight3_pair in w.vectors
-            )
+        for ft, sub in zip(fts, fan_directions(den), strict=True):
             steps = gf3.coset_shifts(den.plane.vectors, sub.vectors, den.shift)
-            assert [points_of(f) for f in ft.fans] == [
+            assert [points_of(f) for f in ft] == [
                 coset_points(frame, sub.vectors, s) for s in steps
             ], den.ident
 

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from conftest import symplectic_product
 
-from tetradgeom import gf3, quadric, spreads
+from tetradgeom import gf2, gf3, quadric, spreads
 from tetradgeom.gf2 import quadric_value
 from tetradgeom.gf3 import trit_from_str as T
 
@@ -176,7 +176,7 @@ def test_nine_cap_rejects_mixed_weight_subspace(frame):
 
 def test_cap_translates_partition_weight4_orbit(frame):
     for ln in quadric.weight3_lines():
-        caps = quadric.cap_translates(frame, ln)
+        caps = [set(gf2.support(c)) for c in quadric.cap_translates(frame, ln)]
         assert len(caps) == 9
         assert all(len(c) == 9 for c in caps)
         union = set().union(*caps)
@@ -189,12 +189,14 @@ def test_cap_translates_partition_weight4_orbit(frame):
                     assert symplectic_product(p, q) == 1
     # the subspace's own cap is among its translates
     first = quadric.weight3_lines()[0]
-    assert frozenset(FIRST_CAP) in quadric.cap_translates(frame, first)
+    assert gf2.mask(FIRST_CAP) in quadric.cap_translates(frame, first)
 
 
 def test_cap_translates_are_the_81_shifts(frame):
-    # each translate built once is the 9-tuple of the definition: the
-    # distinct cosets over all 81 shifts, ordered by least point
+    # each translate built once is the table of the definition's 9-set:
+    # the distinct cosets over all 81 shifts, ordered by least point
     for ln in quadric.weight3_lines():
         shifted = {frame.coset_points(ln.vectors, s) for s in gf3.ALL81}
-        assert quadric.cap_translates(frame, ln) == tuple(sorted(shifted, key=min))
+        assert quadric.cap_translates(frame, ln) == tuple(
+            gf2.mask(c) for c in sorted(shifted, key=min)
+        )

@@ -16,11 +16,10 @@ def fresh_planes():
 
 
 def fresh_segre():
-    """A new frame, and the first Segre denizen built on it from a new
-    plane."""
+    """The first Segre denizen, built on a new frame from a new plane."""
     frame = build_frame()
     plane = next(pl for pl in fresh_planes() if gf3.plane_kind(pl) == 0)
-    return frame, denizens.triplet_from_plane(frame, plane)[0]
+    return denizens.triplet_from_plane(frame, plane)[0]
 
 
 def records():
@@ -29,20 +28,14 @@ def records():
     frame = build_frame()
     ln = gf3.all_lines()[0]
     pl = gf3.all_planes()[0]
-    _, segre = fresh_segre()
-    rebuilt_frame, rebuilt_segre = fresh_segre()
+    segre = fresh_segre()
     cases = [
         (ln, ("points", "vectors"), gf3.line_through(*ln.points[:2])),
         (pl, ("functional", "points", "vectors"), fresh_planes()[0]),
         (
             segre,
             ("plane", "shift", "shift_index", "points", "kind"),
-            rebuilt_segre,
-        ),
-        (
-            denizens.fan_triplets(frame, segre)[0],
-            ("weight3_pair", "fans", "centre_line"),
-            denizens.fan_triplets(rebuilt_frame, rebuilt_segre)[0],
+            fresh_segre(),
         ),
         (anf.build_invariants(frame), ("q2", "q4", "q6", "q_lw4"), None),
     ]

@@ -17,6 +17,12 @@ exactly on F and at the zero vector.  Its degree is codim(F), which the
 is the convention under which the orbit-value table of the degree 2/4/6
 invariants holds; summing the complementary-degree indicators would flip
 rows of that table.
+
+The closed-form sextic: with a pair meaning a coordinate pair {i, 9-i}
+wholly inside S, the monomial x_S is in q2 + q4 + q6 exactly when
+(|S|, pairs in S) is one of (1,0), (2,0), (2,1), (3,0), (3,1), (4,1),
+(4,2), (5,2) or (6,3).  `PARTS` groups these rows into the seven named
+parts of `symmetric_parts`.
 """
 
 from __future__ import annotations
@@ -26,10 +32,7 @@ from functools import reduce
 from itertools import combinations
 from operator import xor
 
-from .gf2 import COORDS, FULL, mask, span, support
-
-#: partner coordinate under the pairing i <-> 9-i
-PARTNER = {i: 9 - i for i in range(1, 9)}
+from .gf2 import COORDS, FULL, mask, span, support, table
 
 
 def mobius(table: int) -> int:
@@ -40,16 +43,6 @@ def mobius(table: int) -> int:
     return table
 
 
-def from_monomials(monomials) -> int:
-    c = 0
-    for mon in monomials:
-        m = 0
-        for i in mon:
-            m |= 1 << (i - 1)
-        c ^= 1 << m
-    return c
-
-
 def degree(p: int) -> int:
     """Algebraic degree; the zero polynomial has degree -1."""
     if p == 0:
@@ -58,11 +51,7 @@ def degree(p: int) -> int:
 
 
 def homogeneous_part(p: int, d: int) -> int:
-    c = 0
-    for m in support(p):
-        if m.bit_count() == d:
-            c |= 1 << m
-    return c
+    return p & table(lambda m: m.bit_count() == d)
 
 
 def monomials(p: int) -> tuple:
@@ -124,51 +113,39 @@ def build_invariants(frame) -> InvariantPolys:
 # ── explicit symmetric-sum expansion of the sextic ───────────────────────
 
 
+#: each part of the sextic: its degree and the numbers of pairs {i, 9-i}
+#: that one of its monomials may hold
+PARTS = {
+    "deg1": (1, {0}),
+    "deg2": (2, {0, 1}),
+    "deg3": (3, {0, 1}),
+    "pair4": (4, {2}),
+    "cross4": (4, {1}),
+    "pair5": (5, {2}),
+    "pair6": (6, {3}),
+}
+
+
+def _pairs(m: int) -> int:
+    """The pairs {i, 9-i} inside monomial m: the k < 4 with bits k and
+    7-k both set.  Read off the bits, not the frame or the quadric, so
+    that this route stays independent of the flat indicators."""
+    return sum(m >> k & m >> 7 - k & 1 for k in range(4))
+
+
 def symmetric_parts() -> dict:
-    """The building blocks of the closed-form sextic, keyed by name.
+    """The building blocks of the closed-form sextic, keyed by name: each
+    part is the sum of the monomials of its `PARTS` row.
 
     deg1/deg2/deg3 are the full elementary symmetric sums of degrees
-    1..3.  pair4 sums products of two complete coordinate pairs, cross4
-    couples one complete pair with one non-pair couple outside it, pair5
-    adds a free variable to two complete pairs, and pair6 is the sum of
-    the four degree-6 monomials complementary to the coordinate pairs.
+    1..3.  pair4 sums products of two pairs, cross4 couples one pair with
+    a non-pair couple outside it, pair5 adds a free variable to two pairs,
+    and pair6 is the sum of the four degree-6 monomials complementary to
+    the pairs.
     """
-    deg1 = from_monomials((i,) for i in range(1, 9))
-    deg2 = from_monomials(combinations(range(1, 9), 2))
-    deg3 = from_monomials(combinations(range(1, 9), 3))
-
-    pair4 = from_monomials(
-        (k, PARTNER[k], l, PARTNER[l]) for k, l in combinations(range(1, 5), 2)
-    )
-
-    cross4_mons = []
-    for m in range(1, 5):
-        used = {m, PARTNER[m]}
-        for k, l in combinations(sorted(set(range(1, 9)) - used), 2):
-            if l != PARTNER[k]:
-                cross4_mons.append((m, PARTNER[m], k, l))
-    cross4 = from_monomials(cross4_mons)
-
-    pair5_mons = []
-    for k, l in combinations(range(1, 5), 2):
-        used = {k, PARTNER[k], l, PARTNER[l]}
-        for m in sorted(set(range(1, 9)) - used):
-            pair5_mons.append((k, PARTNER[k], l, PARTNER[l], m))
-    pair5 = from_monomials(pair5_mons)
-
-    pair6 = from_monomials(
-        (k, PARTNER[k], l, PARTNER[l], m, PARTNER[m])
-        for k, l, m in combinations(range(1, 5), 3)
-    )
-
     return {
-        "deg1": deg1,
-        "deg2": deg2,
-        "deg3": deg3,
-        "pair4": pair4,
-        "cross4": cross4,
-        "pair5": pair5,
-        "pair6": pair6,
+        name: table(lambda m: m.bit_count() == d and _pairs(m) in pairs)
+        for name, (d, pairs) in PARTS.items()
     }
 
 

@@ -157,6 +157,13 @@ def _partition(parts, whole: int, overlap: str, cover: str, **where):
     require(union == whole, cover, **where)
 
 
+def _same(p: int, q: int, message: str):
+    """Require the coefficient tables p and q to be equal, else fail with
+    `message` and the monomials where they differ, as index lists."""
+    if p != q:
+        raise CheckFailed(message, monomials=list(map(list, anf.monomials(p ^ q))))
+
+
 CHECKS = []
 
 
@@ -330,47 +337,40 @@ VALUE_TABLE = {1: (1, 1, 1), 2: (0, 1, 0), 3: (1, 0, 0), 4: (0, 0, 0)}
 def check_invariants(ctx):
     f = ctx.frame
     inv = ctx.invariants
-    require(
-        (anf.degree(inv.q2), anf.degree(inv.q4), anf.degree(inv.q6)) == (2, 4, 6),
-        "invariant degrees wrong",
-    )
+    degrees = list(map(anf.degree, inv[:3]))  # of q2, q4 and q6
+    require(degrees == [2, 4, 6], "invariant degrees wrong", degrees=degrees)
     for r, expected in VALUE_TABLE.items():
         row = _where(inv.value_row, f.orbit(r), orbit=r)
         require(row == expected, f"value row for orbit {r} wrong",
                 orbit=r, row=list(row), expected=list(expected))
     # dual route: the ANF of the closed-form quadratic equals q2
-    require(
-        anf.mobius(table(quadric_value)) == inv.q2,
-        "q2 differs from the ANF of the quadratic form",
-    )
-    require(
-        anf.projective_zeros(inv.q_lw4) == f.orbit(4),
-        "sextic zero set is not the weight-4 orbit",
-    )
+    _same(anf.mobius(table(quadric_value)), inv.q2,
+          "q2 differs from the ANF of the quadratic form")
+    stray = anf.projective_zeros(inv.q_lw4) ^ f.orbit(4)
+    if stray:
+        raise CheckFailed("sextic zero set is not the weight-4 orbit",
+                          point=point_str(min(stray)))
     parts = anf.symmetric_parts()
     sextic = 0
     for part in parts.values():
         sextic ^= part
-    require(
-        inv.q_lw4 == sextic,
-        "flat-indicator sextic differs from the symmetric-sum expansion",
-    )
-    require(
-        anf.homogeneous_part(inv.q6, 6) == parts["pair6"],
-        "degree-6 part of q6 is not the four complement monomials",
-    )
+    _same(inv.q_lw4, sextic,
+          "flat-indicator sextic differs from the symmetric-sum expansion")
+    _same(anf.homogeneous_part(inv.q6, 6), parts["pair6"],
+          "degree-6 part of q6 is not the four complement monomials")
     wedge = frozenset(((1, 8), (2, 7), (3, 6), (4, 5)))
-    require(anf.polarize6(inv.q6) == wedge, "polarization of q6 wrong")
-    require(anf.polarize6(inv.q_lw4) == wedge, "polarization of sextic wrong")
+    for name, p in ("q6", inv.q6), ("sextic", inv.q_lw4):
+        pairs = anf.polarize6(p)
+        require(pairs == wedge, f"polarization of {name} wrong",
+                pairs=sorted(map(list, pairs)))
     for name, part in parts.items():
         if anf.degree(part) <= 5:
-            require(
-                anf.polarize6(part) == frozenset(),
-                f"degree<=5 part {name} polarizes nontrivially",
-            )
+            pairs = anf.polarize6(part)
+            require(not pairs, f"degree<=5 part {name} polarizes nontrivially",
+                    pairs=sorted(map(list, pairs)))
     return {
         "value_table": {str(r): list(v) for r, v in VALUE_TABLE.items()},
-        "sextic_terms": len(anf.monomials(inv.q_lw4)),
+        "sextic_terms": inv.q_lw4.bit_count(),
         "wedge": sorted(map(list, wedge)),
     }
 

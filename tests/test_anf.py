@@ -44,6 +44,15 @@ def product_indicator(flat) -> int:
     return p
 
 
+def from_monomials(monomials) -> int:
+    """Reference: the coefficient table of a sum of monomials, each a tuple
+    of 1-based variable indices."""
+    c = 0
+    for mon in monomials:
+        c ^= 1 << sum(1 << i - 1 for i in mon)
+    return c
+
+
 def value(p: int, x: int) -> int:
     """The polynomial with coefficient table p evaluated at the vector x."""
     return anf.mobius(p) >> x & 1
@@ -59,24 +68,24 @@ def test_mobius_is_involutory():
 def test_basic_constructors_and_evaluate():
     assert anf.degree(0) == -1 and anf.degree(1) == 0
     assert value(1, 0) == 1 and value(1, 0xAB) == 1
-    x1 = anf.from_monomials([(1,)])
+    x1 = from_monomials([(1,)])
     assert value(x1, 0x01) == 1 and value(x1, 0xFE) == 0
-    p = anf.from_monomials([(1, 8)])
+    p = from_monomials([(1, 8)])
     assert anf.degree(p) == 2
     assert value(p, 0x81) == 1 and value(p, 0x80) == 0
     assert anf.degree(p ^ p) == -1  # characteristic 2
-    lin = anf.from_monomials([(1,), (8,)])
+    lin = from_monomials([(1,), (8,)])
     assert value(lin, 0x01) == 1 and value(lin, 0x81) == 0
 
 
 def test_monomial_and_from_monomials():
-    m = anf.from_monomials([(2, 7)])
+    m = from_monomials([(2, 7)])
     assert anf.monomials(m) == ((2, 7),)
-    q = anf.from_monomials([(1, 8), (2, 7), (3, 6), (4, 5)])
+    q = from_monomials([(1, 8), (2, 7), (3, 6), (4, 5)])
     assert anf.degree(q) == 2 and len(anf.monomials(q)) == 4
-    # a repeated monomial cancels, in either variable order
-    assert anf.from_monomials([(1, 8), (2, 7), (8, 1)]) == m
-    assert anf.from_monomials([(3,), (3,)]) == 0
+    assert anf.monomials(q ^ from_monomials([(3,), (1, 2, 3)])) == (
+        (3,), (1, 8), (2, 7), (3, 6), (4, 5), (1, 2, 3),
+    )
 
 
 def test_truth_table_round_trip():
@@ -149,19 +158,27 @@ def test_symmetric_parts_term_counts():
         "pair5": 24,
         "pair6": 4,
     }
+    # deg1, deg2 and deg3 are every subset of their size
+    for name, d in (("deg1", 1), ("deg2", 2), ("deg3", 3)):
+        assert anf.monomials(parts[name]) == tuple(combinations(range(1, 9), d))
+
+    def partnered(m) -> set:
+        return {i for i in m if 9 - i in m}
+
     # every pair4 monomial consists of two partner pairs
     for m in anf.monomials(parts["pair4"]):
-        assert len(m) == 4
-        assert {anf.PARTNER[i] for i in m} == set(m)
+        assert len(m) == 4 and partnered(m) == set(m)
     # every cross4 monomial contains exactly one partner pair
     for m in anf.monomials(parts["cross4"]):
-        pairs = sum(1 for i in m if anf.PARTNER[i] in m)
-        assert len(m) == 4 and pairs == 2  # one pair = two members
+        assert len(m) == 4 and len(partnered(m)) == 2  # one pair = two members
+    # every pair5 monomial holds two partner pairs and one lone index
+    for m in anf.monomials(parts["pair5"]):
+        assert len(m) == 5 and len(partnered(m)) == 4
     # the four degree-6 monomials omit exactly one partner pair each
     omitted = []
     for m in anf.monomials(parts["pair6"]):
         rest = set(range(1, 9)) - set(m)
-        assert len(m) == 6 and {anf.PARTNER[i] for i in rest} == rest
+        assert len(m) == 6 and {9 - i for i in rest} == rest
         omitted.append(tuple(sorted(rest)))
     assert sorted(omitted) == [(1, 8), (2, 7), (3, 6), (4, 5)]
 
@@ -211,7 +228,7 @@ def test_polarize6():
     for name in ("deg1", "deg2", "deg3", "pair4", "cross4", "pair5"):
         assert anf.polarize6(parts[name]) == frozenset()
     with pytest.raises(ValueError):
-        anf.polarize6(anf.from_monomials([(1, 2, 3, 4, 5, 6, 7)]))
+        anf.polarize6(from_monomials([(1, 2, 3, 4, 5, 6, 7)]))
 
 
 def polarize6_by_subsets(p) -> frozenset:
@@ -240,7 +257,7 @@ def test_polarize6_is_the_subset_walk(frame):
     for p in polarized:
         assert anf.polarize6(p) == polarize6_by_subsets(p)
     for mon in combinations(range(1, 9), 6):
-        p = anf.from_monomials([mon])
+        p = from_monomials([mon])
         pair = tuple(sorted(set(range(1, 9)) - set(mon)))
         assert anf.polarize6(p) == polarize6_by_subsets(p) == {pair}
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from conftest import records, symplectic_product
 
-from tetradgeom import certificates, cli, denizens, gf2, gf3
+from tetradgeom import anf, certificates, cli, denizens, gf2, gf3
 from tetradgeom.certificates import (
     CheckFailed,
     Context,
@@ -424,6 +424,34 @@ def test_c2_lines_spanning_no_pair_flat_are_located(ctx, monkeypatch):
         "message": "C2 lines span no tetrad-pair 3-flat",
         "ident": "0011:0",
     }
+
+
+@pytest.mark.parametrize("source, target, monomial, message, indices", [
+    # x1 x2 x3 x8 leaves the expansion, which then misses it from the sextic
+    ("cross4", None, 0b10000111,
+     "flat-indicator sextic differs from the symmetric-sum expansion",
+     [1, 2, 3, 8]),
+    # the sum is unchanged, so only the degree-6 guard sees the move
+    ("pair6", "pair5", 0b11100111,
+     "degree-6 part of q6 is not the four complement monomials",
+     [1, 2, 3, 6, 7, 8]),
+])
+def test_a_moved_sextic_monomial_is_located(frame, monkeypatch, source,
+                                            target, monomial, message, indices):
+    # the monomial, a table bit, leaves part `source` and joins `target`
+    symmetric_parts = anf.symmetric_parts
+
+    def moved():
+        parts = symmetric_parts()
+        parts[source] ^= 1 << monomial
+        if target:
+            parts[target] ^= 1 << monomial
+        return parts
+
+    monkeypatch.setattr(anf, "symmetric_parts", moved)
+    [cert] = run_certificates(Context(frame), names={"invariant-polynomials"})
+    assert cert.status == "fail"
+    assert cert.witness == {"message": message, "monomials": [indices]}
 
 
 def test_xor_shift_is_the_translated_table():

@@ -77,6 +77,11 @@ def require(cond, message: str, **data):
         raise CheckFailed(message, **data)
 
 
+def _census(counts) -> dict:
+    """A Counter as a witness: string keys, in key order."""
+    return {str(k): n for k, n in sorted(counts.items())}
+
+
 class _artifact:
     """A `Context` artifact: `build(ctx)` on its first read, kept in the
     context's cache under the attribute's own name; `readers` are the
@@ -500,17 +505,17 @@ def check_gf3(ctx):
             raise CheckFailed("point pair not on a unique line",
                               pair=[gf3.trit_str(p) for p in pair])
 
-    pkinds = Counter(gf3.plane_kind(pl) for pl in pls)
+    pkinds = Counter(pl.kind for pl in pls)
     require(
         pkinds == Counter({0: 8, 1: 16, 2: 12, 3: 4}),
         "plane-kind census wrong",
-        census={str(k): v for k, v in sorted(pkinds.items())},
+        census=_census(pkinds),
     )
-    lkinds = Counter(gf3.line_kind(ln) for ln in lns)
+    lkinds = Counter(ln.kind for ln in lns)
     require(
         lkinds == Counter({1: 6, 2: 24, 3: 16, 4: 12, 5: 16, 6: 48, 7: 8}),
         "line-kind census wrong",
-        census={str(k): v for k, v in sorted(lkinds.items())},
+        census=_census(lkinds),
     )
 
     # direction counts per plane kind, and direction-family purity of the
@@ -519,27 +524,28 @@ def check_gf3(ctx):
     fam_count = Counter()
     for pl in pls:
         dirs = [p for p in pl.points if gf3.wt_std(p) == 4]
-        k = gf3.plane_kind(pl)
-        if len(dirs) != expected_dirs[k]:
+        if len(dirs) != expected_dirs[pl.kind]:
             raise CheckFailed(
                 "direction count per plane kind wrong",
                 plane=gf3.point_strs(pl),
-                kind=k,
+                kind=pl.kind,
                 found=len(dirs),
             )
-        if k == 0:
+        if pl.kind == 0:
             fams = {gf3.direction_family(d) for d in dirs}
             if len(fams) != 1:
                 raise CheckFailed("vertex-free plane mixes direction families",
                                   plane=gf3.point_strs(pl))
             fam_count[fams.pop()] += 1
-            kinds = Counter(gf3.line_kind(s) for s in pl.subspaces)
+            kinds = Counter(s.kind for s in pl.subspaces)
             if kinds != Counter({4: 3, 6: 6, 3: 4}):
                 raise CheckFailed(
                     "vertex-free plane line-kind split is not 3/6/4",
                     plane=gf3.point_strs(pl),
                 )
-    require(fam_count == Counter({0: 4, 1: 4}), "family split of Segre planes wrong")
+    if fam_count != Counter({0: 4, 1: 4}):
+        raise CheckFailed("family split of Segre planes wrong",
+                          families=_census(fam_count))
 
     # conjugation orbits, under the distinct induced matrices other than
     # the identity (the rotations induce it): the rest move no subspace
@@ -549,24 +555,25 @@ def check_gf3(ctx):
     )
     mats.pop(gf3.BASIS, None)
     orbit_sizes = {}
-    for what, spaces, kind_of, classes in (
-        ("plane", pls, gf3.plane_kind, "vertex-count"),
-        ("line", lns, gf3.line_kind, "weight-pattern"),
+    for what, spaces, classes in (
+        ("plane", pls, "vertex-count"),
+        ("line", lns, "weight-pattern"),
     ):
         orbs = subspace_orbit_partition(mats, [s.vectors for s in spaces])
+        sizes = sorted(len(o) for o in orbs)
         by_kind = {}
         for s in spaces:
-            by_kind.setdefault(kind_of(s), set()).add(s.vectors)
-        require(
-            {frozenset(v) for v in by_kind.values()} == set(orbs),
-            f"{what} conjugation orbits differ from {classes} classes",
-        )
-        orbit_sizes[f"{what}_orbit_sizes"] = sorted(len(o) for o in orbs)
-    return {
-        "plane_kinds": {str(k): v for k, v in sorted(pkinds.items())},
-        "line_kinds": {str(k): v for k, v in sorted(lkinds.items())},
-        **orbit_sizes,
-    }
+            by_kind.setdefault(s.kind, set()).add(s.vectors)
+        if {frozenset(v) for v in by_kind.values()} != set(orbs):
+            raise CheckFailed(
+                f"{what} conjugation orbits differ from {classes} classes",
+                kind=min((k for k, v in by_kind.items() if v not in orbs),
+                         default=None),
+                orbit_sizes=sizes,
+            )
+        orbit_sizes[f"{what}_orbit_sizes"] = sizes
+    return {"plane_kinds": _census(pkinds), "line_kinds": _census(lkinds),
+            **orbit_sizes}
 
 
 # ── 9 weights and distances ──────────────────────────────────────────────
@@ -835,10 +842,10 @@ def check_denizens(ctx):
     require(
         kinds == Counter({"segre": 24, "C1": 48, "C2": 36, "C3": 12}),
         "denizen class census wrong",
-        census={k: v for k, v in sorted(kinds.items())},
+        census=_census(kinds),
     )
     return {
-        "census": {k: v for k, v in sorted(kinds.items())},
+        "census": _census(kinds),
         "c1_observed_profiles": sorted(
             [p[0], list(p[1]), p[2]] for p in c1_profiles
         ),

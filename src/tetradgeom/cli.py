@@ -172,7 +172,7 @@ def cmd_triplets(args) -> int:
     rows = [
         {
             "functional": gf3.trit_str(t[0].plane.functional),
-            "plane_kind": gf3.plane_kind(t[0].plane),
+            "plane_kind": t[0].plane.kind,
             "denizen_kind": t[0].kind,
             "denizens": [d.ident for d in t],
         }

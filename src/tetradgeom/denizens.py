@@ -78,7 +78,7 @@ def triplet_from_plane(frame: Frame, plane: gf3.Plane) -> tuple:
     """The three denizens of a plane, shifts ordered deterministically:
     the subspace itself first, then the two cosets of the smallest
     vector outside the plane."""
-    kind = PLANE_KIND_TO_DENIZEN[gf3.plane_kind(plane)]
+    kind = PLANE_KIND_TO_DENIZEN[plane.kind]
     return tuple(
         Denizen(plane, s, j, frame.coset_mask(plane.vectors, s), kind)
         for j, s in enumerate(gf3.coset_shifts(gf3.ALL81, plane.vectors))

@@ -26,7 +26,9 @@ round-trip to weight 1 in general.
 PG(3,3) has 40 points, 130 lines and 40 planes.  Planes are classified by
 how many vertices <eps_r> of the fundamental tetrahedron they contain
 (kind 0..3, census 8/16/12/4); lines by the weight pattern of their four
-points (kinds 1..7, census 6/24/16/12/16/48/8).
+points (kinds 1..7, census 6/24/16/12/16/48/8).  A kind is the `kind`
+field of its `Plane` or `Line`, set once by the builder (`all_planes`,
+`line_through`); every other module reads that field and derives none.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ def subspace_vectors(gens) -> frozenset:
 
 class Line(namedtuple("Line", "points vectors kind")):
     """A line of PG(3,3): 4 projective points, 9 vectors including zero,
-    and its kind (`line_kind`), computed once when the line is built."""
+    and its kind, set by `line_through` from its weight pattern."""
 
     __slots__ = ()
 
@@ -187,12 +189,12 @@ class Line(namedtuple("Line", "points vectors kind")):
         return f"Line({'/'.join(trit_str(p) for p in self.points)})"
 
 
-class Plane(namedtuple("Plane", "functional points vectors")):
-    """A plane of PG(3,3), the kernel of the canonical functional.  Its
-    13 2-subspaces are built by `plane_subspaces` on the first read of
-    `subspaces` and kept in the plane's instance dict (the one record
-    without `__slots__`); they are not a field, so equality and hash see
-    only the functional, points and vectors."""
+class Plane(namedtuple("Plane", "functional points vectors kind")):
+    """A plane of PG(3,3), the kernel of the canonical functional, and its
+    kind, set by `all_planes`.  Its 13 2-subspaces are built by
+    `plane_subspaces` on the first read of `subspaces` and kept in the
+    plane's instance dict (the one record without `__slots__`); they are
+    not a field, so equality and hash see only the four fields."""
 
     @cached_property
     def subspaces(self) -> tuple:
@@ -213,8 +215,13 @@ def line_through(a: Trit, b: Trit) -> Line:
     if len(vecs) != 9:
         raise ValueError("points do not span a line")
     pts = tuple(sorted({canon(v) for v in vecs if v != ZERO}))
-    line = Line(pts, vecs, None)
-    return line._replace(kind=line_kind(line))
+    pattern = tuple(sum(_WT[p] == w for p in pts) for w in (1, 2, 3, 4))
+    kind = LINE_KIND_TABLE.get(pattern)
+    if kind is None:
+        # every weight pattern of a PG(3,3) line is in the table; reaching
+        # this means a convention drifted somewhere upstream
+        raise ValueError(f"weight pattern {pattern} not in line-kind table")
+    return Line(pts, vecs, kind)
 
 
 @lru_cache(maxsize=1)
@@ -246,8 +253,9 @@ def all_planes() -> tuple:
         values = mat3_table(_DIGITS[c])
         vecs = frozenset(v for v, x in enumerate(values) if not x)
         pts = tuple(sorted({canon(v) for v in vecs if v != ZERO}))
-        planes.append(Plane(c, pts, vecs))
-    return tuple(sorted(planes, key=lambda p: p.functional))
+        # its kind: the number of tetrahedron vertices on it
+        planes.append(Plane(c, pts, vecs, sum(e in vecs for e in BASIS)))
+    return tuple(planes)  # in functional order, as all_points is sorted
 
 
 def plane_from_functional(c: Trit) -> Plane:
@@ -271,28 +279,6 @@ LINE_KIND_TABLE = {
     (0, 1, 2, 1): 6,
     (0, 0, 4, 0): 7,
 }
-
-
-def weight_pattern(line: Line) -> tuple:
-    counts = [0, 0, 0, 0]
-    for p in line.points:
-        counts[wt_std(p) - 1] += 1
-    return tuple(counts)
-
-
-def line_kind(line: Line) -> int:
-    pattern = weight_pattern(line)
-    kind = LINE_KIND_TABLE.get(pattern)
-    if kind is None:
-        # every weight pattern of a PG(3,3) line is in the table; reaching
-        # this means a convention drifted somewhere upstream
-        raise ValueError(f"weight pattern {pattern} not in line-kind table")
-    return kind
-
-
-def plane_kind(plane: Plane) -> int:
-    """Number of tetrahedron vertices on the plane (0..3)."""
-    return sum(1 for e in BASIS if e in plane.vectors)
 
 
 def plane_subspaces(plane: Plane) -> tuple:

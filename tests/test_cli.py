@@ -1087,11 +1087,40 @@ def test_a_point_not_in_four_fans_is_named(frame, monkeypatch, edit):
     }
 
 
+def test_a_one_family_split_of_segre_planes_is_counted(ctx, monkeypatch):
+    # every direction read as even: each vertex-free plane is still pure,
+    # but all eight fall in one family
+    monkeypatch.setattr(gf3, "direction_family", lambda v: 0)
+    [cert] = run_certificates(ctx, names={"gf3-taxonomy"})
+    assert cert.status == "fail"
+    assert cert.witness == {
+        "message": "family split of Segre planes wrong",
+        "families": {"0": 8},
+    }
+
+
+def test_merged_conjugation_orbits_are_located(ctx, monkeypatch):
+    # the first two plane orbits, the 4 coordinate planes (kind 3) and the
+    # 12 planes through two vertices (kind 2), read as one orbit
+    partition = certificates.subspace_orbit_partition
+
+    def merged(mats, spaces):
+        first, second, *rest = partition(mats, spaces)
+        return [first | second, *rest]
+
+    monkeypatch.setattr(certificates, "subspace_orbit_partition", merged)
+    [cert] = run_certificates(ctx, names={"gf3-taxonomy"})
+    assert cert.status == "fail"
+    assert cert.witness == {
+        "message": "plane conjugation orbits differ from vertex-count classes",
+        "kind": 2,
+        "orbit_sizes": [8, 16, 16],
+    }
+
+
 def test_a_plane_whose_subspaces_fail_is_named(ctx, monkeypatch):
     # fresh planes, so that no line table is already kept on them
-    planes = tuple(
-        gf3.Plane(pl.functional, pl.points, pl.vectors) for pl in gf3.all_planes()
-    )
+    planes = tuple(gf3.Plane(*pl) for pl in gf3.all_planes())
     broken = gf3.plane_from_functional(gf3.trit_from_str("1111"))
     build = gf3.plane_subspaces
 
@@ -1112,9 +1141,7 @@ def test_a_plane_whose_subspaces_fail_is_named(ctx, monkeypatch):
 
 def test_a_line_of_five_points_is_named(ctx, monkeypatch):
     # fresh planes, so that their line tables are read off the listing below
-    planes = tuple(
-        gf3.Plane(pl.functional, pl.points, pl.vectors) for pl in gf3.all_planes()
-    )
+    planes = tuple(gf3.Plane(*pl) for pl in gf3.all_planes())
     lines = list(gf3.all_lines())
     ln = lines[7]
     extra = next(p for p in gf3.all_points() if p not in ln.points)
@@ -1131,9 +1158,7 @@ def test_a_line_of_five_points_is_named(ctx, monkeypatch):
 def test_a_line_on_the_wrong_number_of_planes_is_named(ctx, monkeypatch):
     # one plane's 13-line table swaps one of its lines for a line outside
     # it: the line it drops lies on 3 planes, the line it takes on 5
-    planes = tuple(
-        gf3.Plane(pl.functional, pl.points, pl.vectors) for pl in gf3.all_planes()
-    )
+    planes = tuple(gf3.Plane(*pl) for pl in gf3.all_planes())
     broken = planes[0]
     lines = gf3.all_lines()
     dropped = gf3.plane_subspaces(broken)[0]
@@ -1159,9 +1184,7 @@ def test_a_point_pair_on_two_lines_is_named(ctx, monkeypatch):
     # two disjoint lines trade their last points: every line keeps four
     # points on four planes and every point its 13 lines, but pairs across
     # the trade now lie on two lines or on none
-    planes = tuple(
-        gf3.Plane(pl.functional, pl.points, pl.vectors) for pl in gf3.all_planes()
-    )
+    planes = tuple(gf3.Plane(*pl) for pl in gf3.all_planes())
     lines = list(gf3.all_lines())
     j = next(j for j, ln in enumerate(lines) if not {*ln.points} & {*lines[0].points})
     (*a, d), (*b, h) = lines[0].points, lines[j].points

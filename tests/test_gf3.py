@@ -8,6 +8,20 @@ from tetradgeom import gf3
 
 T = gf3.trit_from_str
 
+#: the tetrahedron vertices eps_1..eps_4, spelled out
+VERTICES = tuple(map(T, ("1000", "0100", "0010", "0001")))
+
+
+def weight_pattern(ln) -> tuple:
+    """The number of points of weight 1, 2, 3, 4 on a line, each weight
+    counted off the point's digits."""
+    weights = [sum(d != 0 for d in gf3.digits(p)) for p in ln.points]
+    return tuple(weights.count(w) for w in (1, 2, 3, 4))
+
+
+def vertex_count(pl) -> int:
+    return sum(e in pl.vectors for e in VERTICES)
+
 
 def test_trit_arithmetic():
     a, b = T("1201"), T("2210")
@@ -138,20 +152,31 @@ def test_line_through():
 
 
 def test_plane_kind_census():
-    census = Counter(gf3.plane_kind(pl) for pl in gf3.all_planes())
+    census = Counter(pl.kind for pl in gf3.all_planes())
     assert census == Counter({0: 8, 1: 16, 2: 12, 3: 4})
+    # each plane keeps its vertex count, set when the plane is built
+    for pl in gf3.all_planes():
+        assert pl.kind == vertex_count(pl)
     # the two worked examples: sum-zero plane has no vertex, a coordinate
     # plane has three
-    assert gf3.plane_kind(gf3.plane_from_functional(T("1111"))) == 0
-    assert gf3.plane_kind(gf3.plane_from_functional(T("0001"))) == 3
+    assert gf3.plane_from_functional(T("1111")).kind == 0
+    assert gf3.plane_from_functional(T("0001")).kind == 3
 
 
 def test_line_kind_census():
-    census = Counter(gf3.line_kind(ln) for ln in gf3.all_lines())
+    census = Counter(ln.kind for ln in gf3.all_lines())
     assert census == Counter({1: 6, 2: 24, 3: 16, 4: 12, 5: 16, 6: 48, 7: 8})
-    # each line keeps the kind of its weight pattern, computed once
+    # each line keeps the kind of its weight pattern, set when it is built
     for ln in gf3.all_lines():
-        assert ln.kind == gf3.LINE_KIND_TABLE[gf3.weight_pattern(ln)]
+        assert ln.kind == gf3.LINE_KIND_TABLE[weight_pattern(ln)]
+
+
+def test_a_weight_pattern_outside_the_table_is_refused(monkeypatch):
+    table = dict(gf3.LINE_KIND_TABLE)
+    del table[(2, 2, 0, 0)]
+    monkeypatch.setattr(gf3, "LINE_KIND_TABLE", table)
+    with pytest.raises(ValueError, match=r"\(2, 2, 0, 0\) not in line-kind"):
+        gf3.line_through(T("1000"), T("0100"))
 
 
 def test_planes_are_the_kernels_of_their_functionals():
@@ -172,12 +197,12 @@ def test_planes_are_the_kernels_of_their_functionals():
 def test_line_kind_worked_examples():
     # an axis pair: two weight-1 points, two weight-2 -> kind 1
     ln = gf3.line_through(T("1000"), T("0100"))
-    assert gf3.weight_pattern(ln) == (2, 2, 0, 0)
-    assert gf3.line_kind(ln) == 1
+    assert weight_pattern(ln) == (2, 2, 0, 0)
+    assert ln.kind == 1
     # the all-weight-3 lines are kind 7
     ln7 = gf3.line_through(T("0111"), T("1012"))
-    assert gf3.weight_pattern(ln7) == (0, 0, 4, 0)
-    assert gf3.line_kind(ln7) == 7
+    assert weight_pattern(ln7) == (0, 0, 4, 0)
+    assert ln7.kind == 7
 
 
 def test_plane_subspaces():
@@ -191,7 +216,7 @@ def test_plane_subspaces():
 
 def test_plane_subspaces_are_built_on_first_read_and_kept():
     pl = gf3.plane_from_functional(T("1111"))
-    fresh = gf3.Plane(pl.functional, pl.points, pl.vectors)
+    fresh = gf3.Plane(*pl)
     assert "subspaces" not in vars(fresh)
     before = hash(fresh)
     assert fresh == pl and before == hash(pl)
@@ -214,7 +239,7 @@ def test_plane_from_functional_is_the_listed_plane():
 
 def test_segre_plane_line_split():
     pl = gf3.plane_from_functional(T("1111"))
-    kinds = Counter(gf3.line_kind(s) for s in gf3.plane_subspaces(pl))
+    kinds = Counter(s.kind for s in gf3.plane_subspaces(pl))
     assert kinds == Counter({4: 3, 6: 6, 3: 4})
 
 

@@ -142,7 +142,7 @@ def test_weight3_lines(frame):
     w3 = quadric.weight3_lines()
     assert len(w3) == 8
     for ln in w3:
-        assert gf3.line_kind(ln) == 7
+        assert ln.kind == 7
         assert all(
             gf3.wt_std(v) == 3 for v in ln.vectors if v != gf3.ZERO
         )

@@ -18,7 +18,7 @@ def fresh_planes():
 def fresh_segre():
     """The first Segre denizen, built on a new frame from a new plane."""
     frame = build_frame()
-    plane = next(pl for pl in fresh_planes() if gf3.plane_kind(pl) == 0)
+    plane = next(pl for pl in fresh_planes() if pl.kind == 0)
     return denizens.triplet_from_plane(frame, plane)[0]
 
 
@@ -30,8 +30,8 @@ def records():
     pl = gf3.all_planes()[0]
     segre = fresh_segre()
     cases = [
-        (ln, ("points", "vectors"), gf3.line_through(*ln.points[:2])),
-        (pl, ("functional", "points", "vectors"), fresh_planes()[0]),
+        (ln, ("points", "vectors", "kind"), gf3.line_through(*ln.points[:2])),
+        (pl, ("functional", "points", "vectors", "kind"), fresh_planes()[0]),
         (
             segre,
             ("plane", "shift", "shift_index", "points", "kind"),

@@ -119,8 +119,8 @@ class Context:
     invariants = _artifact(lambda c: anf.build_invariants(c.frame),
                            "invariant-polynomials")
     quadric_points = _artifact(lambda c: quadric.build_quadric(),
-                               "quadric-pointset", "stabilizer-group",
-                               "generator-solids", "nine-caps")
+                               "quadric-pointset", "generator-solids",
+                               "nine-caps")
     solids = _artifact(lambda c: quadric.singular_solids(c.quadric_points),
                        "generator-solids")
     system_tags = _artifact(lambda c: quadric.system_tags(c.solids),
@@ -396,7 +396,7 @@ def check_stabilizer(ctx):
     closure of two generators, so G(tetrad) lies in <gens>.  The artifact
     lists 31104 = |G(tetrad)| distinct elements, each fixing the tetrad, so
     they are G(tetrad), and a diagonal map A_sigma is among them exactly
-    when it fixes the tetrad."""
+    when it fixes the tetrad.  Each keeps Q on the 36 vectors of weight <= 2."""
     gens = stabilizer_generators(ctx.frame)
     # each packing is read through the tetrad: a byte of `lines` is 0b1111
     # exactly when its map fixes the tetrad
@@ -448,11 +448,17 @@ def check_stabilizer(ctx):
                 f"conjugation by {name} is not the induced linear map",
                 sigma=gf3.trit_str(sigma),
             )
-    # every element against every vector at once; deleting the images on
-    # the quadric leaves those off it
+    # every element against the 36 vectors of weight 1 and 2 at once,
+    # counting the images where Q differs from Q(v).  That suffices: Q
+    # polarizes to the bilinear form B, which `symplectic-form` certifies
+    # before this check runs, so
+    #   Q(gx) = sum x_i Q(ge_i) + sum_(i<j) x_i x_j (Q(ge_i+ge_j) + Q(ge_i) + Q(ge_j)),
+    # and an element keeping Q's values on those 36 vectors has Q o g = Q,
+    # so it keeps all 135 quadric points
     image = images(st)
-    singular = bytes(v for v in range(256) if not quadric_value(v))
-    bad = sum(len(image(p).translate(None, singular)) for p in ctx.quadric_points)
+    q_tab = bytes(map(quadric_value, range(256)))
+    bad = sum(image(v).translate(q_tab).count(1 - q_tab[v])
+              for v in range(1, 256) if v.bit_count() < 3)
     require(bad == 0, "some element moves the quadric", violations=bad)
     return {
         "order": order,
@@ -745,9 +751,10 @@ def check_solids(ctx):
     solids = ctx.solids
     require(len(solids) == 270, "solid count wrong", count=len(solids))
     solid_set = set(solids)
-    for s in solids:
-        require(len(s) == 15 and s <= qp, "solid is not 15 singular points")
-        require(span(s) == s, "solid is not a 3-flat")
+    for i, s in enumerate(solids):
+        require(len(s) == 15 and s <= qp, "solid is not 15 singular points",
+                solid=i)
+        require(span(s) == s, "solid is not a 3-flat", solid=i)
     tags = ctx.system_tags
     sizes = Counter(tags)
     require(
@@ -771,8 +778,10 @@ def check_solids(ctx):
         c0, c1, c2, c3 = bit_counts(map(through.__getitem__, s))
         low = c0 & c1
         meets = low & c2 & c3 | low & ~(c2 | c3) | everything ^ (c0 | c1 | c2 | c3)
-        require(not (meets ^ system[tg]) >> a + 1,
-                "parity relation is not the two-class equivalence")
+        wrong = (meets ^ system[tg]) >> a + 1
+        if wrong:
+            raise CheckFailed("parity relation is not the two-class equivalence",
+                              pair=[a, a + 1 + low_bit(wrong)])
     tag_of = {s: tg for s, tg in zip(solids, tags)}
     omega2, omega4 = f.orbit(2), f.orbit(4)
     for p in sorted(omega4):

@@ -21,7 +21,7 @@ partitioning the weight-4 orbit.
 from __future__ import annotations
 
 from . import gf3
-from .gf2 import COORDS, FORMS, PAIR_MASKS, low_bit, mask, quadric_value
+from .gf2 import COORDS, FORMS, PAIR_MASKS, low_bit, mask, quadric_value, span
 from .tetrad import Frame
 
 
@@ -62,9 +62,9 @@ def singular_solids(qpoints) -> tuple:
     (`cand`), greater than the last row added, and free of every earlier
     row's pivot (its top bit).  The rows are then a reduced echelon basis
     with pivots ascending, and every totally singular subspace has exactly
-    one such basis, so no subspace is reached twice.  Pairwise orthogonal
-    singular points span a totally singular subspace, so the fourth row
-    closes a solid.
+    one such basis, so no subspace is reached twice.  The search carries
+    only rows: pairwise orthogonal singular points span a totally singular
+    subspace, so `gf2.span` closes a solid at its fourth row.
 
     Candidate sets are tables (gf2), so each condition is one AND;
     `gf2.FORMS[p]` is the table of B(., p)."""
@@ -72,21 +72,19 @@ def singular_solids(qpoints) -> tuple:
     perp_sing = {p: qmask & ~FORMS[p] & ~(1 << p) for p in qpoints}
     solids = []
 
-    def extend(pts, cand, rows):
+    def extend(rows, cand):
         while cand:
             low = cand & -cand
             cand ^= low
             q = low.bit_length() - 1
-            span = pts + [q] + [s ^ q for s in pts]
-            if rows == 3:
-                solids.append(frozenset(span))
+            if len(rows) == 3:
+                solids.append(span(rows + [q]))
             else:
                 # keep only candidates above q, orthogonal to q as well,
                 # and free of its pivot
-                extend(span, cand & perp_sing[q] & ~COORDS[q.bit_length() - 1],
-                       rows + 1)
+                extend(rows + [q], cand & perp_sing[q] & ~COORDS[q.bit_length() - 1])
 
-    extend([], qmask, 0)
+    extend([], qmask)
     return tuple(sorted(solids, key=sorted))
 
 

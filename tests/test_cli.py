@@ -545,19 +545,85 @@ def stand_ins(ctx, first, last) -> tuple:
     return elements, victims
 
 
+def movers_at_both_ends(listing) -> bytes:
+    """The listing with two records g for which g(e1 + e2) lacks e1's or
+    e2's coordinate moved to its ends, the first such record first and the
+    last one last.  Both violate Q read through either stand-in below, so a
+    count that lost an end record of the packing would come up short; the
+    order and distinctness steps do not depend on record order."""
+    maps = records(listing)
+    movers = [i for i, g in enumerate(maps) if (g[0] ^ g[1]) & 3 != 3]
+    ends = movers[0], movers[-1]
+    rest = [g for i, g in enumerate(maps) if i not in ends]
+    return b"".join([maps[ends[0]], *rest, maps[ends[1]]])
+
+
+def quadric_violations(ctx, monkeypatch, bent):
+    """check_stabilizer's failure with Q read through `bent`, on the
+    stabilizer listing with a violating record at each end."""
+    elements = movers_at_both_ends(ctx.stabilizer)
+    monkeypatch.setattr(certificates, "build_stabilizer", lambda: elements)
+    monkeypatch.setattr(certificates, "quadric_value", bent)
+    with pytest.raises(CheckFailed) as exc:
+        check_stabilizer(Context(ctx.frame))
+    assert str(exc.value) == "some element moves the quadric"
+    return exc.value.data
+
+
 def test_quadric_violations_are_counted(ctx, monkeypatch):
     # a map that moves Q also leaves the tetrad, and the tetrad sweep runs
-    # first, so Q's table is bent instead: one singular point read as
-    # non-singular.  Every element sends exactly one quadric point there,
-    # so each of the 31104 is one violation, the first and the last
-    # record of the packing among them
-    moved = min(ctx.quadric_points)
-    monkeypatch.setattr(certificates, "quadric_value",
-                        lambda v: v == moved or quadric_value(v))
-    with pytest.raises(CheckFailed) as exc:
-        check_stabilizer(ctx)
-    assert str(exc.value) == "some element moves the quadric"
-    assert exc.value.data == {"violations": 31104}
+    # first, so Q's table is bent instead: the singular point 3 = e1 + e2
+    # read as non-singular.  Every element keeps Q, so (g, v) is a violation
+    # exactly when one of v and gv is 3.  Of the 36 vectors of weight 1 and
+    # 2, the 8 e_i and the 4 e_i + e_(9-i) are tetrad points (orbit 1) and
+    # the other 24, 3 among them, lie in orbit 2, of 54 points.  So 31104 /
+    # 54 = 576 elements send each vector of orbit 2 to each point of it:
+    # v = 3 counts 576 * 53 elements and each of the other 23 counts 576,
+    # 576 * (53 + 23) = 43776 in all
+    f = ctx.frame
+    low = {v for v in range(1, 256) if v.bit_count() <= 2}
+    assert (len(low & f.orbit(1)), len(low & f.orbit(2)), len(f.orbit(2))) == (
+        12, 24, 54,
+    )
+    assert quadric_violations(ctx, monkeypatch,
+                              lambda v: v == 3 or quadric_value(v)) == {
+        "violations": 43776,
+    }
+
+
+def test_a_quadratic_change_of_the_quadric_is_counted(ctx, monkeypatch):
+    # Q + x1 x2, a quadratic form that differs from Q at the 64 vectors
+    # containing e1 + e2; 4 of them lie in orbit 2 (the coordinates on the
+    # lines e3 e6 and e4 e5 zero, those of e7 and e8 free), none in orbit 1.
+    # Of the 24 vectors of weight 2 in orbit 2 only v = 3 is among those 4,
+    # so by the count above v = 3 counts 576 * (54 - 4) elements and each
+    # of the other 23 counts 576 * 4: 576 * (50 + 92) = 81792 in all
+    assert len({w for w in ctx.frame.orbit(2) if w & 3 == 3}) == 4
+    assert quadric_violations(ctx, monkeypatch,
+                              lambda v: quadric_value(v) ^ (v & 3 == 3)) == {
+        "violations": 81792,
+    }
+
+
+def test_the_quadric_step_reads_the_vectors_of_weight_1_and_2(ctx, monkeypatch):
+    read = []
+
+    def recorded(listing, images=certificates.images):
+        image = images(listing)
+        return lambda v: read.append(v) or image(v)
+
+    monkeypatch.setattr(certificates, "images", recorded)
+    check_stabilizer(ctx)
+    # each of the 36 once
+    assert sorted(read) == [v for v in range(1, 256) if v.bit_count() <= 2]
+
+
+def test_the_polar_form_is_certified_before_the_stabilizer_relies_on_it():
+    # the quadric step reads Q on the 36 vectors of weight 1 and 2 only,
+    # which fixes Q o g because Q polarizes to B: that is symplectic-form's
+    # certificate, so it must run first
+    names = [name for name, _, _ in certificates.CHECKS]
+    assert names.index("symplectic-form") < names.index("stabilizer-group")
 
 
 def test_a_repeated_record_lowers_the_order(ctx, monkeypatch):
@@ -619,7 +685,7 @@ def test_the_listing_is_read_through_the_pair_index_once(ctx, monkeypatch):
 def test_the_stabilizer_check_peaks_under_a_megabyte_and_a_quarter(ctx):
     # the listing is read as four pair-code strings and a 24^4-byte table
     # of marks, never as 31104 ints in a set (about 3.2 MiB at its peak)
-    ctx.stabilizer, ctx.g81, ctx.quadric_points  # built outside the bound
+    ctx.stabilizer, ctx.g81  # built outside the bound
     tracemalloc.start()
     try:
         check_stabilizer(ctx)
@@ -646,11 +712,15 @@ def test_swapped_system_tags_break_the_parity_sweep(ctx, monkeypatch):
     # solids, so only the sweep over all pairs can object
     tags = list(ctx.system_tags)
     a, b = tags.index(0), tags.index(1)
+    assert (a, b, tags[2]) == (0, 1, 1)
     tags[a], tags[b] = 1, 0
     monkeypatch.setattr(certificates.quadric, "system_tags", lambda s: tuple(tags))
     with pytest.raises(CheckFailed) as exc:
         certificates.check_solids(Context(ctx.frame))
     assert str(exc.value) == "parity relation is not the two-class equivalence"
+    # solid 0 now shares a tag with every solid of the other system but
+    # solid 1, which moved too: solid 2 is the least that disagrees
+    assert exc.value.data == {"pair": [0, 2]}
 
 
 def test_swapped_end_tags_break_the_parity_sweep(ctx, monkeypatch):
@@ -664,6 +734,9 @@ def test_swapped_end_tags_break_the_parity_sweep(ctx, monkeypatch):
     with pytest.raises(CheckFailed) as exc:
         certificates.check_solids(Context(ctx.frame))
     assert str(exc.value) == "parity relation is not the two-class equivalence"
+    # the first solid's row objects already at solid 1, of the other system
+    assert tags[1] == 1
+    assert exc.value.data == {"pair": [0, 1]}
 
 
 def test_a_solid_that_is_not_a_flat_is_rejected(ctx, monkeypatch):
@@ -677,6 +750,21 @@ def test_a_solid_that_is_not_a_flat_is_rejected(ctx, monkeypatch):
     with pytest.raises(CheckFailed) as exc:
         certificates.check_solids(Context(ctx.frame))
     assert str(exc.value) == "solid is not a 3-flat"
+    assert exc.value.data == {"solid": 0}
+
+
+def test_a_solid_off_the_quadric_is_located(ctx, monkeypatch):
+    # the last solid trades its least point for e1, a tetrad point: still
+    # 15 points, one of them off the quadric, and the first 269 solids pass
+    solids = list(ctx.solids)
+    s = solids[-1]
+    assert E[0] not in ctx.quadric_points
+    solids[-1] = s - {min(s)} | {E[0]}
+    monkeypatch.setattr(certificates.quadric, "singular_solids", lambda qp: solids)
+    with pytest.raises(CheckFailed) as exc:
+        certificates.check_solids(Context(ctx.frame))
+    assert str(exc.value) == "solid is not 15 singular points"
+    assert exc.value.data == {"solid": 269}
 
 
 def transvection(v):

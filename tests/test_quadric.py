@@ -66,6 +66,20 @@ def test_singular_solids_are_distinct(ctx):
     assert len(set(ctx.solids)) == len(ctx.solids) == 270
 
 
+def test_the_solid_search_spans_each_solid_once(ctx, monkeypatch):
+    # the search carries only its rows; each solid is spanned once, from
+    # its four rows, and no span is built at an inner node
+    calls = []
+
+    def counted(rows, span=gf2.span):
+        calls.append(len(rows))
+        return span(rows)
+
+    monkeypatch.setattr(quadric, "span", counted)
+    assert quadric.singular_solids(ctx.quadric_points) == ctx.solids
+    assert calls == [4] * 270
+
+
 def test_every_singular_line_lies_in_six_solids(ctx):
     # a totally singular line is a pair of orthogonal quadric points; the
     # solids through it are the 6 lines of the Q+(3,2) in its perp

@@ -55,7 +55,6 @@ from .tetrad import (
     build_stabilizer,
     images,
     induced_matrix,
-    line_hits,
     line_maps,
     line_shuffles,
     pair_index,
@@ -199,26 +198,33 @@ def check_frame(ctx):
         require(a ^ b == c, "line is not closed under XOR", line=line)
         require(not (allpts & ln), "lines are not pairwise disjoint", line=line)
         allpts |= ln
-    require(dimension(allpts) == 8, "tetrad does not span the space")
+    rank = dimension(allpts)
+    require(rank == 8, "tetrad does not span the space", rank=rank)
     for h in range(4):
         z = f.rotations[h]
-        require(linmap_power(z, 3) == IDENTITY, f"rotation {h} has order != 3")
-        require(z != IDENTITY, f"rotation {h} is the identity")
+        require(linmap_power(z, 3) == IDENTITY, f"rotation {h} has order != 3",
+                rotation=h)
+        require(z != IDENTITY, f"rotation {h} is the identity", rotation=h)
         u0, u1, u2 = f.points[h]
         require(
             z[u0] == u1 and z[u1] == u2 and z[u2] == u0,
             f"rotation {h} does not cycle its line",
+            rotation=h,
         )
         for k in range(4):
             if k != h:
-                for p in f.lines[k]:
-                    require(z[p] == p, f"rotation {h} moves a point of line {k}")
+                for p in sorted(f.lines[k]):
+                    if z[p] != p:
+                        raise CheckFailed(f"rotation {h} moves a point of line {k}",
+                                          point=point_str(p))
     require(
         len(f.label_table()) == 255,
         "labels are not bijective",
         collisions=255 - len(f.label_table()),
     )
-    require(f.point_from_trits(gf3.ZERO) == UNIT, "U_0000 is not the unit point")
+    u = f.point_from_trits(gf3.ZERO)
+    if u != UNIT:
+        raise CheckFailed("U_0000 is not the unit point", point=point_str(u))
     return {
         "lines": [[point_str(p) for p in sorted(ln)] for ln in f.lines],
         "labelled_points": len(f.label_table()),
@@ -318,11 +324,14 @@ def check_quadric_points(ctx):
     "functional",
 )
 def check_quadric_unique(ctx):
+    # the survivors are the same forms whatever Q's linear part, so the
+    # scan alone does not see it: Q itself must be the one survivor
     cert = quadric.unique_form_certificate(ctx.frame)
+    adopted = cert["adopted_linear_part"]
     require(
-        cert["survivors"] == [0xFF],
+        cert["survivors"] == [adopted] == [0xFF],
         "uniqueness filter did not leave exactly the adopted form",
-        survivors=cert["survivors"],
+        survivors=cert["survivors"], adopted=adopted,
     )
     return cert
 
@@ -400,7 +409,7 @@ def check_stabilizer(ctx):
     gens = stabilizer_generators(ctx.frame)
     # each packing is read through the tetrad: a byte of `lines` is 0b1111
     # exactly when its map fixes the tetrad
-    lines = line_hits(b"".join(map(columns, gens.values())))
+    lines = pair_index(b"".join(map(columns, gens.values())))[0]
     for name, hit in zip(gens, lines):
         require(hit == 0b1111, "generator does not fix the tetrad lines",
                 generator=name)
@@ -430,7 +439,7 @@ def check_stabilizer(ctx):
     require(order == 31104, "stabilizer order wrong", order=order)
     g81 = ctx.g81
     packed = [columns(m) for m in g81]
-    lines = line_hits(b"".join(packed))
+    lines = pair_index(b"".join(packed))[0]
     # `columns`, which packs the listing, read back: byte i of a record is
     # the map's image of e_(i+1)
     for sigma, m in enumerate(g81):
@@ -488,8 +497,7 @@ def check_gf3(ctx):
         try:
             if len(pl.points) != 13:
                 raise ValueError("plane has wrong point count")
-            if len(pl.subspaces) != 13:
-                raise ValueError("plane has wrong line count")
+            pl.subspaces  # raises unless the plane has 13 lines
         except ValueError as e:
             raise CheckFailed(str(e), plane=gf3.point_strs(pl)) from None
     planes_on = Counter(ln for pl in pls for ln in pl.subspaces)
@@ -613,13 +621,11 @@ def check_weights(ctx):
             want = 1 if gf3.direction_family(v) == 0 else 4
             require(wa == want, "weight-4 alt-weight must follow the family",
                     vector=gf3.trit_str(v))
+    census = {f"{ws},{wa}": n for (ws, wa), n in sorted(classes.items())}
     require(
-        classes
-        == Counter(
-            {(0, 0): 1, (1, 4): 8, (2, 2): 24, (3, 3): 32, (4, 1): 8, (4, 4): 8}
-        ),
+        census == {"0,0": 1, "1,4": 8, "2,2": 24, "3,3": 32, "4,1": 8, "4,4": 8},
         "weight-pair census wrong",
-        census={f"{k[0]},{k[1]}": n for k, n in sorted(classes.items())},
+        census=census,
     )
     signed = {v for d in gf3.DIRECTIONS for v in (d, gf3.t_neg(d))}
     wt4 = {v for v in gf3.ALL81 if gf3.wt_std(v) == 4}
@@ -636,12 +642,7 @@ def check_weights(ctx):
                     rho=gf3.trit_str(rho),
                     sigma=gf3.trit_str(sigma),
                 )
-    return {
-        "pairs_checked": 81 * 81,
-        "weight_pair_census": {
-            f"{ws},{wa}": n for (ws, wa), n in sorted(classes.items())
-        },
-    }
+    return {"pairs_checked": 81 * 81, "weight_pair_census": census}
 
 
 # ── 10, 11 spreads ───────────────────────────────────────────────────────

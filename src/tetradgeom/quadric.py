@@ -21,7 +21,7 @@ partitioning the weight-4 orbit.
 from __future__ import annotations
 
 from . import gf3
-from .gf2 import COORDS, FORMS, PAIR_MASKS, low_bit, mask, quadric_value, span
+from .gf2 import COORDS, E, FORMS, low_bit, mask, quadric_value, span
 from .tetrad import Frame
 
 
@@ -31,26 +31,21 @@ def build_quadric() -> frozenset:
 
 
 def unique_form_certificate(frame: Frame) -> dict:
-    """Scan all 256 forms Q' = (degree-2 part) + (linear form) and keep
-    those with Q'(p) = 1 on every tetrad point.  Exactly one survives:
-    the adopted form, whose linear part is the all-ones functional."""
-    tetrad_points = sorted(frame.orbit(1))
-
-    def pair_part(x):
-        return sum(1 for pm in PAIR_MASKS if x & pm == pm)
-
-    survivors = [
-        c
+    """Scan the 256 forms Q + l_c, l_c(x) = c.x, which share Q's degree-2
+    part, and keep those with value 1 on every tetrad point, each named by
+    its own linear part.  Q's, the adopted one, is read off Q at the basis
+    vectors, where the degree-2 part vanishes."""
+    tetrad_points = frame.orbit(1)
+    adopted = sum(e for e in E if quadric_value(e))
+    survivors = sorted(
+        adopted ^ c
         for c in range(256)
-        if all(
-            (pair_part(p) + (c & p).bit_count()) % 2 == 1
-            for p in tetrad_points
-        )
-    ]
+        if all(quadric_value(p) ^ (c & p).bit_count() & 1 for p in tetrad_points)
+    )
     return {
         "candidates": 256,
         "survivors": survivors,
-        "adopted_linear_part": 0xFF,
+        "adopted_linear_part": adopted,
     }
 
 

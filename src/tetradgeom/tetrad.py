@@ -214,9 +214,9 @@ def line_maps() -> tuple:
     return tuple(
         frozenset(
             linmap({h + 1: a, 8 - h: b})
-            for a, b in permutations((pm & -pm, pm & (pm - 1), pm), 2)
+            for a, b in permutations(_TETRAD[3 * h:3 * h + 3], 2)
         )
-        for h, pm in enumerate(PAIR_MASKS)
+        for h in range(4)
     )
 
 
@@ -275,41 +275,19 @@ _PAIR = _places([13 * x + y for x, y in _PAIRS], 255)
 _LINE_BITS = bytes(1 << c // 6 if c < 24 else 0 for c in range(256))
 
 
-def _pair_codes(listing: bytes) -> tuple:
-    """A packed listing read line by line, as (codes, lines).
-
-    Record j's images of e_(h+1) and e_(8-h) have a pair code, byte j of
-    codes[h]: 0..23 when they are two distinct points of one tetrad line,
-    else 255.  Byte j of lines ORs the one-hot lines of record j's four
-    codes, so it is 0b1111 exactly when record j fixes the tetrad."""
-    count = len(listing) // 8
-    codes = []
-    lines = 0
-    for h in range(4):
-        # 13x + y lane by lane: at most 168, so no byte carries
-        x = int.from_bytes(listing[h::8].translate(_POINT), "little")
-        y = int.from_bytes(listing[7 - h::8].translate(_POINT), "little")
-        c = (13 * x + y).to_bytes(count, "little").translate(_PAIR)
-        codes.append(c)
-        lines |= int.from_bytes(c.translate(_LINE_BITS), "little")
-    return codes, lines.to_bytes(count, "little")
-
-
-def line_hits(listing: bytes) -> bytes:
-    """Byte j is 0b1111 exactly when record j of a packed listing fixes the
-    tetrad: the OR of the one-hot lines of its four pair codes."""
-    return _pair_codes(listing)[1]
-
-
 def pair_index(listing: bytes) -> tuple:
-    """A packed listing's `line_hits` and each record's index, as (lines,
-    keys), from one pass over its pair codes.
+    """A packed listing read through its pair codes, as (lines, keys).
+
+    Record j's images of e_(h+1) and e_(8-h) have a pair code: 0..23 when
+    they are two distinct points of one tetrad line, else 255.  Byte j of
+    lines ORs the one-hot lines of record j's four codes, so it is 0b1111
+    exactly when record j fixes the tetrad.
 
     keys[j] is record j's index sum 24^h code_h, a native unsigned int;
     where lines[j] is 0b1111 it is below 24^4, and as the codes give all
     eight columns, distinct records have distinct indices.  Elsewhere a
     key means nothing."""
-    codes, lines = _pair_codes(listing)
+    count = len(listing) // 8
     # the indices summed by Horner's rule on all records at once, each in
     # a 4-byte lane with a code string spread into the lanes' low bytes: a
     # lane stays below 255 * 24^4 < 2^32, so none carries.  The lanes are
@@ -317,13 +295,18 @@ def pair_index(listing: bytes) -> tuple:
     # place
     native = sys.byteorder
     low = 0 if native == "little" else 3
-    lanes = bytearray(len(lines) * 4)
-    key = 0
-    for c in reversed(codes):
+    lanes = bytearray(count * 4)
+    lines = key = 0
+    for h in reversed(range(4)):
+        # 13x + y lane by lane: at most 168, so no byte carries
+        x = int.from_bytes(listing[h::8].translate(_POINT), "little")
+        y = int.from_bytes(listing[7 - h::8].translate(_POINT), "little")
+        c = (13 * x + y).to_bytes(count, "little").translate(_PAIR)
+        lines |= int.from_bytes(c.translate(_LINE_BITS), "little")
         lanes[low::4] = c
         key = key * 24 + int.from_bytes(lanes, native)
     keys = memoryview(key.to_bytes(len(lanes), native)).cast("I")
-    return lines, keys
+    return lines.to_bytes(count, "little"), keys
 
 
 def images(listing: bytes):

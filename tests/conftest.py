@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from tetradgeom.certificates import Context
@@ -13,6 +15,12 @@ def symplectic_product(x, y) -> int:
 def records(listing) -> list:
     """The maps of a packed stabilizer listing, 8 column bytes each."""
     return [listing[i:i + 8] for i in range(0, len(listing), 8)]
+
+
+def without_timings(report) -> str:
+    """The report minus every elapsed_ms, serialised as the CLI writes it."""
+    stripped = [{k: v for k, v in e.items() if k != "elapsed_ms"} for e in report]
+    return json.dumps(stripped, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.fixture(scope="session")

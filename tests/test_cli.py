@@ -12,7 +12,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from conftest import records, symplectic_product
+from conftest import records, symplectic_product, without_timings
 
 from tetradgeom import anf, certificates, cli, denizens, gf2, gf3
 from tetradgeom.certificates import (
@@ -28,12 +28,15 @@ from tetradgeom.gf2 import (
     E,
     IDENTITY,
     columns,
+    compose,
     linmap,
+    linmap_power,
+    point_str,
     quadric_value,
     table,
     xor_shift,
 )
-from tetradgeom.tetrad import Frame, build_frame, line_hits
+from tetradgeom.tetrad import Frame, build_frame, pair_index
 
 REPORT_KEYS = {"name", "claim", "status", "witness", "elapsed_ms"}
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,12 +50,6 @@ QUERY_TEXT = ROOT / "tests" / "fixtures" / "query-text.json"
 # every child process finds the package through one absolute path, from
 # whatever directory the suite runs in
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-
-
-def without_timings(report) -> str:
-    """The report minus every elapsed_ms, serialised as the CLI writes it."""
-    stripped = [{k: v for k, v in e.items() if k != "elapsed_ms"} for e in report]
-    return json.dumps(stripped, indent=2, sort_keys=True) + "\n"
 
 
 def run_cli(*args, flags=()):
@@ -389,6 +386,30 @@ def test_a_table_mutant_fails_a_certificate(frame, monkeypatch, mutant):
     assert not any("error" in c.witness for c in failed)
 
 
+def quadric_plus_x1(x, quadric_value=gf2.quadric_value):
+    """Q + x_1: Q's degree-2 part, with linear part 0xFE."""
+    return quadric_value(x) ^ x & 1
+
+
+def test_a_quadric_with_another_linear_part_is_found(frame, monkeypatch):
+    # Q + x_1 vanishes at the tetrad point e_1, so its zeros are no union
+    # of orbits.  The forms that share its degree-2 part are those that
+    # share Q's, so the scan still leaves the one of linear part 0xFF;
+    # what fails is that Q's own linear part is no longer that one
+    bind_everywhere(monkeypatch, gf2.quadric_value, quadric_plus_x1)
+    certs = {c.name: c for c in run_certificates(Context(frame))}
+    failed = {name for name, c in certs.items() if c.status == "fail"}
+    assert failed == {"quadric-pointset", "quadric-uniqueness",
+                      "invariant-polynomials", "stabilizer-group",
+                      "generator-solids", "nine-caps"}
+    assert not any("error" in certs[name].witness for name in failed)
+    assert certs["quadric-uniqueness"].witness == {
+        "message": "uniqueness filter did not leave exactly the adopted form",
+        "survivors": [0xFF],
+        "adopted": 0xFE,
+    }
+
+
 def test_a_flipped_form_table_is_located(monkeypatch):
     bind_everywhere(monkeypatch, gf2.FORMS, FORMS_FLIPPED)
     with pytest.raises(CheckFailed) as exc:
@@ -669,17 +690,16 @@ def test_an_odd_diagonal_record_is_looked_up_raw(ctx, monkeypatch):
 
 def test_the_listing_is_read_through_the_pair_index_once(ctx, monkeypatch):
     calls = []
-    for reader in ("line_hits", "pair_index"):
-        def counted(listing, reader=reader, read=getattr(certificates, reader)):
-            calls.append((reader, len(listing)))
-            return read(listing)
 
-        monkeypatch.setattr(certificates, reader, counted)
+    def counted(listing, read=certificates.pair_index):
+        calls.append(len(listing))
+        return read(listing)
+
+    monkeypatch.setattr(certificates, "pair_index", counted)
     check_stabilizer(ctx)
-    # the ten generators' line hits, the 248 832-byte listing's index once,
-    # then G81's line hits: only the listing builds the Horner lanes
-    assert calls == [("line_hits", 8 * 10), ("pair_index", len(ctx.stabilizer)),
-                     ("line_hits", 8 * 81)]
+    # the ten generators' packing, the 248 832-byte listing once, then
+    # G81's packing: one reader of the pair codes for all three
+    assert calls == [8 * 10, len(ctx.stabilizer), 8 * 81]
 
 
 def test_the_stabilizer_check_peaks_under_a_megabyte_and_a_quarter(ctx):
@@ -802,7 +822,7 @@ def test_tetrad_sweep_counts_every_kind_of_non_fixing_map(ctx, monkeypatch):
         linmap({1: E[1], 2: E[0]}),  # half of L_a onto L_b
         linmap({2: E[0], 7: E[7]}),  # L_b onto L_a, so L_b is never hit
     ]
-    assert 0b1111 not in line_hits(b"".join(map(columns, crafted)))
+    assert 0b1111 not in pair_index(b"".join(map(columns, crafted)))[0]
     elements, _ = stand_ins(ctx, crafted[:2], crafted[2:])
     monkeypatch.setattr(certificates, "build_stabilizer", lambda: elements)
     with pytest.raises(CheckFailed) as exc:
@@ -1313,6 +1333,58 @@ def test_a_line_meeting_an_earlier_line_is_named():
         check_frame(Context(frame))
     assert str(exc.value) == "lines are not pairwise disjoint"
     assert exc.value.data == {"line": ["1", "2", "12"]}
+
+
+def test_a_tetrad_short_of_the_space_is_given_its_rank():
+    # L_d moved into the span of L_a, L_b and L_c, clear of their points
+    frame = frame_with_line(3, {0x03, 0x05, 0x06})
+    with pytest.raises(CheckFailed) as exc:
+        check_frame(Context(frame))
+    assert str(exc.value) == "tetrad does not span the space"
+    assert exc.value.data == {"rank": 6}
+
+
+def frame_with_rotation(index, rotation):
+    """A new frame whose `index`-th rotation is replaced by `rotation`;
+    its points stay those the true rotation steps through."""
+    frame = build_frame()
+    rotations = list(frame.rotations)
+    rotations[index] = rotation
+    frame.rotations = tuple(rotations)
+    return frame
+
+
+ZETA = build_frame().rotations
+
+
+@pytest.mark.parametrize("index, rotation, message", [
+    (1, linmap({2: E[6], 7: E[1]}), "rotation 1 has order != 3"),  # swap_b
+    (2, IDENTITY, "rotation 2 is the identity"),
+    (3, linmap_power(ZETA[3], 2), "rotation 3 does not cycle its line"),
+], ids=("order", "identity", "cycle"))
+def test_a_wrong_rotation_is_named(index, rotation, message):
+    with pytest.raises(CheckFailed) as exc:
+        check_frame(Context(frame_with_rotation(index, rotation)))
+    assert str(exc.value) == message
+    assert exc.value.data == {"rotation": index}
+
+
+def test_a_rotation_moving_another_line_names_the_point():
+    # zeta_a zeta_b cycles L_a as zeta_a does, and moves e2 to e2 + e7
+    frame = frame_with_rotation(0, compose(ZETA[0], ZETA[1]))
+    with pytest.raises(CheckFailed) as exc:
+        check_frame(Context(frame))
+    assert str(exc.value) == "rotation 0 moves a point of line 1"
+    assert exc.value.data == {"point": "2"}
+
+
+def test_a_unit_label_on_another_point_names_the_point():
+    frame = build_frame()
+    frame._point_of = (0x7F, *frame._point_of[1:])  # U_0000 is vector 0
+    with pytest.raises(CheckFailed) as exc:
+        check_frame(Context(frame))
+    assert str(exc.value) == "U_0000 is not the unit point"
+    assert exc.value.data == {"point": point_str(0x7F)}
 
 
 def test_unlabelled_points_are_counted_as_collisions():

@@ -51,3 +51,45 @@ def test_every_public_name_is_read_elsewhere_in_the_package():
         if not name.startswith("_") and read[name] == Counter(reads(node))[name]
     ]
     assert unread == []
+
+
+#: the guards of `certificates.py` that still pass no field, by message,
+#: each f-string field written as {}
+BARE_GUARDS = (
+    "Gram entry ({},{}) wrong",
+    "line-weight class {} is not a group orbit",
+    "quadric is not orbit2 + orbit4",
+    "basis change is not involutory",
+    "weight-4 vectors are not the direction sign pairs",
+    "alt-weight-1 vectors are not the even family",
+    "unit point does not lie on 8 distinct lines",
+    "direction pair count wrong",
+    "C2 triplet count wrong",
+    "not all tetrad pairs covered",
+    "ennead does not have nine cells",
+    "ennead cell size wrong",
+    "ennead cell is not a coset of the intersection",
+)
+
+
+def message(node) -> str:
+    """A guard's message as written, each f-string field as {}."""
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                       for v in node.values)
+    return ast.literal_eval(node)
+
+
+def test_every_guard_says_where_it_failed():
+    # a guard is a `require` call or a `CheckFailed` raise; it says where
+    # by at least one field, a keyword or **where.  Only the listed bare
+    # guards pass none, so a new bare guard fails here, and a listed one
+    # given a field leaves the list
+    tree = ast.parse((SRC / "certificates.py").read_text())
+    bare = [
+        message(node.args[node.func.id == "require"])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("require", "CheckFailed") and not node.keywords
+    ]
+    assert sorted(bare) == sorted(BARE_GUARDS)

@@ -32,7 +32,6 @@ from tetradgeom.tetrad import (
     build_stabilizer,
     images,
     induced_matrix,
-    line_hits,
     line_maps,
     line_shuffles,
     pair_index,
@@ -212,7 +211,7 @@ def test_listing_is_the_generated_stabilizer(frame):
     # the breadth-first closure of all ten generators, an independent route
     closure = mulclose(stabilizer_generators(frame).values())
     assert set(maps) == {columns(m) for m in closure}
-    assert line_hits(b"".join(map(columns, closure))) == b"\x0f" * len(closure)
+    assert pair_index(b"".join(map(columns, closure)))[0] == b"\x0f" * len(closure)
 
 
 def test_listing_is_the_product_of_its_factors():
@@ -233,8 +232,7 @@ def test_the_pair_index_tells_the_real_listing_apart():
     # every record fixes the tetrad, and as many distinct indices as records
     listing = build_stabilizer()
     lines, keys = pair_index(listing)
-    # the index's line hits are line_hits', from the same pair codes
-    assert lines == line_hits(listing) == b"\x0f" * 31104
+    assert lines == b"\x0f" * 31104
     assert max(keys) < 24**4
     assert len(set(keys)) == len(set(records(listing))) == 31104
 
@@ -260,7 +258,7 @@ def test_listing_is_the_same_in_every_process():
 
 def fixes(*maps) -> list:
     """Whether each map fixes the tetrad, read off its packed line-hit byte."""
-    return [hit == 0b1111 for hit in line_hits(b"".join(map(columns, maps)))]
+    return [hit == 0b1111 for hit in pair_index(b"".join(map(columns, maps)))[0]]
 
 
 def test_fixes_tetrad(frame):
